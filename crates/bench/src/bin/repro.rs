@@ -8,11 +8,12 @@
 //!     --exp fig14 --quick --metrics m.json --events e.json --progress
 //! ```
 //!
-//! `--metrics` / `--events` switch on the rtm-obs registry and shift
-//! transaction trace and dump their snapshots as JSON on exit (the
-//! events dump carries the cycle-stamped span forest under a `"spans"`
-//! key, and any ring-buffer drops are reported on stderr); `--labels
-//! <path>` switches on the labeled registry and dumps its snapshot;
+//! `--metrics` / `--events` switch on the rtm-obs metric store and
+//! shift transaction trace and dump their snapshots as JSON on exit
+//! (the events dump carries the cycle-stamped span forest under a
+//! `"spans"` key, and any ring-buffer drops are reported on stderr);
+//! `--metrics` writes the unlabeled metrics and `--labels <path>` the
+//! labeled ones, and either flag switches the one store on;
 //! `--attribution` appends exact cycle-attribution tables to the
 //! `serve` and `fig14` reports (and writes them as CSV + JSON when
 //! `--csv` is given); `--progress` prints heartbeat lines for long
@@ -240,16 +241,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if opts.metrics.is_some() {
+    if opts.metrics.is_some() || opts.labels.is_some() {
         rtm_obs::global().registry().set_enabled(true);
     }
     if opts.events.is_some() {
         // Spans ride along in the events dump under a "spans" key.
         rtm_obs::global().trace().set_enabled(true);
         rtm_obs::global().spans().set_enabled(true);
-    }
-    if opts.labels.is_some() {
-        rtm_obs::global().labeled().set_enabled(true);
     }
     if opts.progress {
         rtm_obs::set_progress(true);
@@ -539,9 +537,9 @@ fn main() {
         out
     });
 
-    // Machine-readable run artefacts: metrics registry and shift
-    // transaction trace snapshots, written even on a partial run so a
-    // crash-free exit always leaves usable telemetry behind.
+    // Machine-readable run artefacts: metric store and shift transaction
+    // trace snapshots, written even on a partial run so a crash-free
+    // exit always leaves usable telemetry behind.
     let write_json = |path: &std::path::Path, doc: &rtm_obs::json::Json| {
         if let Err(e) = rtm_obs::export::write_json(path, doc) {
             eprintln!("error: cannot write {}: {e}", path.display());
@@ -572,7 +570,10 @@ fn main() {
         write_json(path, &doc);
     }
     if let Some(path) = &opts.labels {
-        write_json(path, &rtm_obs::global().labeled().snapshot().to_json());
+        write_json(
+            path,
+            &rtm_obs::global().registry().snapshot().labeled_json(),
+        );
     }
 
     if shown == 0 {

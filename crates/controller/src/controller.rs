@@ -105,26 +105,6 @@ pub struct ControllerStats {
     pub expected_sdcs: f64,
 }
 
-impl ControllerStats {
-    /// This stats block as an [`rtm_obs`] registry snapshot, under
-    /// `controller.*` metric names (counts as counters, accumulated
-    /// probabilities as gauges).
-    pub fn to_metrics(&self) -> rtm_obs::metrics::RegistrySnapshot {
-        let reg = rtm_obs::metrics::MetricsRegistry::new();
-        reg.set_enabled(true);
-        reg.counter_add("controller.requests", self.requests);
-        reg.counter_add("controller.operations", self.operations);
-        reg.counter_add("controller.steps", self.steps);
-        reg.counter_add("controller.shift_cycles", self.shift_cycles);
-        reg.counter_add("controller.checks", self.checks);
-        reg.counter_add("controller.batched_requests", self.batched_requests);
-        reg.counter_add("controller.batch_saved_cycles", self.batch_saved_cycles);
-        reg.gauge_set("controller.expected_dues", self.expected_dues);
-        reg.gauge_set("controller.expected_sdcs", self.expected_sdcs);
-        reg.snapshot()
-    }
-}
-
 /// The position-error-aware shift controller.
 #[derive(Debug, Clone)]
 pub struct ShiftController {

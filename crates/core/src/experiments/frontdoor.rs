@@ -208,7 +208,7 @@ pub fn front_csv(sweep: &FrontSweep) -> String {
 }
 
 /// Publishes each cell's labeled admission counters into the
-/// process-wide [`rtm_obs`] registry (no-op unless labels are
+/// process-wide [`rtm_obs`] metric store (no-op unless it is
 /// enabled). Called after the sweep so the emission order is the
 /// deterministic policy order regardless of `--threads`.
 pub fn record_front_labels(sweep: &FrontSweep) {
@@ -297,13 +297,7 @@ mod tests {
     #[test]
     fn labeled_emission_covers_the_grid_when_enabled() {
         let sweep = FrontSweep::run(&tiny());
-        let labels = rtm_obs::global().labeled();
-        labels.reset();
-        labels.set_enabled(true);
-        record_front_labels(&sweep);
-        let snap = labels.snapshot();
-        labels.set_enabled(false);
-        labels.reset();
+        let snap = super::super::record_into_global_store(|| record_front_labels(&sweep));
         assert_eq!(
             snap.series("front.admitted").len(),
             sweep.cells.len() * SloClass::ALL.len()

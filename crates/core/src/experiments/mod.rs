@@ -73,6 +73,25 @@ pub fn render_table(rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Runs `emit` with the process-wide metric store switched on and
+/// returns its snapshot, leaving the store off and empty. One lock
+/// keeps the emission tests' windows apart; other tests in the binary
+/// may record unlabeled metrics meanwhile, so callers read labeled
+/// entries only.
+#[cfg(test)]
+fn record_into_global_store(emit: impl FnOnce()) -> rtm_obs::metrics::RegistrySnapshot {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = rtm_obs::global().registry();
+    registry.reset();
+    registry.set_enabled(true);
+    emit();
+    let snap = registry.snapshot();
+    registry.set_enabled(false);
+    registry.reset();
+    snap
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

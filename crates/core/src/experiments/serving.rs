@@ -302,11 +302,11 @@ pub fn render_serving_attribution(table: &AttributionTable) -> String {
 }
 
 /// Publishes one labeled sample set per cell into the process-wide
-/// [`rtm_obs`] labeled registry (no-op unless labels are enabled).
-/// Called after the sweep so the emission order is the deterministic
-/// grid order regardless of `--threads`.
+/// [`rtm_obs`] metric store (no-op unless it is enabled). Called after
+/// the sweep so the emission order is the deterministic grid order
+/// regardless of `--threads`.
 pub fn record_serving_labels(sweep: &ServeSweep) {
-    let labels = rtm_obs::global().labeled();
+    let labels = rtm_obs::global().registry();
     if !labels.enabled() {
         return;
     }
@@ -504,17 +504,18 @@ mod tests {
         let mut s = tiny();
         s.workloads = Some(vec!["canneal"]);
         let sweep = ServeSweep::run(&s);
-        let labels = rtm_obs::global().labeled();
-        labels.reset();
-        labels.set_enabled(true);
-        record_serving_labels(&sweep);
-        let snap = labels.snapshot();
-        labels.set_enabled(false);
-        labels.reset();
+        let snap = super::super::record_into_global_store(|| record_serving_labels(&sweep));
+        // The labeled dump, byte for byte; it carries the only labeled
+        // histogram, `serve.total_p99`.
+        let dump = snap.labeled_json().pretty();
+        let digest = dump.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x7c22_0eef_7570_5afd);
         assert_eq!(snap.series("serve.requests").len(), sweep.cells.len());
         let probe = sweep.cells[0].policy.to_string();
         assert_eq!(
-            snap.counter(
+            snap.get(
                 "serve.requests",
                 // Snapshot lookups take the pairs in sorted key order.
                 &[
@@ -523,7 +524,7 @@ mod tests {
                     ("workload", "canneal"),
                 ],
             ),
-            Some(3_000)
+            Some(&rtm_obs::metrics::MetricValue::Counter(3_000))
         );
         // Tenant rows exist for each of the four tenants per cell.
         assert_eq!(

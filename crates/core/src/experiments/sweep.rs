@@ -155,9 +155,6 @@ pub struct SimSweep {
     pub by_choice: BTreeMap<&'static str, BTreeMap<String, SimResult>>,
     /// Per-workload results for racetrack variants (Figs. 10/11/14).
     pub by_variant: BTreeMap<&'static str, BTreeMap<String, SimResult>>,
-    /// Copy of the global metrics registry taken when the sweep
-    /// finished (empty unless observability was switched on).
-    pub obs: rtm_obs::metrics::RegistrySnapshot,
 }
 
 impl SimSweep {
@@ -184,7 +181,7 @@ impl SimSweep {
         // strict grid order as soon as its predecessors have arrived, so
         // no worker-count-sized Vec of results accumulates and gauges
         // stay deterministic for any `threads` value.
-        let mut sweep = rtm_par::parallel_fold_with(
+        let sweep = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
             |i| {
@@ -210,7 +207,6 @@ impl SimSweep {
             },
         );
         progress.finish();
-        sweep.obs = rtm_obs::global().registry().snapshot();
         sweep
     }
 
@@ -234,7 +230,7 @@ impl SimSweep {
             .collect();
         let progress =
             rtm_obs::timer::Progress::new("sweep(variants)", cells.len() as u64, "cells");
-        let mut sweep = rtm_par::parallel_fold_with(
+        let sweep = rtm_par::parallel_fold_with(
             threads,
             cells.len(),
             |i| {
@@ -272,7 +268,6 @@ impl SimSweep {
             },
         );
         progress.finish();
-        sweep.obs = rtm_obs::global().registry().snapshot();
         sweep
     }
 }

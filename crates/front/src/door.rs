@@ -491,10 +491,11 @@ impl FrontResult {
         }
     }
 
-    /// Records per-class counters and latency gauges into the global
-    /// labeled-metrics registry (no-op while observability is off).
+    /// Records per-class counters and latency gauges, labeled by policy
+    /// and class, into the global metric store (no-op while
+    /// observability is off).
     pub fn record_labels(&self, policy: &str) {
-        let labels = rtm_obs::global().labeled();
+        let labels = rtm_obs::global().registry();
         if !labels.enabled() {
             return;
         }

@@ -44,31 +44,6 @@ pub struct LlcStats {
     pub observed_errors: u64,
 }
 
-impl LlcStats {
-    /// This stats block as an [`rtm_obs`] registry snapshot, under
-    /// `llc.*` metric names (counts as counters, accumulated
-    /// probabilities as gauges).
-    pub fn to_metrics(&self) -> rtm_obs::metrics::RegistrySnapshot {
-        let reg = rtm_obs::metrics::MetricsRegistry::new();
-        reg.set_enabled(true);
-        reg.counter_add("llc.hits", self.cache.hits);
-        reg.counter_add("llc.misses", self.cache.misses);
-        reg.counter_add("llc.writebacks", self.cache.writebacks);
-        reg.counter_add("llc.reads", self.cache.reads);
-        reg.counter_add("llc.writes", self.cache.writes);
-        reg.counter_add("llc.shift_ops", self.shift_ops);
-        reg.counter_add("llc.shift_steps", self.shift_steps);
-        reg.counter_add("llc.shift_cycles", self.shift_cycles);
-        reg.counter_add("llc.verify_cycles", self.verify_cycles);
-        reg.counter_add("llc.zero_shift_accesses", self.zero_shift_accesses);
-        reg.gauge_set("llc.expected_dues", self.expected_dues);
-        reg.gauge_set("llc.expected_sdcs", self.expected_sdcs);
-        reg.counter_add("engine.sample.shifts", self.sampled_shifts);
-        reg.counter_add("engine.sample.errors", self.observed_errors);
-        reg.snapshot()
-    }
-}
-
 /// What an LLC access cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcResponse {

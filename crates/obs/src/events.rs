@@ -182,15 +182,6 @@ impl EventTrace {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Changes the ring capacity; excess oldest events are dropped
-    /// immediately.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.inner
-            .lock()
-            .expect("event trace poisoned")
-            .set_capacity(capacity);
-    }
-
     /// Records an event at the given simulation cycle.
     pub fn record(&self, cycle: u64, event: ShiftEvent) {
         if !self.enabled() {
@@ -436,20 +427,6 @@ mod tests {
         // The retained window is the most recent events, in order.
         let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (92..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shrinking_capacity_drops_oldest() {
-        let t = EventTrace::with_capacity(10);
-        t.set_enabled(true);
-        for i in 0..10u32 {
-            t.record(i as u64, ShiftEvent::BackShift { steps: i });
-        }
-        t.set_capacity(3);
-        let snap = t.snapshot();
-        assert_eq!(snap.events.len(), 3);
-        assert_eq!(snap.dropped, 7);
-        assert_eq!(snap.events[0].seq, 7);
     }
 
     #[test]

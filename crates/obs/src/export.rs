@@ -13,8 +13,6 @@ use std::path::Path;
 
 use crate::events::EventTraceSnapshot;
 use crate::json::Json;
-use crate::labels::LabeledSnapshot;
-use crate::metrics::{MetricValue, RegistrySnapshot};
 use crate::span::SpanTraceSnapshot;
 
 /// Serialises rows of cells as RFC-4180-style CSV (quotes doubled,
@@ -38,172 +36,7 @@ pub fn to_csv(rows: &[Vec<String>]) -> String {
     out
 }
 
-fn num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:?}")
-    }
-}
-
-impl RegistrySnapshot {
-    /// Rows for CSV export: `name,type,count,sum|value,min,max,p50,p95,p99`,
-    /// header included.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let mut rows = vec![vec![
-            "name".to_string(),
-            "type".to_string(),
-            "count".to_string(),
-            "value".to_string(),
-            "min".to_string(),
-            "max".to_string(),
-            "p50".to_string(),
-            "p95".to_string(),
-            "p99".to_string(),
-        ]];
-        for m in &self.metrics {
-            let row = match &m.value {
-                MetricValue::Counter(v) => vec![
-                    m.name.clone(),
-                    "counter".into(),
-                    String::new(),
-                    v.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ],
-                MetricValue::Gauge(v) => vec![
-                    m.name.clone(),
-                    "gauge".into(),
-                    String::new(),
-                    num(*v),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ],
-                MetricValue::Histogram(h) => vec![
-                    m.name.clone(),
-                    "histogram".into(),
-                    h.count.to_string(),
-                    num(h.sum),
-                    num(h.min),
-                    num(h.max),
-                    num(h.p50),
-                    num(h.p95),
-                    num(h.p99),
-                ],
-            };
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// CSV rendering of [`Self::rows`].
-    pub fn to_csv(&self) -> String {
-        to_csv(&self.rows())
-    }
-}
-
 impl EventTraceSnapshot {
-    /// Rows for CSV export in a wide schema (one column per possible
-    /// field, blanks where a kind has no such field), header included.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let mut rows = vec![vec![
-            "seq".to_string(),
-            "cycle".to_string(),
-            "kind".to_string(),
-            "distance".to_string(),
-            "parts".to_string(),
-            "latency_cycles".to_string(),
-            "cycles".to_string(),
-            "outcome".to_string(),
-            "k".to_string(),
-            "steps".to_string(),
-            "cap".to_string(),
-            "id".to_string(),
-            "group".to_string(),
-            "queue_delay".to_string(),
-            "service_cycles".to_string(),
-        ]];
-        use crate::events::{PeccOutcome, ShiftEvent};
-        for e in &self.events {
-            let mut row = vec![
-                e.seq.to_string(),
-                e.cycle.to_string(),
-                e.event.kind().to_string(),
-            ];
-            row.resize(15, String::new());
-            match e.event {
-                ShiftEvent::ShiftPlanned {
-                    distance,
-                    parts,
-                    latency_cycles,
-                } => {
-                    row[3] = distance.to_string();
-                    row[4] = parts.to_string();
-                    row[5] = latency_cycles.to_string();
-                }
-                ShiftEvent::StsPulse { distance, cycles } => {
-                    row[3] = distance.to_string();
-                    row[6] = cycles.to_string();
-                }
-                ShiftEvent::PeccVerdict { outcome } => match outcome {
-                    PeccOutcome::Clean => row[7] = "clean".into(),
-                    PeccOutcome::Corrected(k) => {
-                        row[7] = "corrected".into();
-                        row[8] = k.to_string();
-                    }
-                    PeccOutcome::DetectedUncorrectable => {
-                        row[7] = "detected_uncorrectable".into();
-                    }
-                },
-                ShiftEvent::BackShift { steps } => {
-                    row[9] = steps.to_string();
-                }
-                ShiftEvent::SafeDistanceSplit {
-                    distance,
-                    cap,
-                    parts,
-                } => {
-                    row[3] = distance.to_string();
-                    row[10] = cap.to_string();
-                    row[4] = parts.to_string();
-                }
-                ShiftEvent::ReqEnqueued { id, group } => {
-                    row[11] = id.to_string();
-                    row[12] = group.to_string();
-                }
-                ShiftEvent::ReqDispatched {
-                    id,
-                    group,
-                    queue_delay,
-                } => {
-                    row[11] = id.to_string();
-                    row[12] = group.to_string();
-                    row[13] = queue_delay.to_string();
-                }
-                ShiftEvent::ReqCompleted { id, service_cycles } => {
-                    row[11] = id.to_string();
-                    row[14] = service_cycles.to_string();
-                }
-                ShiftEvent::ReqBackpressure { group } => {
-                    row[12] = group.to_string();
-                }
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// CSV rendering of [`Self::rows`].
-    pub fn to_csv(&self) -> String {
-        to_csv(&self.rows())
-    }
-
     /// Rows for the serving-layer queue events only, in a narrow
     /// schema (header included): enqueue/dispatch/complete/backpressure
     /// with blanks where a kind has no such field.
@@ -259,58 +92,6 @@ impl EventTraceSnapshot {
     /// CSV rendering of [`Self::queue_rows`].
     pub fn queue_csv(&self) -> String {
         to_csv(&self.queue_rows())
-    }
-}
-
-impl LabeledSnapshot {
-    /// Rows for CSV export:
-    /// `name,labels,type,count,value,min,max,p50,p95,p99` with labels
-    /// rendered as `k=v;k=v`, header included.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        let mut rows = vec![vec![
-            "name".to_string(),
-            "labels".to_string(),
-            "type".to_string(),
-            "count".to_string(),
-            "value".to_string(),
-            "min".to_string(),
-            "max".to_string(),
-            "p50".to_string(),
-            "p95".to_string(),
-            "p99".to_string(),
-        ]];
-        for e in &self.entries {
-            let mut row = vec![e.name.clone(), e.label_string()];
-            match &e.value {
-                MetricValue::Counter(v) => {
-                    row.extend(["counter".into(), String::new(), v.to_string()]);
-                    row.resize(10, String::new());
-                }
-                MetricValue::Gauge(v) => {
-                    row.extend(["gauge".into(), String::new(), num(*v)]);
-                    row.resize(10, String::new());
-                }
-                MetricValue::Histogram(h) => {
-                    row.extend([
-                        "histogram".into(),
-                        h.count.to_string(),
-                        num(h.sum),
-                        num(h.min),
-                        num(h.max),
-                        num(h.p50),
-                        num(h.p95),
-                        num(h.p99),
-                    ]);
-                }
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// CSV rendering of [`Self::rows`].
-    pub fn to_csv(&self) -> String {
-        to_csv(&self.rows())
     }
 }
 
@@ -381,9 +162,7 @@ pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventTrace, PeccOutcome, ShiftEvent};
-    use crate::labels::LabeledMetrics;
-    use crate::metrics::MetricsRegistry;
+    use crate::events::{EventTrace, ShiftEvent};
     use crate::span::SpanTrace;
 
     #[test]
@@ -393,38 +172,6 @@ mod tests {
             vec!["say \"hi\"".into(), "plain".into()],
         ];
         assert_eq!(to_csv(&rows), "a,\"b,c\"\n\"say \"\"hi\"\"\",plain\n");
-    }
-
-    #[test]
-    fn snapshot_csv_has_header_and_all_metrics() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        r.counter_add("shift.count", 9);
-        r.gauge_set("energy.pj", 1.25);
-        r.observe("lat", 3.0);
-        let csv = r.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name,type,count"));
-        assert!(csv.contains("shift.count,counter,,9"));
-        assert!(csv.contains("energy.pj,gauge,,1.25"));
-        assert!(csv.contains("lat,histogram,1,3"));
-    }
-
-    #[test]
-    fn event_csv_round_numbers() {
-        let t = EventTrace::new();
-        t.set_enabled(true);
-        t.record(
-            3,
-            ShiftEvent::PeccVerdict {
-                outcome: PeccOutcome::Corrected(2),
-            },
-        );
-        let csv = t.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[1], "0,3,PeccVerdict,,,,,corrected,2,,,,,,");
     }
 
     #[test]
@@ -518,19 +265,5 @@ mod tests {
         );
         // Parseable by our own JSON reader (and thus well-formed).
         assert!(Json::parse(&doc.pretty()).is_ok());
-    }
-
-    #[test]
-    fn labeled_csv_has_labels_column() {
-        let m = LabeledMetrics::new();
-        m.set_enabled(true);
-        m.counter_add_with("serve.requests", &[("tenant", "0"), ("bank", "2")], 7);
-        m.observe_labeled("serve.latency", &[("tenant", "0")], 4.0);
-        let csv = m.snapshot().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("name,labels,type"));
-        assert_eq!(lines[1], "serve.latency,tenant=0,histogram,1,4,4,4,4,4,4");
-        assert_eq!(lines[2], "serve.requests,bank=2;tenant=0,counter,,7,,,,,");
     }
 }

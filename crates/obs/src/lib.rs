@@ -4,12 +4,10 @@
 //! layer, LLC model, Monte-Carlo drivers) emits into one process-wide
 //! [`Observer`] holding:
 //!
-//! * a [`metrics::MetricsRegistry`] of named counters, gauges and
-//!   fixed-bucket histograms with p50/p95/p99 summaries;
-//! * a [`labels::LabeledMetrics`] store for metrics keyed on
-//!   `(name, label-set)` — tenant, bank, scheme, policy — with
-//!   per-shard label interning so the hot path stays a hash plus an
-//!   atomic;
+//! * a [`metrics::MetricsRegistry`] — the one metric store — of
+//!   counters, gauges and fixed-bucket histograms with p50/p95/p99
+//!   summaries, keyed by `(name, label set)`: tenant, bank, scheme,
+//!   policy; an unlabeled metric has the empty label set;
 //! * an [`events::EventTrace`] — a bounded ring buffer of
 //!   shift-transaction events ([`events::ShiftEvent`]) with sequence
 //!   numbers and cycle timestamps, so peak memory stays independent of
@@ -20,14 +18,13 @@
 //!   `trace_event` JSON;
 //! * [`attrib::AttributionTable`] — exact per-cell cycle attribution
 //!   (components sum to the measured total within one cycle);
-//! * [`timer::ScopedTimer`] and [`timer::Progress`] for wall-clock
-//!   phase timing and sweep heartbeats.
+//! * [`timer::Progress`] for sweep heartbeats.
 //!
 //! Everything is **off by default**: a disabled recording call is a
 //! single relaxed atomic load, so instrumentation costs nothing in
 //! uninstrumented runs. The `repro` binary switches recording on when
-//! `--metrics` / `--events` / `--progress` flags are present and
-//! writes machine-readable reports via [`json::Json`] and
+//! `--metrics` / `--labels` / `--events` / `--progress` flags are
+//! present and writes machine-readable reports via [`json::Json`] and
 //! [`export::to_csv`] — both implemented here because offline builds
 //! cannot depend on external serialisation crates.
 //!
@@ -59,7 +56,6 @@ pub mod attrib;
 pub mod events;
 pub mod export;
 pub mod json;
-pub mod labels;
 pub mod metrics;
 mod ring;
 pub mod span;
@@ -69,16 +65,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use events::{EventTrace, ShiftEvent};
-use labels::LabeledMetrics;
 use metrics::MetricsRegistry;
 use span::SpanTrace;
 
-/// The process-wide metrics registry, labeled-metric store, event
-/// trace and span trace.
+/// The process-wide metric store, event trace and span trace.
 #[derive(Debug, Default)]
 pub struct Observer {
     registry: MetricsRegistry,
-    labeled: LabeledMetrics,
     trace: EventTrace,
     spans: SpanTrace,
 }
@@ -90,14 +83,9 @@ impl Observer {
         Self::default()
     }
 
-    /// The metrics registry.
+    /// The metric store (unlabeled and labeled metrics alike).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// The labeled-metric store.
-    pub fn labeled(&self) -> &LabeledMetrics {
-        &self.labeled
     }
 
     /// The shift-transaction event trace.

@@ -1,16 +1,26 @@
-//! A registry of named counters, gauges and fixed-bucket histograms.
+//! The one metric store: counters, gauges and fixed-bucket histograms
+//! keyed by `(name, label set)`.
 //!
-//! The registry is designed for hot simulation loops: when disabled
-//! (the default) every recording call is a single relaxed atomic load,
-//! so instrumented code pays essentially nothing in uninstrumented
-//! runs. When enabled, the *read* path is lock-free: the name index is
-//! an [`RcuCell`] snapshot (a sorted `Vec` of `(name, Arc<cell>)`
-//! pairs, binary-searched per call) and every metric cell is plain
-//! atomics, so recording an existing metric takes one atomic pointer
-//! load, a short binary search, and one atomic RMW — no mutex, no
-//! allocation. Only *creating* a metric (first recording under a new
-//! name) serialises on a writer mutex, which copies the index,
-//! inserts, and atomically swaps the new snapshot in.
+//! A label set is a sorted, deduplicated list of `(key, value)` pairs —
+//! `tenant`, `bank`, `scheme`, `policy`, `workload` — and an unlabeled
+//! metric is simply the entry with the empty label set. Hot simulation
+//! loops record unlabeled metrics (`shift.*` sub-shifts, `pecc.*`
+//! checks); per-cell summaries written after a sweep add labels through
+//! the `*_with` / [`MetricsRegistry::observe_labeled`] calls, which sort
+//! their pairs on every call and are meant for cold paths only.
+//!
+//! The registry is designed for those hot loops: when disabled (the
+//! default) every recording call is a single relaxed atomic load, so
+//! instrumented code pays essentially nothing in uninstrumented runs.
+//! When enabled, the *read* path is lock-free: the index is an
+//! [`RcuCell`] snapshot (a `Vec` of `(name, labels, Arc<cell>)` entries
+//! sorted by key, binary-searched per call) and every metric cell is
+//! plain atomics, so recording an existing metric takes one atomic
+//! pointer load, a short binary search, and one atomic RMW — no mutex,
+//! no allocation. Only a metric that is not yet in the published index
+//! takes a mutex: it is created in a pending list, and the pending
+//! metrics are copied into a new index, swapped in atomically, when one
+//! of them is recorded again or a snapshot is taken.
 //!
 //! # Orderings audit (multi-worker case)
 //!
@@ -25,11 +35,10 @@
 //! fully initialised state. Cell *updates* are `Relaxed` atomic RMWs:
 //! RMWs cannot lose increments regardless of ordering, and snapshot
 //! visibility is provided by the caller's join edge (the sweep drivers
-//! snapshot after joining their workers), exactly the contract the old
-//! mutex-sharded implementation documented. Gauge/histogram `f64`
-//! state is stored as bit patterns in `AtomicU64` and combined with
-//! compare-exchange loops, so concurrent `gauge_add`/`observe` calls
-//! are lossless too.
+//! snapshot after joining their workers). Histogram `f64` moments are
+//! stored as bit patterns in `AtomicU64` and combined with
+//! compare-exchange loops, so concurrent `observe` calls are lossless
+//! too.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -46,70 +55,21 @@ pub const DEFAULT_BUCKETS: [f64; 28] = [
     1.0e9,
 ];
 
-#[derive(Debug, Clone)]
-pub(crate) enum Metric {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Hist),
-}
+/// A metric's label set: `(key, value)` pairs sorted and deduplicated,
+/// empty for an unlabeled metric.
+pub type Labels = Vec<(String, String)>;
 
-/// Fixed-bucket histogram state: `counts[i]` tallies observations with
-/// `value <= bounds[i]`; the final slot is the overflow bucket.
-#[derive(Debug, Clone)]
-pub(crate) struct Hist {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Hist {
-    pub(crate) fn new(bounds: &[f64]) -> Self {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub(crate) fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
-
-/// Number of independently locked shards in a [`crate::labels::LabeledMetrics`]
-/// registry. Sixteen comfortably exceeds the worker counts the
-/// `rtm-par` pool spawns on typical hosts, so two workers rarely queue
-/// on the same lock.
-pub const SHARD_COUNT: usize = 16;
-
-/// FNV-1a hash of a string (used by the label-set-sharded
-/// [`crate::labels::LabeledMetrics`] to pick a shard).
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Canonical form of caller-supplied label pairs: sorted by key (then
+/// value) with exact duplicates dropped, so pair order never splits a
+/// metric into two entries.
+fn canonical(pairs: &[(&str, &str)]) -> Labels {
+    let mut labels: Labels = pairs
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    labels.sort();
+    labels.dedup();
+    labels
 }
 
 /// Adds `delta` to an `f64` stored as bits in an `AtomicU64`, losslessly
@@ -150,8 +110,19 @@ enum AtomicMetric {
     Histogram(AtomicHist),
 }
 
-/// Lock-free histogram state mirroring [`Hist`]: bucket tallies and
-/// moments as atomics, `f64` moments as bit patterns.
+impl AtomicMetric {
+    fn value(&self) -> MetricValue {
+        match self {
+            AtomicMetric::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
+            AtomicMetric::Gauge(v) => MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
+            AtomicMetric::Histogram(h) => MetricValue::Histogram(h.summary()),
+        }
+    }
+}
+
+/// Lock-free fixed-bucket histogram: `counts[i]` tallies observations
+/// with `value <= bounds[i]`, the final slot is the overflow bucket,
+/// and the `f64` moments are bit patterns.
 #[derive(Debug)]
 struct AtomicHist {
     bounds: Vec<f64>,
@@ -191,43 +162,63 @@ impl AtomicHist {
         atomic_f64_extreme(&self.max, value, |v, cur| v > cur);
     }
 
-    /// Materialises the current state as a plain [`Hist`] for the
-    /// shared summarisation code.
-    fn to_hist(&self) -> Hist {
-        Hist {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum.load(Ordering::Relaxed)),
-            min: f64::from_bits(self.min.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.max.load(Ordering::Relaxed)),
+    fn summary(&self) -> HistogramSummary {
+        let load = |cell: &AtomicU64| f64::from_bits(cell.load(Ordering::Relaxed));
+        let count = self.count.load(Ordering::Relaxed);
+        let (min, max) = if count == 0 {
+            (0.0, 0.0)
+        } else {
+            (load(&self.min), load(&self.max))
+        };
+        let buckets: Vec<(f64, u64)> = self
+            .bounds
+            .iter()
+            .copied()
+            .chain(std::iter::once(f64::INFINITY))
+            .zip(self.counts.iter().map(|c| c.load(Ordering::Relaxed)))
+            .collect();
+        let quantile = |q| bucket_quantile(&buckets, count, min, max, q);
+        HistogramSummary {
+            count,
+            sum: load(&self.sum),
+            min,
+            max,
+            p50: quantile(0.50),
+            p95: quantile(0.95),
+            p99: quantile(0.99),
+            buckets,
         }
     }
 }
 
-/// The registry's name index: `(name, cell)` pairs sorted by name so
-/// lookups are a binary search and snapshots need no extra sort.
-type MetricIndex = Vec<(String, Arc<AtomicMetric>)>;
+/// The registry's index: `(name, labels, cell)` entries sorted by
+/// `(name, labels)`, so lookups are a binary search and snapshots need
+/// no extra sort. An unlabeled entry sorts first among its name's.
+/// Every part is shared, so publishing a grown copy clones pointers,
+/// not strings.
+type MetricIndex = Vec<(Arc<str>, Arc<[(String, String)]>, Arc<AtomicMetric>)>;
 
-/// A registry of named metrics.
+fn search(index: &MetricIndex, name: &str, labels: &[(String, String)]) -> Result<usize, usize> {
+    index.binary_search_by(|(n, l, _)| (**n).cmp(name).then_with(|| (**l).cmp(labels)))
+}
+
+/// The metric store.
 ///
 /// Names are free-form dotted strings (`"shift.latency_cycles"`). A
-/// name keeps the kind of its first recording; recording a different
-/// kind under the same name is ignored rather than panicking, so
-/// instrumentation can never take a simulation down.
+/// `(name, labels)` key keeps the kind of its first recording;
+/// recording a different kind under the same key is ignored rather
+/// than panicking, so instrumentation can never take a simulation
+/// down. The same name may carry different kinds under different label
+/// sets (`serve.cycles` is an unlabeled gauge and a labeled counter).
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: AtomicBool,
-    /// Read-mostly snapshot of the name index; recording threads read
-    /// it lock-free, creation swaps in a copy under `writer`.
+    /// The published index; recording threads search it lock-free.
     index: RcuCell<MetricIndex>,
-    /// Serialises metric creation and `reset` (never held on the
-    /// recording fast path).
-    writer: Mutex<()>,
+    /// Metrics created since the index was last published, in key
+    /// order. Its mutex serialises creation, publication and `reset`
+    /// and is never held on the recording fast path.
+    pending: Mutex<MetricIndex>,
 }
 
 impl Default for MetricsRegistry {
@@ -235,7 +226,7 @@ impl Default for MetricsRegistry {
         Self {
             enabled: AtomicBool::new(false),
             index: RcuCell::new(Vec::new()),
-            writer: Mutex::new(()),
+            pending: Mutex::new(Vec::new()),
         }
     }
 }
@@ -259,45 +250,62 @@ impl MetricsRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Runs `op` on the cell registered under `name`, creating it with
-    /// `make` first if absent. The hit path is lock-free: one index
-    /// load plus a binary search. The miss path takes the writer
-    /// mutex, re-checks (another thread may have created the metric
-    /// meanwhile), then publishes a copied index with the new entry.
+    /// Runs `op` on the cell registered under `(name, labels)`,
+    /// creating it with `make` first if absent. The hit path is
+    /// lock-free: one index load plus a binary search. A miss takes the
+    /// `pending` mutex, where a new metric waits until one of the
+    /// pending metrics is recorded again (or a snapshot is taken);
+    /// then the index is republished with all of them at once. A hot
+    /// metric is therefore lock-free from its third recording on, and a
+    /// burst of one-off labeled summaries costs one index copy rather
+    /// than one per entry (retired copies live as long as the
+    /// registry).
     fn with_cell(
         &self,
         name: &str,
+        labels: &[(String, String)],
         make: impl FnOnce() -> AtomicMetric,
         op: impl Fn(&AtomicMetric),
     ) {
-        {
-            let index = self.index.read();
-            if let Ok(i) = index.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                op(&index[i].1);
-                return;
-            }
-        }
-        let _writer = self.writer.lock().expect("metrics registry poisoned");
         let index = self.index.read();
-        match index.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => op(&index[i].1),
+        if let Ok(i) = search(index, name, labels) {
+            return op(&index[i].2);
+        }
+        let mut pending = self.pending.lock().expect("metrics registry poisoned");
+        // Re-check: another thread may have published it meanwhile.
+        let index = self.index.read();
+        if let Ok(i) = search(index, name, labels) {
+            return op(&index[i].2);
+        }
+        match search(&pending, name, labels) {
+            Ok(i) => {
+                op(&pending[i].2);
+                self.publish(&mut pending);
+            }
             Err(pos) => {
                 let cell = Arc::new(make());
-                let mut next = index.clone();
-                next.insert(pos, (name.to_string(), Arc::clone(&cell)));
-                self.index.replace(next);
                 op(&cell);
+                pending.insert(pos, (name.into(), labels.into(), cell));
             }
         }
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero first.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if !self.enabled() {
+    /// Moves every pending metric into a republished index; the caller
+    /// holds the `pending` lock.
+    fn publish(&self, pending: &mut MetricIndex) {
+        if pending.is_empty() {
             return;
         }
+        let mut next = self.index.read().clone();
+        next.append(pending);
+        next.sort_unstable_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        self.index.replace(next);
+    }
+
+    fn add(&self, name: &str, labels: &[(String, String)], delta: u64) {
         self.with_cell(
             name,
+            labels,
             || AtomicMetric::Counter(AtomicU64::new(0)),
             |cell| match cell {
                 AtomicMetric::Counter(v) => {
@@ -308,13 +316,10 @@ impl MetricsRegistry {
         );
     }
 
-    /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.enabled() {
-            return;
-        }
+    fn set(&self, name: &str, labels: &[(String, String)], value: f64) {
         self.with_cell(
             name,
+            labels,
             || AtomicMetric::Gauge(AtomicU64::new(0.0f64.to_bits())),
             |cell| match cell {
                 AtomicMetric::Gauge(v) => v.store(value.to_bits(), Ordering::Relaxed),
@@ -323,19 +328,30 @@ impl MetricsRegistry {
         );
     }
 
-    /// Adds `delta` to the gauge `name`, creating it at zero first.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        if !self.enabled() {
-            return;
-        }
+    fn record(&self, name: &str, labels: &[(String, String)], value: f64, bounds: &[f64]) {
         self.with_cell(
             name,
-            || AtomicMetric::Gauge(AtomicU64::new(0.0f64.to_bits())),
+            labels,
+            || AtomicMetric::Histogram(AtomicHist::new(bounds)),
             |cell| match cell {
-                AtomicMetric::Gauge(v) => atomic_f64_add(v, delta),
-                _ => debug_assert!(false, "metric {name} is not a gauge"),
+                AtomicMetric::Histogram(h) => h.observe(value),
+                _ => debug_assert!(false, "metric {name} is not a histogram"),
             },
         );
+    }
+
+    /// Adds `delta` to the counter `name`, creating it at zero first.
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        if self.enabled() {
+            self.add(name, &[], delta);
+        }
+    }
+
+    /// Sets the gauge `name` to `value`.
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        if self.enabled() {
+            self.set(name, &[], value);
+        }
     }
 
     /// Records `value` into the histogram `name` with the
@@ -348,76 +364,65 @@ impl MetricsRegistry {
     /// given strictly increasing bucket upper bounds on first use.
     /// Later calls reuse the existing layout.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        if !self.enabled() {
-            return;
+        if self.enabled() {
+            self.record(name, &[], value, bounds);
         }
-        self.with_cell(
-            name,
-            || AtomicMetric::Histogram(AtomicHist::new(bounds)),
-            |cell| match cell {
-                AtomicMetric::Histogram(h) => h.observe(value),
-                _ => debug_assert!(false, "metric {name} is not a histogram"),
-            },
-        );
+    }
+
+    /// [`Self::counter_add`] under a label set (cold path: sorts the
+    /// pairs on every call).
+    pub fn counter_add_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        if self.enabled() {
+            self.add(name, &canonical(labels), delta);
+        }
+    }
+
+    /// [`Self::gauge_set`] under a label set (cold path).
+    pub fn gauge_set_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        if self.enabled() {
+            self.set(name, &canonical(labels), value);
+        }
+    }
+
+    /// [`Self::observe`] under a label set (cold path).
+    pub fn observe_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        if self.enabled() {
+            self.record(name, &canonical(labels), value, &DEFAULT_BUCKETS);
+        }
     }
 
     /// Removes every metric (the enabled flag is untouched).
     pub fn reset(&self) {
-        let _writer = self.writer.lock().expect("metrics registry poisoned");
+        let mut pending = self.pending.lock().expect("metrics registry poisoned");
+        pending.clear();
         self.index.replace(Vec::new());
     }
 
-    /// A copy of every metric, sorted by name. The index snapshot is
-    /// a consistent set of *cells*, but cell values are read with
-    /// relaxed loads — take snapshots when no workers are recording
-    /// (the sweep drivers snapshot after joining) if the copy must be
-    /// a single consistent cut across all metrics.
+    /// A copy of every metric, sorted by `(name, labels)`. The index
+    /// snapshot is a consistent set of *cells*, but cell values are
+    /// read with relaxed loads — take snapshots when no workers are
+    /// recording (the sweep drivers snapshot after joining) if the copy
+    /// must be a single consistent cut across all metrics.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let index = self.index.read();
-        let metrics = index
+        self.publish(&mut self.pending.lock().expect("metrics registry poisoned"));
+        let metrics = self
+            .index
+            .read()
             .iter()
-            .map(|(name, cell)| MetricSnapshot {
-                name: name.clone(),
-                value: match &**cell {
-                    AtomicMetric::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
-                    AtomicMetric::Gauge(v) => {
-                        MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed)))
-                    }
-                    AtomicMetric::Histogram(h) => MetricValue::Histogram(summarise(&h.to_hist())),
-                },
+            .map(|(name, labels, cell)| MetricSnapshot {
+                name: name.to_string(),
+                labels: labels.to_vec(),
+                value: cell.value(),
             })
             .collect();
         RegistrySnapshot { metrics }
     }
 }
 
-pub(crate) fn summarise(h: &Hist) -> HistogramSummary {
-    let (min, max) = if h.count == 0 {
-        (0.0, 0.0)
-    } else {
-        (h.min, h.max)
-    };
-    HistogramSummary {
-        count: h.count,
-        sum: h.sum,
-        min,
-        max,
-        p50: bucket_quantile(h, 0.50),
-        p95: bucket_quantile(h, 0.95),
-        p99: bucket_quantile(h, 0.99),
-        buckets: h
-            .bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(f64::INFINITY))
-            .zip(h.counts.iter().copied())
-            .collect(),
-    }
-}
-
 /// Quantile estimate by linear interpolation inside the bucket that
 /// contains the target rank; exact at bucket edges and clamped to the
-/// observed `[min, max]`.
+/// observed `[min, max]`. `buckets` ends with the overflow bucket,
+/// whose upper edge is taken to be `max`.
 ///
 /// # Edge cases (pinned by unit tests)
 ///
@@ -427,38 +432,35 @@ pub(crate) fn summarise(h: &Hist) -> HistogramSummary {
 ///   to `[min, max] = [v, v]` collapses the in-bucket interpolation.
 /// * **Point mass** (all samples equal): same collapse, exact value.
 ///
-/// These match the *nearest-rank* convention used for exact sample
-/// vectors (see [`nearest_rank`]): both report an actually observed
-/// value for degenerate inputs rather than an interpolated one.
-fn bucket_quantile(h: &Hist, q: f64) -> f64 {
-    if h.count == 0 {
+/// For degenerate inputs this reports an actually observed value, as
+/// the exact-sample [`nearest_rank`] rule does; in general it is an
+/// interpolation, not a nearest rank.
+fn bucket_quantile(buckets: &[(f64, u64)], count: u64, min: f64, max: f64, q: f64) -> f64 {
+    if count == 0 {
         return 0.0;
     }
-    let rank = q * h.count as f64;
+    let rank = q * count as f64;
+    let overflow = buckets.len() - 1;
     let mut cumulative = 0u64;
-    for (i, &c) in h.counts.iter().enumerate() {
+    for (i, &(le, c)) in buckets.iter().enumerate() {
         if c == 0 {
             continue;
         }
         let next = cumulative + c;
         if next as f64 >= rank {
             let lower = if i == 0 {
-                h.min.min(0.0)
+                min.min(0.0)
             } else {
-                h.bounds[i - 1]
+                buckets[i - 1].0
             };
-            let upper = if i < h.bounds.len() {
-                h.bounds[i]
-            } else {
-                h.max
-            };
+            let upper = if i < overflow { le } else { max };
             let frac = (rank - cumulative as f64) / c as f64;
             let est = lower + frac * (upper - lower);
-            return est.clamp(h.min, h.max);
+            return est.clamp(min, max);
         }
         cumulative = next;
     }
-    h.max
+    max
 }
 
 /// Exact nearest-rank percentile over a **sorted** sample slice:
@@ -496,6 +498,9 @@ pub fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
 pub struct MetricSnapshot {
     /// The metric's registered name.
     pub name: String,
+    /// Sorted `(key, value)` label pairs; empty for an unlabeled
+    /// metric.
+    pub labels: Labels,
     /// Its value at snapshot time.
     pub value: MetricValue,
 }
@@ -505,7 +510,7 @@ pub struct MetricSnapshot {
 pub enum MetricValue {
     /// Monotonic event count.
     Counter(u64),
-    /// Last-set (or accumulated) level.
+    /// Last-set level.
     Gauge(f64),
     /// Distribution summary.
     Histogram(HistogramSummary),
@@ -544,109 +549,138 @@ impl HistogramSummary {
     }
 }
 
-/// A point-in-time copy of a whole registry, sorted by metric name.
+/// A point-in-time copy of a whole registry, sorted by
+/// `(name, labels)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
-    /// All metrics, sorted by name.
+    /// All metrics, sorted by `(name, labels)`.
     pub metrics: Vec<MetricSnapshot>,
 }
 
 impl RegistrySnapshot {
-    /// Looks a metric up by name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+    /// Looks a metric up by name and exact label set; pass the pairs
+    /// in sorted key order, as snapshots store them (`&[]` for an
+    /// unlabeled metric).
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
         self.metrics
             .iter()
-            .find(|m| m.name == name)
+            .find(|m| {
+                m.name == name
+                    && m.labels
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
+                        .eq(labels.iter().copied())
+            })
             .map(|m| &m.value)
     }
 
-    /// The value of counter `name`, if present.
+    /// The value of the unlabeled counter `name`, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.get(name) {
+        match self.get(name, &[]) {
             Some(MetricValue::Counter(v)) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value of gauge `name`, if present.
+    /// The value of the unlabeled gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.get(name) {
+        match self.get(name, &[]) {
             Some(MetricValue::Gauge(v)) => Some(*v),
             _ => None,
         }
     }
 
-    /// The summary of histogram `name`, if present.
+    /// The summary of the unlabeled histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        match self.get(name) {
+        match self.get(name, &[]) {
             Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
         }
     }
 
-    /// Merges counters by addition, gauges by taking `other`'s value,
-    /// and histograms bucket-wise (layouts must match; mismatched
-    /// layouts keep `self`'s entry). Used to aggregate per-cell
-    /// snapshots into a sweep-level report.
-    pub fn absorb(&mut self, other: &RegistrySnapshot) {
-        for theirs in &other.metrics {
-            match self.metrics.iter_mut().find(|m| m.name == theirs.name) {
-                None => self.metrics.push(theirs.clone()),
-                Some(mine) => match (&mut mine.value, &theirs.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                        merge_histograms(a, b);
-                    }
-                    _ => {}
-                },
-            }
-        }
-        self.metrics.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-}
-
-pub(crate) fn merge_histograms(a: &mut HistogramSummary, b: &HistogramSummary) {
-    if b.count == 0 {
-        return;
-    }
-    let layouts_match = a.buckets.len() == b.buckets.len()
-        && a.buckets
+    /// Every labeled entry of metric `name`, in label order.
+    pub fn series(&self, name: &str) -> Vec<&MetricSnapshot> {
+        self.metrics
             .iter()
-            .zip(&b.buckets)
-            .all(|((ba, _), (bb, _))| ba == bb || (ba.is_infinite() && bb.is_infinite()));
-    if !layouts_match {
-        return;
+            .filter(|m| m.name == name && !m.labels.is_empty())
+            .collect()
     }
-    if a.count == 0 {
-        *a = b.clone();
-        return;
+
+    /// Encodes the unlabeled metrics as a JSON object keyed by name
+    /// (the `--metrics` dump).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(
+            self.metrics
+                .iter()
+                .filter(|m| m.labels.is_empty())
+                .map(|m| (m.name.clone(), metric_to_json(&m.value)))
+                .collect(),
+        )
     }
-    for ((_, ca), (_, cb)) in a.buckets.iter_mut().zip(&b.buckets) {
-        *ca += cb;
+
+    /// Encodes the labeled metrics as a JSON array of
+    /// `{name, labels, value}` objects in `(name, labels)` order (the
+    /// `--labels` dump).
+    pub fn labeled_json(&self) -> Json {
+        Json::Arr(
+            self.metrics
+                .iter()
+                .filter(|m| !m.labels.is_empty())
+                .map(|m| {
+                    Json::obj(vec![
+                        ("name", Json::Str(m.name.clone())),
+                        (
+                            "labels",
+                            Json::Obj(
+                                m.labels
+                                    .iter()
+                                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                                    .collect(),
+                            ),
+                        ),
+                        ("value", metric_to_json(&m.value)),
+                    ])
+                })
+                .collect(),
+        )
     }
-    a.count += b.count;
-    a.sum += b.sum;
-    a.min = a.min.min(b.min);
-    a.max = a.max.max(b.max);
-    // Re-derive quantiles from the merged buckets.
-    let bounds: Vec<f64> = a
-        .buckets
-        .iter()
-        .map(|&(b, _)| b)
-        .filter(|b| b.is_finite())
-        .collect();
-    let merged = Hist {
-        counts: a.buckets.iter().map(|&(_, c)| c).collect(),
-        bounds,
-        count: a.count,
-        sum: a.sum,
-        min: a.min,
-        max: a.max,
-    };
-    a.p50 = bucket_quantile(&merged, 0.50);
-    a.p95 = bucket_quantile(&merged, 0.95);
-    a.p99 = bucket_quantile(&merged, 0.99);
+
+    /// Decodes a snapshot produced by [`Self::to_json`] (an object) or
+    /// [`Self::labeled_json`] (an array).
+    ///
+    /// Returns `None` when the document has neither shape.
+    pub fn from_json(doc: &Json) -> Option<RegistrySnapshot> {
+        let metrics = match doc {
+            Json::Obj(pairs) => pairs
+                .iter()
+                .map(|(name, value)| {
+                    Some(MetricSnapshot {
+                        name: name.clone(),
+                        labels: Labels::new(),
+                        value: metric_from_json(value)?,
+                    })
+                })
+                .collect::<Option<_>>()?,
+            Json::Arr(entries) => entries
+                .iter()
+                .map(|e| {
+                    let Json::Obj(pairs) = e.get("labels")? else {
+                        return None;
+                    };
+                    Some(MetricSnapshot {
+                        name: e.get("name")?.as_str()?.to_string(),
+                        labels: pairs
+                            .iter()
+                            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                            .collect::<Option<_>>()?,
+                        value: metric_from_json(e.get("value")?)?,
+                    })
+                })
+                .collect::<Option<_>>()?,
+            _ => return None,
+        };
+        Some(RegistrySnapshot { metrics })
+    }
 }
 
 fn bound_to_json(b: f64) -> Json {
@@ -665,35 +699,7 @@ fn bound_from_json(j: &Json) -> Option<f64> {
     }
 }
 
-impl RegistrySnapshot {
-    /// Encodes the snapshot as a JSON object keyed by metric name.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.metrics
-                .iter()
-                .map(|m| (m.name.clone(), metric_to_json(&m.value)))
-                .collect(),
-        )
-    }
-
-    /// Decodes a snapshot previously produced by [`Self::to_json`].
-    ///
-    /// Returns `None` when the document does not have the snapshot
-    /// shape.
-    pub fn from_json(doc: &Json) -> Option<RegistrySnapshot> {
-        let Json::Obj(pairs) = doc else { return None };
-        let mut metrics = Vec::with_capacity(pairs.len());
-        for (name, value) in pairs {
-            metrics.push(MetricSnapshot {
-                name: name.clone(),
-                value: metric_from_json(value)?,
-            });
-        }
-        Some(RegistrySnapshot { metrics })
-    }
-}
-
-pub(crate) fn metric_to_json(value: &MetricValue) -> Json {
+fn metric_to_json(value: &MetricValue) -> Json {
     match value {
         MetricValue::Counter(v) => Json::obj(vec![
             ("type", Json::Str("counter".into())),
@@ -730,7 +736,7 @@ pub(crate) fn metric_to_json(value: &MetricValue) -> Json {
     }
 }
 
-pub(crate) fn metric_from_json(doc: &Json) -> Option<MetricValue> {
+fn metric_from_json(doc: &Json) -> Option<MetricValue> {
     match doc.get("type")?.as_str()? {
         "counter" => Some(MetricValue::Counter(doc.get("value")?.as_u64()?)),
         "gauge" => Some(MetricValue::Gauge(doc.get("value")?.as_f64()?)),
@@ -760,39 +766,42 @@ pub(crate) fn metric_from_json(doc: &Json) -> Option<MetricValue> {
 mod tests {
     use super::*;
 
+    fn enabled() -> MetricsRegistry {
+        let r = MetricsRegistry::new();
+        r.set_enabled(true);
+        r
+    }
+
     #[test]
     fn disabled_registry_records_nothing() {
         let r = MetricsRegistry::new();
         r.counter_add("c", 5);
         r.gauge_set("g", 1.0);
         r.observe("h", 3.0);
+        r.counter_add_with("c", &[("tenant", "0")], 5);
+        r.observe_labeled("h", &[("tenant", "0")], 3.0);
         assert!(r.snapshot().metrics.is_empty());
     }
 
     #[test]
     fn counter_accumulates() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         r.counter_add("shift.count", 3);
         r.counter_add("shift.count", 4);
         assert_eq!(r.snapshot().counter("shift.count"), Some(7));
     }
 
     #[test]
-    fn gauge_set_and_add() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+    fn gauge_keeps_the_last_value() {
+        let r = enabled();
         r.gauge_set("energy.pj", 10.0);
         r.gauge_set("energy.pj", 4.0);
         assert_eq!(r.snapshot().gauge("energy.pj"), Some(4.0));
-        r.gauge_add("energy.pj", 1.5);
-        assert_eq!(r.snapshot().gauge("energy.pj"), Some(5.5));
     }
 
     #[test]
     fn histogram_counts_and_moments() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         for v in [1.0, 2.0, 3.0, 100.0] {
             r.observe("lat", v);
         }
@@ -810,8 +819,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_ordered_and_within_range() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         for i in 0..1000 {
             r.observe("lat", (i % 97) as f64 + 1.0);
         }
@@ -824,8 +832,7 @@ mod tests {
 
     #[test]
     fn quantile_exact_for_point_mass() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         for _ in 0..50 {
             r.observe("lat", 42.0);
         }
@@ -839,7 +846,7 @@ mod tests {
     fn quantiles_of_empty_histogram_are_zero() {
         // Pinned edge case: an empty histogram reports 0.0 for every
         // summary field rather than NaN or an interpolation artefact.
-        let h = summarise(&Hist::new(&DEFAULT_BUCKETS));
+        let h = AtomicHist::new(&DEFAULT_BUCKETS).summary();
         assert_eq!(h.count, 0);
         assert_eq!((h.min, h.max), (0.0, 0.0));
         assert_eq!((h.p50, h.p95, h.p99), (0.0, 0.0, 0.0));
@@ -852,9 +859,9 @@ mod tests {
         // that observation — the [min, max] clamp collapses the
         // in-bucket interpolation to the exact value.
         for v in [0.0, 1.0, 3.7, 42.0, 1.5e8, 9.9e9] {
-            let mut hist = Hist::new(&DEFAULT_BUCKETS);
+            let hist = AtomicHist::new(&DEFAULT_BUCKETS);
             hist.observe(v);
-            let h = summarise(&hist);
+            let h = hist.summary();
             assert_eq!(h.count, 1);
             assert_eq!((h.min, h.max), (v, v));
             assert_eq!((h.p50, h.p95, h.p99), (v, v, v), "value {v}");
@@ -884,8 +891,7 @@ mod tests {
 
     #[test]
     fn custom_buckets_are_kept() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         r.observe_with("d", 3.0, &[1.0, 4.0, 9.0]);
         r.observe_with("d", 100.0, &[1.0, 4.0, 9.0]);
         let snap = r.snapshot();
@@ -897,35 +903,142 @@ mod tests {
 
     #[test]
     fn reset_clears_metrics() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         r.counter_add("c", 1);
+        r.counter_add_with("c", &[("bank", "2")], 7);
         r.reset();
         assert!(r.snapshot().metrics.is_empty());
         assert!(r.enabled(), "reset keeps the enabled flag");
     }
 
     #[test]
-    fn snapshot_json_round_trip() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+    fn labeled_metrics_accumulate_per_label_set() {
+        let r = enabled();
+        r.counter_add_with("serve.requests", &[("tenant", "0"), ("bank", "3")], 3);
+        // Pair order and exact duplicates do not split the entry.
+        r.counter_add_with(
+            "serve.requests",
+            &[("bank", "3"), ("tenant", "0"), ("bank", "3")],
+            1,
+        );
+        r.counter_add_with("serve.requests", &[("tenant", "1"), ("bank", "3")], 5);
+        r.gauge_set_with("serve.occupancy", &[("tenant", "0")], 0.5);
+        r.observe_labeled("serve.latency", &[("tenant", "0")], 12.0);
+        r.observe_labeled("serve.latency", &[("tenant", "0")], 20.0);
+        let snap = r.snapshot();
+        let t0 = [("bank", "3"), ("tenant", "0")];
+        assert_eq!(
+            snap.get("serve.requests", &t0),
+            Some(&MetricValue::Counter(4))
+        );
+        assert_eq!(
+            snap.get("serve.occupancy", &[("tenant", "0")]),
+            Some(&MetricValue::Gauge(0.5))
+        );
+        assert_eq!(snap.series("serve.requests").len(), 2);
+        match snap.get("serve.latency", &[("tenant", "0")]) {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 2),
+            other => panic!("expected histogram, got {other:?}"),
+        }
+        // Labeled entries are invisible to the unlabeled accessors.
+        assert_eq!(snap.counter("serve.requests"), None);
+    }
+
+    #[test]
+    fn new_metrics_are_published_in_batches() {
+        let r = enabled();
+        let published = |r: &MetricsRegistry| r.index.read().len();
+        // One-off summaries wait in the pending list...
+        for t in 0..1_000 {
+            r.counter_add_with("once", &[("tenant", &t.to_string())], 1);
+        }
+        assert_eq!(published(&r), 0);
+        // ...until a pending metric is recorded again, which publishes
+        // them all in one index copy.
+        r.counter_add("hot", 1);
+        r.counter_add("hot", 1);
+        assert_eq!(published(&r), 1_001);
+        r.counter_add("late", 1);
+        assert_eq!(published(&r), 1_001);
+        assert_eq!(r.snapshot().metrics.len(), 1_002);
+        assert_eq!(published(&r), 1_002);
+        assert_eq!(r.snapshot().counter("hot"), Some(2));
+    }
+
+    #[test]
+    fn kind_is_fixed_per_key_not_per_name() {
+        let r = enabled();
+        r.gauge_set("serve.cycles", 9.0);
+        r.counter_add_with("serve.cycles", &[("policy", "fcfs")], 9);
+        let snap = r.snapshot();
+        assert_eq!(snap.gauge("serve.cycles"), Some(9.0));
+        assert_eq!(
+            snap.get("serve.cycles", &[("policy", "fcfs")]),
+            Some(&MetricValue::Counter(9))
+        );
+        assert_eq!(snap.series("serve.cycles").len(), 1);
+    }
+
+    #[test]
+    fn label_pairs_do_not_alias() {
+        // "ab"+"c" must not collide with "a"+"bc".
+        let r = enabled();
+        r.counter_add_with("c", &[("ab", "c")], 1);
+        r.counter_add_with("c", &[("a", "bc")], 1);
+        assert_eq!(r.snapshot().series("c").len(), 2);
+    }
+
+    #[test]
+    fn snapshot_is_sorted_by_name_then_labels() {
+        let r = enabled();
+        // Create keys in scrambled order on purpose.
+        for i in (0..100).rev() {
+            r.counter_add(&format!("m{:03}", (i * 37) % 100), i);
+        }
+        for t in [3, 1, 2, 0] {
+            r.counter_add_with("b.metric", &[("tenant", &t.to_string())], 1);
+            r.counter_add_with("a.metric", &[("tenant", &t.to_string())], 1);
+        }
+        r.counter_add("b.metric", 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.metrics.len(), 109);
+        let keys: Vec<(&String, &Labels)> =
+            snap.metrics.iter().map(|m| (&m.name, &m.labels)).collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn json_dumps_split_unlabeled_and_labeled_entries() {
+        let r = enabled();
         r.counter_add("a.count", 12);
         r.gauge_set("b.level", -2.5);
         for v in [1.0, 7.0, 7.0, 30.0] {
             r.observe("c.hist", v);
         }
+        r.counter_add_with("a.count", &[("tenant", "0"), ("scheme", "p-ECC-S")], 4);
+        r.gauge_set_with("bank.busy_frac", &[("bank", "5")], 0.25);
+        r.observe_labeled("serve.latency", &[("tenant", "1")], 33.0);
         let snap = r.snapshot();
-        let doc = snap.to_json();
-        let text = doc.pretty();
-        let parsed = Json::parse(&text).expect("parse");
-        let back = RegistrySnapshot::from_json(&parsed).expect("decode");
-        assert_eq!(back, snap);
+        let decode = |doc: Json| {
+            let parsed = Json::parse(&doc.pretty()).expect("parse");
+            RegistrySnapshot::from_json(&parsed).expect("decode")
+        };
+        let unlabeled = decode(snap.to_json());
+        let labeled = decode(snap.labeled_json());
+        assert_eq!(unlabeled.metrics.len(), 3);
+        assert_eq!(labeled.metrics.len(), 3);
+        assert!(labeled.metrics.iter().all(|m| !m.labels.is_empty()));
+        let mut both = unlabeled.metrics;
+        both.extend(labeled.metrics);
+        both.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        assert_eq!(both, snap.metrics);
     }
 
     #[test]
     fn concurrent_updates_are_lossless() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
+        let r = enabled();
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let r = &r;
@@ -933,6 +1046,7 @@ mod tests {
                     for i in 0..1_000u64 {
                         r.counter_add("shared.count", 1);
                         r.counter_add(&format!("worker{t}.count"), 1);
+                        r.counter_add_with("req", &[("tenant", &(t % 4).to_string())], 1);
                         r.observe("shared.hist", (i % 10) as f64);
                     }
                 });
@@ -943,43 +1057,14 @@ mod tests {
         for t in 0..8 {
             assert_eq!(snap.counter(&format!("worker{t}.count")), Some(1_000));
         }
-        assert_eq!(snap.histogram("shared.hist").expect("hist").count, 8_000);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_across_shards() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        // Enough names to land in many different shards.
-        for i in 0..100 {
-            r.counter_add(&format!("m{i:03}"), i);
+        for t in 0..4 {
+            let tenant = t.to_string();
+            assert_eq!(
+                snap.get("req", &[("tenant", &tenant)]),
+                Some(&MetricValue::Counter(2_000)),
+                "tenant {t}"
+            );
         }
-        let snap = r.snapshot();
-        assert_eq!(snap.metrics.len(), 100);
-        let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn absorb_merges_counters_and_histograms() {
-        let r1 = MetricsRegistry::new();
-        r1.set_enabled(true);
-        r1.counter_add("c", 2);
-        r1.observe("h", 1.0);
-        let r2 = MetricsRegistry::new();
-        r2.set_enabled(true);
-        r2.counter_add("c", 3);
-        r2.observe("h", 9.0);
-        r2.counter_add("only2", 1);
-        let mut total = r1.snapshot();
-        total.absorb(&r2.snapshot());
-        assert_eq!(total.counter("c"), Some(5));
-        assert_eq!(total.counter("only2"), Some(1));
-        let h = total.histogram("h").expect("histogram");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 9.0);
+        assert_eq!(snap.histogram("shared.hist").expect("hist").count, 8_000);
     }
 }

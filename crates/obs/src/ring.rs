@@ -43,16 +43,6 @@ impl<T> BoundedRing<T> {
         self.buf.push_back(item);
     }
 
-    /// Shrinks (or grows) the bound; excess oldest records are dropped
-    /// immediately.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.buf.len() > self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-    }
-
     /// Clears records and counters.
     pub(crate) fn reset(&mut self) {
         self.buf.clear();
@@ -76,8 +66,6 @@ mod tests {
         assert_eq!(r.buf.len(), 3);
         assert_eq!(r.dropped, 7);
         assert_eq!(r.buf.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
-        r.set_capacity(1);
-        assert_eq!(r.dropped, 9);
         r.reset();
         assert_eq!(r.next_seq, 0);
         assert_eq!(r.dropped, 0);

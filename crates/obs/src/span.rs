@@ -138,15 +138,6 @@ impl SpanTrace {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Changes the ring capacity; excess oldest spans are dropped
-    /// immediately.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.inner
-            .lock()
-            .expect("span trace poisoned")
-            .set_capacity(capacity);
-    }
-
     /// Records a completed span covering `[start_cycle, end_cycle)`
     /// under `parent` (0 = root) and returns its id, or 0 when the
     /// trace is disabled. `end_cycle` is clamped up to `start_cycle`.

@@ -1,56 +1,8 @@
-//! Wall-clock scoped timers and a heartbeat progress reporter for
-//! long Monte-Carlo sweeps.
+//! A heartbeat progress reporter for long Monte-Carlo sweeps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::metrics::MetricsRegistry;
-
-/// Records wall-clock time into a histogram metric when dropped.
-///
-/// ```
-/// use rtm_obs::metrics::MetricsRegistry;
-/// use rtm_obs::timer::ScopedTimer;
-///
-/// let registry = MetricsRegistry::new();
-/// registry.set_enabled(true);
-/// {
-///     let _t = ScopedTimer::new(&registry, "time.demo_ms");
-///     // ... timed work ...
-/// }
-/// assert_eq!(registry.snapshot().histogram("time.demo_ms").unwrap().count, 1);
-/// ```
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    registry: &'a MetricsRegistry,
-    name: String,
-    start: Instant,
-}
-
-impl<'a> ScopedTimer<'a> {
-    /// Starts a timer that will record elapsed milliseconds into the
-    /// histogram `name` on drop.
-    pub fn new(registry: &'a MetricsRegistry, name: impl Into<String>) -> Self {
-        Self {
-            registry,
-            name: name.into(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        let ms = self.start.elapsed().as_secs_f64() * 1e3;
-        self.registry.observe(&self.name, ms);
-    }
-}
 
 /// Periodic progress reporter for long-running sweeps.
 ///
@@ -140,20 +92,6 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scoped_timer_records_one_observation() {
-        let r = MetricsRegistry::new();
-        r.set_enabled(true);
-        {
-            let t = ScopedTimer::new(&r, "time.block_ms");
-            assert!(t.elapsed() < Duration::from_secs(5));
-        }
-        let snap = r.snapshot();
-        let h = snap.histogram("time.block_ms").expect("histogram");
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 0.0);
-    }
 
     #[test]
     fn progress_counts_ticks() {

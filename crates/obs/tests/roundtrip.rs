@@ -6,7 +6,6 @@ use rtm_obs::attrib::AttributionTable;
 use rtm_obs::events::{EventTrace, EventTraceSnapshot, PeccOutcome, ShiftEvent};
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
-use rtm_obs::labels::{LabeledMetrics, LabeledSnapshot};
 use rtm_obs::metrics::{MetricsRegistry, RegistrySnapshot};
 use rtm_obs::span::{SpanTrace, SpanTraceSnapshot};
 
@@ -30,31 +29,25 @@ fn populated_registry() -> MetricsRegistry {
     for v in [1.0, 3.0, 250.0, 9.5] {
         r.observe("shift.latency", v);
     }
-    r
-}
-
-fn populated_labeled() -> LabeledMetrics {
-    let m = LabeledMetrics::new();
-    m.set_enabled(true);
     for tenant in 0..3 {
         let t = tenant.to_string();
-        m.counter_add_with(
+        r.counter_add_with(
             "serve.requests",
             &[("tenant", &t), ("scheme", "p-ECC-S")],
             10 + tenant,
         );
-        m.observe_labeled(
+        r.observe_labeled(
             "serve.latency",
             &[("tenant", &t)],
             12.0 * (tenant + 1) as f64,
         );
     }
-    m.gauge_set_with(
+    r.gauge_set_with(
         "bank.busy_frac",
         &[("bank", "3"), ("policy", "shift-aware")],
         0.375,
     );
-    m
+    r
 }
 
 fn populated_events() -> EventTrace {
@@ -112,22 +105,21 @@ fn populated_spans() -> SpanTrace {
 
 #[test]
 fn registry_json_round_trips_byte_identically() {
+    // The unlabeled (`--metrics`) and labeled (`--labels`) dumps each
+    // decode to their half of the snapshot and re-encode identically.
     let snap = populated_registry().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = RegistrySnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
-}
-
-#[test]
-fn labeled_json_round_trips_byte_identically() {
-    let snap = populated_labeled().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = LabeledSnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
+    let (metrics, labels) = (snap.to_json(), snap.labeled_json());
+    assert_json_stable(&metrics);
+    assert_json_stable(&labels);
+    let unlabeled = RegistrySnapshot::from_json(&metrics).expect("decode");
+    let labeled = RegistrySnapshot::from_json(&labels).expect("decode");
+    assert_eq!(unlabeled.metrics.len(), 3);
+    assert_eq!(labeled.metrics.len(), 7);
+    assert_eq!(unlabeled.to_json().pretty(), metrics.pretty());
+    assert_eq!(labeled.labeled_json().pretty(), labels.pretty());
+    let mut both = [unlabeled.metrics, labeled.metrics].concat();
+    both.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+    assert_eq!(both, snap.metrics);
 }
 
 #[test]
@@ -177,20 +169,11 @@ fn attribution_json_round_trips_byte_identically() {
 }
 
 #[test]
-fn csv_exports_are_stable_after_json_round_trip() {
+fn queue_csv_is_stable_after_json_round_trip() {
     // CSV is derived from snapshots; after a JSON round-trip the CSV
     // must come out byte-identical too.
-    let reg = populated_registry().snapshot();
-    let reg2 = RegistrySnapshot::from_json(&reg.to_json()).unwrap();
-    assert_eq!(reg.to_csv(), reg2.to_csv());
-
-    let lab = populated_labeled().snapshot();
-    let lab2 = LabeledSnapshot::from_json(&lab.to_json()).unwrap();
-    assert_eq!(lab.to_csv(), lab2.to_csv());
-
     let ev = populated_events().snapshot();
     let ev2 = EventTraceSnapshot::from_json(&ev.to_json()).unwrap();
-    assert_eq!(ev.to_csv(), ev2.to_csv());
     assert_eq!(ev.queue_csv(), ev2.queue_csv());
 }
 

@@ -2,10 +2,9 @@
 //! `Acquire` pointer load with no lock, writers install a replacement
 //! snapshot with a single atomic swap and retire the old one.
 //!
-//! This is the building block behind the lock-free *read* paths of the
-//! `rtm-obs` registries: the metric-name index and the label-interning
-//! tables are replaced wholesale on (rare) creation and read lock-free
-//! on every (hot) recording call.
+//! This is the building block behind the lock-free *read* path of the
+//! `rtm-obs` metric store: its index is replaced wholesale on (rare)
+//! publication and read lock-free on every (hot) recording call.
 //!
 //! # Reclamation
 //!
@@ -14,8 +13,8 @@
 //! pointers: a reader holding `&T` necessarily holds `&self`, and no
 //! retired value is freed while any `&self` can exist (freeing takes
 //! `&mut self` / ownership). The cost is that memory grows with the
-//! number of `replace` calls — acceptable for grow-only indexes whose
-//! replacement count is bounded by the number of distinct entries.
+//! number of `replace` calls, so writers should replace rarely: the
+//! metric store batches new entries into one replacement.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Mutex;

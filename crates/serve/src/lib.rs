@@ -20,7 +20,7 @@
 //!   bounded outstanding-request budget;
 //! * **full queueing statistics** — exact p50/p95/p99 queue delay,
 //!   service and total latency, stall/backpressure counters, occupancy
-//!   peaks — plus `rtm-obs` histograms and queue events
+//!   peaks — plus `rtm-obs` queue events
 //!   (`ReqEnqueued`/`ReqDispatched`/`ReqCompleted`/`ReqBackpressure`)
 //!   when observability is enabled.
 //!
@@ -56,7 +56,7 @@ pub mod queued;
 pub mod sim;
 
 pub use parallel::{
-    run_mutex, run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
+    run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
 };
 pub use policy::SchedPolicy;
 pub use queued::{queued_hierarchy, QueuedLlc};

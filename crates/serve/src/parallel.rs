@@ -2,8 +2,8 @@
 //!
 //! [`ServeSim`](crate::ServeSim) models contention faithfully — closed
 //! loops, bounded queues, a global event clock — and pays for it with
-//! per-request event-loop overhead (fixpoint scans, registry lookups,
-//! span bookkeeping). This module is the opposite trade: a *data path*
+//! per-request event-loop overhead (fixpoint scans, span
+//! bookkeeping). This module is the opposite trade: a *data path*
 //! whose only job is to push shift commands through the banked LLC as
 //! fast as the host allows, for wall-clock throughput measurement.
 //!
@@ -40,8 +40,6 @@
 //! oracle's exact summation order; everything else is integral and
 //! commutative.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::thread;
 
 use crate::sim::LatencySummary;
@@ -394,86 +392,6 @@ pub fn run_oracle(cfg: ThroughputConfig, trace: &[MemAccess]) -> ServeStats {
     merge(&cfg, vec![Shard { llc, lanes }])
 }
 
-/// Runs the coarse-lock data path the rings replace: `cfg.threads`
-/// workers pull commands from one shared queue and execute them on one
-/// shared LLC, all behind a single [`Mutex`]. Dequeue and execution
-/// share a critical section, so commands run in global FIFO order and
-/// the stats are bit-identical to [`run_oracle`] — this is a correct
-/// parallelisation, just a fully serialised one. It exists as the
-/// benchmark baseline: the throughput gate requires [`run_parallel`]
-/// to beat it by a wide margin at 8 workers.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or a worker panics.
-pub fn run_mutex(cfg: ThroughputConfig, trace: &[MemAccess]) -> ServeStats {
-    cfg.validate();
-    let banks = cfg.banks as usize;
-    let threads = (cfg.threads as usize).min(banks);
-    let router = GroupRouter::paper(cfg.banks);
-
-    struct Shared {
-        queue: VecDeque<(usize, ShiftCommand)>,
-        llc: RacetrackLlc,
-        lanes: Vec<Lane>,
-        done: bool,
-    }
-    let shared = Mutex::new(Shared {
-        queue: VecDeque::with_capacity(cfg.ring_capacity),
-        llc: RacetrackLlc::with_banks(cfg.protection, cfg.shift_policy, cfg.banks),
-        lanes: (0..banks).map(Lane::new).collect(),
-        done: false,
-    });
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let mut guard = shared.lock().expect("lock poisoned");
-                    let s = &mut *guard;
-                    match s.queue.pop_front() {
-                        Some((bank, cmd)) => s.lanes[bank].execute(&mut s.llc, cmd),
-                        None if s.done => break,
-                        None => {
-                            drop(guard);
-                            thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let mut fuser = Fuser::new(banks, cfg.batch_limit);
-        for a in trace {
-            let group = router.group_of(a.addr);
-            let bank = group % banks;
-            let cmd = fuser.command(bank, group, a);
-            loop {
-                let mut s = shared.lock().expect("lock poisoned");
-                if s.queue.len() < cfg.ring_capacity {
-                    s.queue.push_back((bank, cmd));
-                    break;
-                }
-                drop(s);
-                thread::yield_now();
-            }
-        }
-        shared.lock().expect("lock poisoned").done = true;
-        for h in handles {
-            h.join().expect("mutex worker panicked");
-        }
-    });
-
-    let s = shared.into_inner().expect("lock poisoned");
-    merge(
-        &cfg,
-        vec![Shard {
-            llc: s.llc,
-            lanes: s.lanes,
-        }],
-    )
-}
-
 /// Runs the lock-free per-bank data path: `cfg.threads` workers, one
 /// SPSC command ring per bank, the front end routing and fusing the
 /// trace while the workers drain. Bit-identical to [`run_oracle`] for
@@ -682,17 +600,6 @@ mod tests {
         assert_eq!(r.llc.cache.accesses(), 10_000);
         assert!(r.throughput_req_per_kcycle() > 0.0);
         assert!(r.llc.expected_dues > 0.0, "protected run carries risk");
-    }
-
-    #[test]
-    fn mutex_baseline_is_bit_identical_to_the_oracle() {
-        let t = trace("canneal", 8_000);
-        let cfg = ThroughputConfig::new();
-        let oracle = run_oracle(cfg, &t);
-        for threads in [1, 4, 8] {
-            let mux = run_mutex(cfg.with_threads(threads), &t);
-            assert_eq!(oracle, mux, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rtm_mem::cache::AccessKind;
 use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats};
 use rtm_obs::attrib::AttributionTable;
 use rtm_obs::events::ShiftEvent;
-use rtm_obs::metrics::{nearest_rank, MetricsRegistry, RegistrySnapshot};
+use rtm_obs::metrics::nearest_rank;
 use rtm_obs::span::ParentScope;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::MemAccess;
@@ -34,11 +34,6 @@ pub const ATTRIBUTION_COMPONENTS: [&str; 6] = [
     "back_shift",
     "array_access",
     "mem_fill",
-];
-
-/// Bucket bounds for the queueing-latency histograms (cycles).
-const LATENCY_BOUNDS: [f64; 12] = [
-    4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
 ];
 
 /// Configuration of one serving run.
@@ -258,10 +253,6 @@ pub struct ServeResult {
     /// that client's independently summed queue + service + fill
     /// cycles. Components sum to the total exactly.
     pub tenants: AttributionTable,
-    /// The run's private `rtm-obs` registry: `serve.*` histograms
-    /// (bucketed queue delay / service / total latency), counters and
-    /// occupancy gauges.
-    pub metrics: RegistrySnapshot,
 }
 
 impl ServeResult {
@@ -476,7 +467,6 @@ pub struct ServeSim {
     tenant_sts: Vec<u64>,
     tenant_verify: Vec<u64>,
     tenant_fill: Vec<u64>,
-    registry: MetricsRegistry,
 }
 
 impl ServeSim {
@@ -491,8 +481,6 @@ impl ServeSim {
         if let Some(bytes) = cfg.capacity_bytes {
             llc = llc.with_capacity(bytes);
         }
-        let registry = MetricsRegistry::new();
-        registry.set_enabled(true);
         Self {
             mem_cycles: SystemConfig::paper(CacheTech::Racetrack)
                 .memory
@@ -531,7 +519,6 @@ impl ServeSim {
             tenant_sts: vec![0; cfg.clients as usize],
             tenant_verify: vec![0; cfg.clients as usize],
             tenant_fill: vec![0; cfg.clients as usize],
-            registry,
             llc,
             cfg,
         }
@@ -625,11 +612,6 @@ impl ServeSim {
                 self.outstanding[f.client as usize] -= 1;
                 self.completed += 1;
                 self.totals.push(f.total_cycles);
-                self.registry.observe_with(
-                    "serve.total_cycles",
-                    f.total_cycles as f64,
-                    &LATENCY_BOUNDS,
-                );
                 rtm_obs::record_event(
                     f.complete_at,
                     ShiftEvent::ReqCompleted {
@@ -690,7 +672,6 @@ impl ServeSim {
                 if self.last_stall != Some((self.clock, group)) {
                     self.last_stall = Some((self.clock, group));
                     self.backpressure_stalls += 1;
-                    self.registry.counter_add("serve.backpressure_stalls", 1);
                     rtm_obs::record_event(
                         self.clock,
                         ShiftEvent::ReqBackpressure {
@@ -726,7 +707,6 @@ impl ServeSim {
             self.issued += 1;
             self.pending = None;
             source.admitted(id, self.clock);
-            self.registry.counter_add("serve.enqueued", 1);
             rtm_obs::record_event(
                 self.clock,
                 ShiftEvent::ReqEnqueued {
@@ -788,14 +768,7 @@ impl ServeSim {
             // Misses and writebacks go to memory off the bank: the
             // stripe group is free once the array access finishes,
             // MSHR-style, while the requester waits for the fill.
-            let mut fill = 0;
-            if !resp.hit {
-                fill += self.mem_cycles;
-                self.registry.counter_add("serve.fills", 1);
-            }
-            if resp.writeback {
-                self.registry.counter_add("serve.writebacks", 1);
-            }
+            let fill = if resp.hit { 0 } else { self.mem_cycles };
             let queue_delay = self.clock - req.arrival;
             let service_cycles = resp.latency_cycles;
             let complete_at = self.clock + service_cycles + fill;
@@ -846,17 +819,6 @@ impl ServeSim {
             } else {
                 self.read_totals.push(queue_delay + service_cycles + fill);
             }
-            self.registry.observe_with(
-                "serve.queue_delay_cycles",
-                queue_delay as f64,
-                &LATENCY_BOUNDS,
-            );
-            self.registry.observe_with(
-                "serve.service_cycles",
-                service_cycles as f64,
-                &LATENCY_BOUNDS,
-            );
-            self.registry.counter_add("serve.dispatched", 1);
             rtm_obs::record_event(
                 self.clock,
                 ShiftEvent::ReqDispatched {
@@ -930,12 +892,6 @@ impl ServeSim {
 
     /// Final accounting.
     fn finish(self) -> ServeResult {
-        self.registry
-            .gauge_set("serve.peak_queued", self.peak_queued as f64);
-        self.registry
-            .gauge_set("serve.peak_in_flight", self.peak_in_flight as f64);
-        let scale = self.llc.scale_stats();
-        scale.record(&self.registry);
         let mut tenants = AttributionTable::new(["tenant"], ATTRIBUTION_COMPONENTS);
         for c in 0..self.cfg.clients as usize {
             let service = self.tenant_service[c];
@@ -970,9 +926,8 @@ impl ServeSim {
             fill_cycles: self.fill_cycles_total,
             bank_busy_cycles: self.bank_busy,
             tenants,
-            scale,
+            scale: self.llc.scale_stats(),
             llc: self.llc.stats(),
-            metrics: self.registry.snapshot(),
         }
     }
 }
@@ -1162,15 +1117,6 @@ mod tests {
         // The directory itself stays sparse: far fewer touched groups
         // than configured ones at GB scale.
         assert!(big.scale.materialised_groups < big.scale.configured_groups / 4);
-        // Scale gauges land in the private registry.
-        assert_eq!(
-            big.metrics.gauge("scale.configured_groups"),
-            Some(big.scale.configured_groups as f64)
-        );
-        assert_eq!(
-            big.metrics.gauge("scale.materialised_groups"),
-            Some(big.scale.materialised_groups as f64)
-        );
     }
 
     #[test]
@@ -1186,15 +1132,6 @@ mod tests {
             LatencySummary::from_samples(vec![]),
             LatencySummary::default()
         );
-    }
-
-    #[test]
-    fn private_registry_carries_queue_histograms() {
-        let r = run(SchedPolicy::ShiftAware, "dedup", 2_000);
-        let h = r.metrics.histogram("serve.service_cycles").unwrap();
-        assert_eq!(h.count, 2_000);
-        assert_eq!(r.metrics.counter("serve.dispatched"), Some(2_000));
-        assert!(r.metrics.gauge("serve.peak_queued").unwrap() >= 1.0);
     }
 
     #[test]

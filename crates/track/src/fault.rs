@@ -13,8 +13,6 @@
 //! * [`AliasFaultModel`] — distribution-equivalent to the Gaussian
 //!   model but one RNG draw + two array reads per shift via the
 //!   precomputed alias tables of [`rtm_model::alias`];
-//! * [`EngineFaultModel`] — dispatches between the last two by
-//!   [`rtm_model::Engine`], for `--engine` plumbing;
 //! * [`PinningFaultModel`] — position-dependent sticky defect pinning
 //!   in the style of Roxy/Jones (arXiv 2203.08303): seed-placed pin
 //!   sites activate as the walls traverse them and hold the track back
@@ -26,7 +24,8 @@
 //!
 //! [`FaultModelChoice`] names the user-selectable fault processes (the
 //! `--fault-model` axis of the scheme × fault-model matrix) and builds
-//! the matching [`SelectedFaultModel`] dispatcher.
+//! the matching [`SelectedFaultModel`] dispatcher; its `engine` choice
+//! picks the Gaussian or the alias model by [`rtm_model::Engine`].
 
 use rtm_model::analytic::Engine;
 use rtm_model::params::DeviceParams;
@@ -210,51 +209,6 @@ impl FaultModel for AliasFaultModel {
             self.injected += 1;
         }
         out
-    }
-}
-
-/// A fault model selected by [`Engine`]: the Gaussian reference path
-/// for Monte-Carlo, the alias fast path for analytic.
-#[derive(Debug, Clone)]
-pub enum EngineFaultModel {
-    /// Direct Gaussian sampling (validation oracle).
-    Gaussian(GaussianFaultModel),
-    /// Alias-table sampling (fast path).
-    Alias(AliasFaultModel),
-}
-
-impl EngineFaultModel {
-    /// Builds the fault model the engine prescribes.
-    pub fn new(engine: Engine, params: &DeviceParams, seed: u64) -> Self {
-        match engine {
-            Engine::MonteCarlo => Self::Gaussian(GaussianFaultModel::new(params, seed)),
-            Engine::Analytic => Self::Alias(AliasFaultModel::new(params, seed)),
-        }
-    }
-
-    /// Number of faulty outcomes produced so far.
-    pub fn injected(&self) -> u64 {
-        match self {
-            Self::Gaussian(m) => m.injected(),
-            Self::Alias(m) => m.injected(),
-        }
-    }
-
-    /// Number of outcomes sampled so far.
-    pub fn sampled(&self) -> u64 {
-        match self {
-            Self::Gaussian(m) => m.sampled(),
-            Self::Alias(m) => m.sampled(),
-        }
-    }
-}
-
-impl FaultModel for EngineFaultModel {
-    fn sample(&mut self, distance: u32) -> ShiftOutcome {
-        match self {
-            Self::Gaussian(m) => m.sample(distance),
-            Self::Alias(m) => m.sample(distance),
-        }
     }
 }
 
@@ -481,16 +435,21 @@ impl FaultModelChoice {
         }
     }
 
-    /// Builds the sampling fault model this choice prescribes.
+    /// Builds the sampling fault model this choice prescribes; the
+    /// engine choice samples the Gaussian reference path under
+    /// Monte-Carlo and the alias fast path under analytic.
     pub fn build(&self, engine: Engine, params: &DeviceParams, seed: u64) -> SelectedFaultModel {
-        match self {
-            FaultModelChoice::Engine => {
-                SelectedFaultModel::Engine(EngineFaultModel::new(engine, params, seed))
+        match (self, engine) {
+            (FaultModelChoice::Engine, Engine::MonteCarlo) => {
+                SelectedFaultModel::Gaussian(GaussianFaultModel::new(params, seed))
             }
-            FaultModelChoice::Calibrated => {
+            (FaultModelChoice::Engine, Engine::Analytic) => {
+                SelectedFaultModel::Alias(AliasFaultModel::new(params, seed))
+            }
+            (FaultModelChoice::Calibrated, _) => {
                 SelectedFaultModel::Calibrated(CalibratedFaultModel::paper(seed))
             }
-            FaultModelChoice::Pinning => {
+            (FaultModelChoice::Pinning, _) => {
                 SelectedFaultModel::Pinning(PinningFaultModel::paper_like(seed))
             }
         }
@@ -520,38 +479,23 @@ impl std::fmt::Display for FaultModelChoice {
 /// dispatcher the memory hierarchy samples through.
 #[derive(Debug, Clone)]
 pub enum SelectedFaultModel {
-    /// Engine-prescribed displacement sampling.
-    Engine(EngineFaultModel),
+    /// Direct Gaussian sampling: the engine choice under Monte-Carlo
+    /// (validation oracle).
+    Gaussian(GaussianFaultModel),
+    /// Alias-table sampling: the engine choice under analytic (fast
+    /// path).
+    Alias(AliasFaultModel),
     /// Calibrated Table 2 rate sampling.
     Calibrated(CalibratedFaultModel),
     /// Sticky pinning-site sampling.
     Pinning(PinningFaultModel),
 }
 
-impl SelectedFaultModel {
-    /// Number of faulty outcomes produced so far.
-    pub fn injected(&self) -> u64 {
-        match self {
-            Self::Engine(m) => m.injected(),
-            Self::Calibrated(m) => m.injected(),
-            Self::Pinning(m) => m.injected(),
-        }
-    }
-
-    /// Number of outcomes sampled so far.
-    pub fn sampled(&self) -> u64 {
-        match self {
-            Self::Engine(m) => m.sampled(),
-            Self::Calibrated(m) => m.sampled(),
-            Self::Pinning(m) => m.sampled(),
-        }
-    }
-}
-
 impl FaultModel for SelectedFaultModel {
     fn sample(&mut self, distance: u32) -> ShiftOutcome {
         match self {
-            Self::Engine(m) => m.sample(distance),
+            Self::Gaussian(m) => m.sample(distance),
+            Self::Alias(m) => m.sample(distance),
             Self::Calibrated(m) => m.sample(distance),
             Self::Pinning(m) => m.sample(distance),
         }
@@ -678,16 +622,20 @@ mod tests {
     #[test]
     fn engine_model_dispatches_by_engine() {
         let params = DeviceParams::table1();
-        let mut mc = EngineFaultModel::new(Engine::MonteCarlo, &params, 4);
-        let mut an = EngineFaultModel::new(Engine::Analytic, &params, 4);
-        assert!(matches!(mc, EngineFaultModel::Gaussian(_)));
-        assert!(matches!(an, EngineFaultModel::Alias(_)));
+        let build = |engine| FaultModelChoice::Engine.build(engine, &params, 4);
+        let mut mc = build(Engine::MonteCarlo);
+        let mut an = build(Engine::Analytic);
         for _ in 0..1000 {
             assert!(mc.sample(3).step_offset().is_some());
             assert!(an.sample(3).step_offset().is_some());
         }
-        assert_eq!(mc.sampled(), 1000);
-        assert_eq!(an.sampled(), 1000);
+        match (mc, an) {
+            (SelectedFaultModel::Gaussian(g), SelectedFaultModel::Alias(a)) => {
+                assert_eq!(g.sampled(), 1000);
+                assert_eq!(a.sampled(), 1000);
+            }
+            other => panic!("engine dispatch picked {other:?}"),
+        }
     }
 
     #[test]

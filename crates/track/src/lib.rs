@@ -42,8 +42,8 @@ pub mod stripe;
 pub use array::StripeArray;
 pub use bit::Bit;
 pub use fault::{
-    AliasFaultModel, CalibratedFaultModel, EngineFaultModel, FaultModel, FaultModelChoice,
-    GaussianFaultModel, IdealFaultModel, PinningFaultModel, ScriptedFaultModel, SelectedFaultModel,
+    AliasFaultModel, CalibratedFaultModel, FaultModel, FaultModelChoice, GaussianFaultModel,
+    IdealFaultModel, PinningFaultModel, ScriptedFaultModel, SelectedFaultModel,
 };
 pub use geometry::StripeGeometry;
 pub use stripe::{SegmentedStripe, Stripe};
