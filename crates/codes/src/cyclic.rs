@@ -109,8 +109,10 @@ impl PeccCode {
         let p = self.period();
         let mut found = None;
         for r in 0..p {
-            let cand = self.expected_window(r as i64);
-            if cand == observed {
+            if (r as i64..)
+                .zip(observed)
+                .all(|(i, &b)| self.bit_at(i) == b)
+            {
                 // Unique by construction; assert in debug builds.
                 debug_assert!(found.is_none(), "window phases must be unique");
                 found = Some(r);

@@ -97,10 +97,15 @@ impl MarkerCode {
             self.window() as usize,
             "window width must be 2s + 9"
         );
-        if observed.iter().any(|b| !b.is_known()) {
-            return None;
+        // Pack the window (at most 2·MAX_STRENGTH + 9 = 23 bits, bit k
+        // in bit k) and compare it with each rotation of the pattern
+        // word; an unknown bit matches no phase.
+        let mut word = 0u64;
+        for (k, b) in observed.iter().enumerate() {
+            word |= u64::from(b.to_bool()?) << k;
         }
-        (0..PERIOD as u32).find(|&r| self.expected_window(r as i64) == observed)
+        let mask = (1u64 << self.window()) - 1;
+        (0..PERIOD as u32).find(|&r| self.pattern.rotate_right(r) & mask == word)
     }
 
     /// Decodes the observed window against the expected marker index

@@ -1,8 +1,10 @@
 //! Walker alias-table sampling of discrete shift outcomes.
 //!
 //! The Monte-Carlo hot paths (`ShiftSimulator`, the fig14 sweep's
-//! per-shift sampling, fault injection) classically pay two Box-Muller
-//! Gaussian draws plus a branchy `settle()` per simulated shift. The
+//! per-shift sampling, fault injection) classically draw two Box–Muller
+//! Gaussians (four uniforms) per simulated shift and, unless
+//! [`GaussianSampler`](crate::shift::GaussianSampler)'s early exit
+//! clears them, transform and `settle()` them. The
 //! outcome space is tiny and discrete, though: a handful of pinned
 //! offsets and mid-flat intervals whose probabilities the analytic
 //! engine computes in closed form. Precomputing a Walker/Vose alias

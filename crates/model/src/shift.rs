@@ -35,7 +35,8 @@
 //! and `rates::OutOfStepRates::from_noise_model`).
 
 use crate::params::DeviceParams;
-use rtm_util::rng::SmallRng64;
+use crate::rates::MAX_TABULATED_DISTANCE;
+use rtm_util::rng::{box_muller, SmallRng64};
 
 /// Calibration constant converting per-step *timing* variation into
 /// *displacement* error. Pinning at intermediate notches partially
@@ -147,9 +148,15 @@ impl NoiseModel {
 
     /// Samples one displacement error for an `n`-step shift.
     pub fn sample_error(&self, n: u32, rng: &mut SmallRng64) -> f64 {
-        self.mean_for(n)
-            + self.sigma_fixed * rng.next_gaussian()
-            + self.sigma_walk * (n as f64).sqrt() * rng.next_gaussian()
+        let g1 = rng.next_gaussian();
+        let g2 = rng.next_gaussian();
+        self.error_from(n, g1, g2)
+    }
+
+    /// The displacement error of an `n`-step shift whose fixed and walk
+    /// terms drew the standard normals `g1` and `g2`.
+    fn error_from(&self, n: u32, g1: f64, g2: f64) -> f64 {
+        self.mean_for(n) + self.sigma_fixed * g1 + self.sigma_walk * (n as f64).sqrt() * g2
     }
 
     /// Resolves a continuous displacement error into a settle outcome
@@ -180,16 +187,112 @@ impl NoiseModel {
     }
 }
 
+/// Margin the early exit of [`GaussianSampler`] keeps inside the
+/// capture reach, as a fraction of that reach: some 10⁷ times the f64
+/// rounding of the error formula, and far too small to change how often
+/// the exit fires.
+const EARLY_EXIT_MARGIN: f64 = 1e-9;
+
+/// The direct Gaussian pipeline, `settle(sample_error(n))`, with an
+/// exact early exit for the common case: the shift lands at offset 0.
+///
+/// A raw `n`-step shift draws four uniforms, the Box–Muller pairs
+/// `(u1, u2)` of its fixed and walk normals, and its error is
+/// `e = μn + σf·r1·cos(2πu2) + σw·√n·r2·cos(2πu2')` with
+/// `r = √(−2 ln u1)`. Whatever the angles,
+/// `|e| ≤ |μn| + σf·r1 + σw·√n·r2`. Construction precomputes, per
+/// distance `1..=MAX_TABULATED_DISTANCE`, one lower bound
+/// `exp(−R²/2)` on both radius uniforms, with the radius cap
+/// `R = (reach − |μn| − margin) / (σf + σw·√n)` and the capture reach
+/// `min(w, ½)`. When both `u1`s clear it, `|e|` is below the reach, so
+/// the shift pins at offset 0 and `ln`, `sqrt` and `cos` are never
+/// called; otherwise the full formula runs on the same uniforms. Every
+/// draw therefore consumes the generator and returns the outcome
+/// exactly as [`NoiseModel::sample_error`] followed by
+/// [`NoiseModel::settle`] does. Longer distances always take the full
+/// formula.
+#[derive(Debug, Clone)]
+pub struct GaussianSampler {
+    noise: NoiseModel,
+    /// `clear[n − 1]`: the bound both radius uniforms of an `n`-step
+    /// shift must reach for the early exit; `+∞` where the mean alone
+    /// leaves too little of the window.
+    clear: [f64; MAX_TABULATED_DISTANCE as usize],
+}
+
+impl GaussianSampler {
+    /// A sampler over `noise`, with the early-exit bounds of distances
+    /// `1..=MAX_TABULATED_DISTANCE` precomputed.
+    pub fn new(noise: NoiseModel) -> Self {
+        // Any |e| below min(w, ½) rounds to notch 0 and lies inside its
+        // capture window.
+        let reach = noise.capture_half_window.min(0.5);
+        let clear = std::array::from_fn(|i| {
+            let n = i as u32 + 1;
+            let budget = reach - noise.mean_for(n).abs() - EARLY_EXIT_MARGIN * reach;
+            if budget <= 0.0 {
+                return f64::INFINITY;
+            }
+            let spread = noise.sigma_fixed.abs() + (noise.sigma_walk * (n as f64).sqrt()).abs();
+            let radius = budget / spread;
+            (-0.5 * radius * radius).exp()
+        });
+        Self { noise, clear }
+    }
+
+    /// The underlying noise model.
+    pub fn noise(&self) -> &NoiseModel {
+        &self.noise
+    }
+
+    /// The early-exit bound on both radius uniforms of an `n`-step
+    /// shift, or `None` for an untabulated distance.
+    pub fn clear_bound(&self, n: u32) -> Option<f64> {
+        n.checked_sub(1)
+            .and_then(|i| self.clear.get(i as usize))
+            .copied()
+    }
+
+    /// The raw outcome of an `n`-step shift whose fixed and walk normals
+    /// come from the Box–Muller uniform pairs `g1` and `g2`.
+    pub fn settle_uniforms(&self, n: u32, g1: (f64, f64), g2: (f64, f64)) -> ShiftOutcome {
+        if let Some(bound) = self.clear_bound(n) {
+            if g1.0 >= bound && g2.0 >= bound {
+                return ShiftOutcome::Pinned { offset: 0 };
+            }
+        }
+        let e = self
+            .noise
+            .error_from(n, box_muller(g1.0, g1.1), box_muller(g2.0, g2.1));
+        self.noise.settle(e)
+    }
+
+    /// Samples a raw (stage-1 only) `n`-step outcome: the draws and the
+    /// outcome of `settle(sample_error(n, rng))`.
+    pub fn sample_raw(&self, n: u32, rng: &mut SmallRng64) -> ShiftOutcome {
+        let g1 = rng.next_box_muller_uniforms();
+        let g2 = rng.next_box_muller_uniforms();
+        self.settle_uniforms(n, g1, g2)
+    }
+
+    /// Samples an STS `n`-step outcome: [`GaussianSampler::sample_raw`]
+    /// with the stage-2 push applied.
+    pub fn sample_sts(&self, n: u32, rng: &mut SmallRng64) -> ShiftOutcome {
+        self.noise.apply_sts(self.sample_raw(n, rng))
+    }
+}
+
 /// A reusable stochastic shift simulator (one per stripe or per
 /// experiment).
 ///
 /// By default outcomes come from the direct Gaussian pipeline
-/// (`sample_error` → `settle`, two Box-Muller draws plus branches).
-/// [`ShiftSimulator::with_engine`] selects the alias-table fast path
-/// instead: distribution-equivalent outcomes from one RNG draw and two
-/// array reads per shift (see [`crate::alias`]). The two paths consume
-/// the RNG differently, so equal seeds give different (equally valid)
-/// sample streams.
+/// ([`GaussianSampler`]: four uniforms per shift, and the Box–Muller
+/// transform and `settle` only when the early exit cannot rule out an
+/// error). [`ShiftSimulator::with_engine`] selects the alias-table fast
+/// path instead: distribution-equivalent outcomes from one RNG draw and
+/// two array reads per shift (see [`crate::alias`]). The two paths
+/// consume the RNG differently, so equal seeds give different (equally
+/// valid) sample streams.
 ///
 /// # Examples
 ///
@@ -204,7 +307,7 @@ impl NoiseModel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShiftSimulator {
-    noise: NoiseModel,
+    gaussian: GaussianSampler,
     rng: SmallRng64,
     sampler: Option<crate::alias::OutcomeAliasSampler>,
 }
@@ -212,18 +315,14 @@ pub struct ShiftSimulator {
 impl ShiftSimulator {
     /// Creates a simulator for the given device parameters and RNG seed.
     pub fn new(params: DeviceParams, seed: u64) -> Self {
-        Self {
-            noise: NoiseModel::from_params(&params),
-            rng: SmallRng64::new(seed),
-            sampler: None,
-        }
+        Self::from_noise(NoiseModel::from_params(&params), seed)
     }
 
     /// Creates a simulator directly from a noise model (used by
     /// calibration sweeps).
     pub fn from_noise(noise: NoiseModel, seed: u64) -> Self {
         Self {
-            noise,
+            gaussian: GaussianSampler::new(noise),
             rng: SmallRng64::new(seed),
             sampler: None,
         }
@@ -239,8 +338,8 @@ impl ShiftSimulator {
         let mut sim = Self::new(params, seed);
         if engine == crate::analytic::Engine::Analytic {
             sim.sampler = Some(crate::alias::OutcomeAliasSampler::new(
-                sim.noise,
-                crate::rates::MAX_TABULATED_DISTANCE,
+                *sim.noise(),
+                MAX_TABULATED_DISTANCE,
             ));
         }
         sim
@@ -248,7 +347,7 @@ impl ShiftSimulator {
 
     /// The underlying noise model.
     pub fn noise(&self) -> &NoiseModel {
-        &self.noise
+        self.gaussian.noise()
     }
 
     /// Simulates a raw (stage-1 only) `n`-step shift, as in Fig. 4.
@@ -262,8 +361,7 @@ impl ShiftSimulator {
         if let Some(sampler) = &self.sampler {
             return sampler.sample_raw(n, &mut self.rng);
         }
-        let e = self.noise.sample_error(n, &mut self.rng);
-        self.noise.settle(e)
+        self.gaussian.sample_raw(n, &mut self.rng)
     }
 
     /// Simulates a full STS two-stage `n`-step shift: stop-in-middle
@@ -282,8 +380,7 @@ impl ShiftSimulator {
         if let Some(sampler) = &self.sampler {
             return sampler.sample_sts(n, &mut self.rng);
         }
-        let raw = self.shift_raw(n);
-        self.noise.apply_sts(raw)
+        self.gaussian.sample_sts(n, &mut self.rng)
     }
 }
 

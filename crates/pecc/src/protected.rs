@@ -179,22 +179,27 @@ impl ProtectedStripe {
 
     /// Reads the p-ECC taps at the current physical state.
     ///
-    /// Returns an empty vector for an unprotected stripe.
+    /// Returns an empty vector for an unprotected stripe, and all
+    /// [`Bit::Unknown`] while the walls are misaligned.
     pub fn read_taps(&self) -> Vec<Bit> {
         let Some(checker) = self.checker else {
             return Vec::new();
         };
-        (0..checker.window() as usize)
-            .map(|t| {
-                self.stripe
-                    .read_slot(self.tap_base + t)
-                    .unwrap_or(Bit::Unknown)
-            })
-            .collect()
+        let window = checker.window() as usize;
+        self.tap_window(window)
+            .map_or_else(|| vec![Bit::Unknown; window], <[Bit]>::to_vec)
+    }
+
+    /// The `window` tap cells, borrowed from the stripe; `None` while
+    /// the walls are misaligned and every tap senses garbage.
+    fn tap_window(&self, window: usize) -> Option<&[Bit]> {
+        self.stripe
+            .read_slots(self.tap_base..self.tap_base + window)
     }
 
     /// Runs p-ECC detection: compares the observed tap window against
-    /// the window expected at the believed head position.
+    /// the window expected at the believed head position. The taps are
+    /// read in place, so a check allocates nothing.
     ///
     /// Unprotected stripes always report [`Verdict::Clean`] (they cannot
     /// see anything).
@@ -203,7 +208,11 @@ impl ProtectedStripe {
             return Verdict::Clean;
         };
         let expected_index = (self.tap_base - self.code_start) as i64 - self.believed_head;
-        checker.decode(expected_index, &self.read_taps())
+        match self.tap_window(checker.window() as usize) {
+            Some(taps) => checker.decode(expected_index, taps),
+            // Garbage taps match no phase.
+            None => Verdict::Uncorrectable,
+        }
     }
 
     /// Applies the corrective back-shift for a `Correctable(k)` verdict:

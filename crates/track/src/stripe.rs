@@ -152,6 +152,18 @@ impl Stripe {
         }
     }
 
+    /// Reads the domains at the consecutive physical `slots` through
+    /// adjacent ports, borrowing the cells: `None` when the stripe is
+    /// misaligned (every port senses garbage, as in
+    /// [`Stripe::read_slot`]) or when `slots` runs off the stripe.
+    pub fn read_slots(&self, slots: std::ops::Range<usize>) -> Option<&[Bit]> {
+        if self.aligned {
+            self.cells.get(slots)
+        } else {
+            None
+        }
+    }
+
     /// Writes the domain at physical `slot` through a read/write port.
     ///
     /// # Errors

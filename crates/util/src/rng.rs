@@ -103,12 +103,25 @@ impl SmallRng64 {
 
     /// Standard normal deviate (Box–Muller, one value per call).
     pub fn next_gaussian(&mut self) -> f64 {
-        // Avoid u1 == 0 so ln() stays finite.
-        let u1 = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let u1 = u1.max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        let (u1, u2) = self.next_box_muller_uniforms();
+        box_muller(u1, u2)
     }
+
+    /// The two uniforms one [`SmallRng64::next_gaussian`] call draws:
+    /// the radius uniform `u1 ∈ [f64::MIN_POSITIVE, 1)` first, then the
+    /// angle uniform `u2 ∈ [0, 1)`. [`box_muller`] turns them into the
+    /// deviate `next_gaussian` returns.
+    pub fn next_box_muller_uniforms(&mut self) -> (f64, f64) {
+        // Avoid u1 == 0 so ln() stays finite.
+        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
+        (u1, self.next_f64())
+    }
+}
+
+/// The Box–Muller transform of one uniform pair: radius
+/// `√(−2 ln u1)` times `cos(2π u2)`.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
