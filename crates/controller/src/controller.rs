@@ -113,6 +113,15 @@ pub struct ShiftController {
     timing: StsTiming,
     budget: SafetyBudget,
     table: SequenceTable,
+    /// `FixedSafe`'s static safe distance, computed once (1 under the
+    /// other policies, which never read it).
+    safe_cap: u32,
+    /// Every plan the policy can return for a request of up to
+    /// `table.max_distance()` steps, costed once at construction:
+    /// `plans[d - 1]` holds one plan per Pareto option of
+    /// `table.options(d)` under `Adaptive`, and the policy's one
+    /// sequence under the others.
+    plans: Vec<Vec<ShiftPlan>>,
     stats: ControllerStats,
     /// Cycle timestamp of the previous shift request (for the adapter).
     last_shift_at: Option<u64>,
@@ -148,15 +157,46 @@ impl ShiftController {
             _ => max_distance,
         };
         let table = SequenceTable::build(&budget, &timing, max_distance.max(1), max_part.max(1));
-        Self {
+        let safe_cap = match policy {
+            ShiftPolicy::FixedSafe { worst_intensity_hz } => budget
+                .safe_distance_at(worst_intensity_hz as f64)
+                .unwrap_or(1),
+            _ => 1,
+        };
+        let mut ctl = Self {
             kind,
             policy,
             timing,
             budget,
             table,
+            safe_cap,
+            plans: Vec::new(),
             stats: ControllerStats::default(),
             last_shift_at: None,
-        }
+        };
+        ctl.plans = ctl.cost_plans();
+        ctl
+    }
+
+    /// Costs every plan the policy can return from the table. Each part
+    /// distance's risk is classified once and summed per plan in
+    /// sequence order, as [`Self::cost_sequence`] sums it, so every plan
+    /// is bit-identical to the costing of its sequence.
+    fn cost_plans(&self) -> Vec<Vec<ShiftPlan>> {
+        let max = self.table.max_distance();
+        let risks: Vec<_> = (1..=max).map(|d| self.classify_risk(d)).collect();
+        let cost = |sequence: &[u32]| self.cost_with(sequence, |d| risks[d as usize - 1]);
+        (1..=max)
+            .map(|d| match self.policy {
+                ShiftPolicy::Adaptive => self
+                    .table
+                    .options(d)
+                    .iter()
+                    .map(|o| cost(&o.sequence))
+                    .collect(),
+                _ => vec![cost(&self.policy_sequence(d, 0))],
+            })
+            .collect()
     }
 
     /// The protection scheme in force.
@@ -240,20 +280,16 @@ impl ShiftController {
         };
         self.last_shift_at = Some(now_cycles);
 
-        let sequence: Vec<u32> = match (self.kind, self.policy) {
-            // Unprotected or plain p-ECC without distance constraint.
-            (_, ShiftPolicy::Unconstrained) => vec![distance],
-            (_, ShiftPolicy::StepByStep) => vec![1; distance as usize],
-            (_, ShiftPolicy::FixedSafe { worst_intensity_hz }) => {
-                let dsafe = self
-                    .budget
-                    .safe_distance_at(worst_intensity_hz as f64)
-                    .unwrap_or(1);
-                split_by_cap(distance, dsafe)
+        let mut plan = match self.plans.get(distance as usize - 1) {
+            Some(costed) => {
+                let option = match self.policy {
+                    ShiftPolicy::Adaptive => self.table.select_index(distance, interval),
+                    _ => 0,
+                };
+                costed[option].clone()
             }
-            (_, ShiftPolicy::Adaptive) => self.table.select(distance, interval).sequence.clone(),
+            None => self.cost_sequence(&self.policy_sequence(distance, interval)),
         };
-        let mut plan = self.cost_sequence(&sequence);
         if fused {
             // The armed driver skips one stage-2 settle on the first
             // sub-shift. Checks and risk stay as costed: batching
@@ -272,6 +308,18 @@ impl ShiftController {
         self.stats.expected_sdcs += plan.sdc_risk;
         self.record_observability(distance, &plan, now_cycles, fused);
         plan
+    }
+
+    /// The sub-shift sequence the policy serves a `distance`-step
+    /// request with after `interval` idle cycles.
+    fn policy_sequence(&self, distance: u32, interval: u64) -> Vec<u32> {
+        match self.policy {
+            // Unprotected or plain p-ECC without distance constraint.
+            ShiftPolicy::Unconstrained => vec![distance],
+            ShiftPolicy::StepByStep => vec![1; distance as usize],
+            ShiftPolicy::FixedSafe { .. } => split_by_cap(distance, self.safe_cap),
+            ShiftPolicy::Adaptive => self.table.select(distance, interval).sequence.clone(),
+        }
     }
 
     /// Emits the transaction into the global observer. No-ops (one
@@ -388,17 +436,20 @@ impl ShiftController {
     /// Computes latency and residual risk for an explicit sequence
     /// without updating statistics (used by what-if exploration).
     pub fn cost_sequence(&self, sequence: &[u32]) -> ShiftPlan {
-        let protected = !matches!(self.kind, ProtectionKind::None);
+        self.cost_with(sequence, |d| self.classify_risk(d))
+    }
+
+    /// [`Self::cost_sequence`] with each part's (SDC, DUE, corrections)
+    /// split supplied by `risk`.
+    fn cost_with(&self, sequence: &[u32], risk: impl Fn(u32) -> (f64, f64, f64)) -> ShiftPlan {
+        let protected = self.protected();
         let mut latency = 0u64;
         let mut due = 0.0f64;
         let mut sdc = 0.0f64;
         let mut corrections = 0.0f64;
         for &d in sequence {
-            latency += self.timing.shift_cycles(d).count();
-            if protected {
-                latency += PECC_CHECK_CYCLES;
-            }
-            let (s, u, c) = self.classify_risk(d);
+            latency += self.shift_latency(d).count();
+            let (s, u, c) = risk(d);
             sdc += s;
             due += u;
             corrections += c;
@@ -411,6 +462,22 @@ impl ShiftController {
             sdc_risk: sdc,
             expected_corrections: corrections,
         }
+    }
+
+    /// Latency of one `distance`-step sub-shift: its STS pulse plus the
+    /// p-ECC check that follows it when the scheme is protected. Costs
+    /// no risk and allocates nothing.
+    pub fn shift_latency(&self, distance: u32) -> Cycles {
+        let check = if self.protected() {
+            PECC_CHECK_CYCLES
+        } else {
+            0
+        };
+        Cycles(self.timing.shift_cycles(distance).count() + check)
+    }
+
+    fn protected(&self) -> bool {
+        !matches!(self.kind, ProtectionKind::None)
     }
 
     /// Splits the error probability mass of one `d`-step shift into

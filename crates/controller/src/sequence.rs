@@ -177,10 +177,20 @@ impl SequenceTable {
     ///
     /// Panics like [`SequenceTable::options`].
     pub fn select(&self, distance: u32, interval: u64) -> &SequenceOption {
+        &self.options(distance)[self.select_index(distance, interval)]
+    }
+
+    /// The position in [`SequenceTable::options`] of the option
+    /// [`SequenceTable::select`] picks.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`SequenceTable::options`].
+    pub(crate) fn select_index(&self, distance: u32, interval: u64) -> usize {
         let opts = self.options(distance);
         opts.iter()
-            .find(|o| o.min_interval <= interval)
-            .unwrap_or_else(|| opts.last().expect("frontier never empty"))
+            .position(|o| o.min_interval <= interval)
+            .unwrap_or(opts.len() - 1)
     }
 
     /// The safest (lowest-risk) option for a request — what the

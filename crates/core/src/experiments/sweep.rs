@@ -3,16 +3,19 @@
 //! results.
 //!
 //! Cells of the grid are independent simulations, so the sweep fans
-//! them out across the `rtm-par` pool. Each cell's trace seed derives
+//! them out across the `rtm-par` pool: one task per cell for the named
+//! LLC choices, and one per workload for the racetrack variants, whose
+//! cells share a single pass over the trace
+//! ([`rtm_mem::hierarchy::run_shared`]). Each cell's trace seed derives
 //! from the workload name alone (never the worker count or schedule),
 //! and results are folded into the sweep in strict grid order as they
 //! stream back — per-run gauges record at fold time, never from a
 //! worker thread — so sweep output and metrics are identical for any
-//! `--threads` setting and the collected-results Vec of earlier
-//! revisions is gone.
+//! `--threads` setting.
 
 use rtm_controller::controller::ShiftPolicy;
-use rtm_mem::hierarchy::{Hierarchy, LlcChoice, SimResult};
+use rtm_mem::hierarchy::{run_shared, Hierarchy, LlcChoice, SimResult};
+use rtm_mem::ShiftBackEnd;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{TraceGenerator, WorkloadProfile};
 use rtm_track::fault::FaultModelChoice;
@@ -224,52 +227,67 @@ impl SimSweep {
         threads: usize,
     ) -> Self {
         let profiles = settings.profiles();
-        let cells: Vec<(WorkloadProfile, RtVariant)> = profiles
-            .iter()
-            .flat_map(|&p| variants.iter().map(move |&v| (p, v)))
-            .collect();
-        let progress =
-            rtm_obs::timer::Progress::new("sweep(variants)", cells.len() as u64, "cells");
+        let progress = rtm_obs::timer::Progress::new(
+            "sweep(variants)",
+            (profiles.len() * variants.len()) as u64,
+            "cells",
+        );
+        // One task per workload: a single pass over its trace serves
+        // every variant's shift back end (`run_shared`), since only the
+        // shift controller differs between the variants.
         let sweep = rtm_par::parallel_fold_with(
             threads,
-            cells.len(),
-            |i| {
-                let (p, v) = cells[i];
-                let (kind, policy) = v.parts();
-                let mut sys = match settings.sample_engine {
-                    // Sampling seed from (sweep seed, grid index): fixed by
-                    // the cell layout, independent of worker scheduling.
-                    Some(engine) => Hierarchy::with_racetrack_faults(
-                        kind,
-                        policy,
-                        settings.fault_model,
-                        engine,
-                        rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + i as u64),
-                    ),
-                    None => Hierarchy::with_racetrack(kind, policy),
-                };
+            profiles.len(),
+            |w| {
+                let p = profiles[w];
+                let back_ends = variants
+                    .iter()
+                    .enumerate()
+                    .map(|(v, variant)| {
+                        let (kind, policy) = variant.parts();
+                        let back = ShiftBackEnd::new(kind, policy, 1);
+                        match settings.sample_engine {
+                            // Sampling seed from (sweep seed, grid index):
+                            // fixed by the cell layout, independent of
+                            // worker scheduling.
+                            Some(engine) => back.with_fault_model(
+                                settings.fault_model,
+                                engine,
+                                variant_seed(settings, w * variants.len() + v),
+                            ),
+                            None => back,
+                        }
+                    })
+                    .collect();
                 let mut gen = TraceGenerator::new(
                     p,
                     rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
                 );
-                let r = sys.run(&mut gen, settings.accesses);
-                progress.tick(1);
-                r
+                let results = run_shared(back_ends, &mut gen, settings.accesses);
+                progress.tick(variants.len() as u64);
+                results
             },
             Self::default(),
-            |sweep, i, r| {
-                let (p, v) = cells[i];
-                r.record_metrics();
-                sweep
-                    .by_variant
-                    .entry(p.name)
-                    .or_default()
-                    .insert(v.label().to_string(), r);
+            |sweep, w, results| {
+                for (v, r) in variants.iter().zip(results) {
+                    r.record_metrics();
+                    sweep
+                        .by_variant
+                        .entry(profiles[w].name)
+                        .or_default()
+                        .insert(v.label().to_string(), r);
+                }
             },
         );
         progress.finish();
         sweep
     }
+}
+
+/// The fault-sampling seed of the variant cell at `index` in the
+/// (workload × variant) grid.
+fn variant_seed(settings: &SweepSettings, index: usize) -> u64 {
+    rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + index as u64)
 }
 
 fn seed_of(name: &str) -> u64 {
@@ -369,6 +387,47 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let streamed = SimSweep::run_choices_with_threads(&s, &choices, threads);
             assert_eq!(streamed.by_choice, collected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn shared_variant_sweep_matches_per_cell_reference() {
+        // The variant sweep serves every variant from one pass per
+        // workload; each cell must equal the standalone hierarchy of
+        // that cell, with the same trace and sampling seed.
+        let mut s = SweepSettings::quick();
+        s.accesses = 4_000;
+        s.workloads = Some(vec!["canneal", "x264"]);
+        for engine in [None, Some(rtm_model::analytic::Engine::Analytic)] {
+            s.sample_engine = engine;
+            let sweep = SimSweep::run_variants_with_threads(&s, &RtVariant::ALL, 2);
+            let cells = s
+                .profiles()
+                .into_iter()
+                .flat_map(|p| RtVariant::ALL.map(|v| (p, v)));
+            for (i, (p, v)) in cells.enumerate() {
+                let (kind, policy) = v.parts();
+                let mut sys = match engine {
+                    Some(engine) => Hierarchy::with_racetrack_faults(
+                        kind,
+                        policy,
+                        s.fault_model,
+                        engine,
+                        variant_seed(&s, i),
+                    ),
+                    None => Hierarchy::with_racetrack(kind, policy),
+                };
+                let mut gen =
+                    TraceGenerator::new(p, rtm_util::rng::derive_seed(s.seed, seed_of(p.name)));
+                let reference = sys.run(&mut gen, s.accesses);
+                assert_eq!(
+                    sweep.by_variant[p.name][v.label()],
+                    reference,
+                    "{} {} engine {engine:?}",
+                    p.name,
+                    v.label()
+                );
+            }
         }
     }
 

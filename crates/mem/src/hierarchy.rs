@@ -13,7 +13,10 @@
 //! the L1/L2 front end unchanged.
 
 use crate::cache::{AccessKind, Cache};
-use crate::llc::{LlcModel, RacetrackLlc, SimpleLlc};
+use crate::llc::{
+    LlcDirectory, LlcModel, LlcResponse, LlcStats, RacetrackLlc, ScaleStats, ShiftBackEnd,
+    SimpleLlc,
+};
 use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::energy::{LlcActivity, LlcEnergyModel};
 use rtm_cost::overhead::Scheme;
@@ -196,28 +199,161 @@ impl SimResult {
     }
 }
 
-/// The simulated platform.
-pub struct Hierarchy {
-    config: SystemConfig,
-    choice: LlcChoice,
-    l1: Vec<Cache>,
-    l2: Cache,
-    llc: Box<dyn LlcModel>,
-    cycles: u64,
-    instructions: u64,
-    accesses: u64,
-    dram_accesses: u64,
+/// The level an access was served from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    L1,
+    L2,
+    Llc,
 }
 
-impl Hierarchy {
-    /// Builds the paper's Table 4 platform with the chosen LLC.
-    pub fn new(choice: LlcChoice) -> Self {
+/// The private L1s and the shared L2 in front of the LLC, with the
+/// platform's latencies.
+#[derive(Debug, Clone)]
+struct UpperCaches {
+    config: SystemConfig,
+    l1: Vec<Cache>,
+    l2: Cache,
+}
+
+impl UpperCaches {
+    /// The paper's Table 4 L1s and L2 for the technology of `choice`.
+    fn new(choice: LlcChoice) -> Self {
         let tech = match choice {
             LlcChoice::SramBaseline => CacheTech::Sram,
             LlcChoice::SttRam => CacheTech::SttRam,
             _ => CacheTech::Racetrack,
         };
         let config = SystemConfig::paper(tech);
+        Self {
+            l1: (0..config.cores)
+                .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
+                .collect(),
+            l2: Cache::new(config.l2.capacity_bytes, config.l2.ways, config.line_bytes),
+            config,
+        }
+    }
+
+    /// Looks `a` up in its core's L1 and, on a miss, in the L2; returns
+    /// the level that serves it.
+    fn walk(&mut self, a: &MemAccess, kind: AccessKind) -> Level {
+        let core = (a.core as usize) % self.l1.len();
+        if self.l1[core].access(a.addr, kind).is_hit() {
+            Level::L1
+        } else if self.l2.access(a.addr, kind).is_hit() {
+            Level::L2
+        } else {
+            Level::Llc
+        }
+    }
+}
+
+/// The in-order core's clock and retired work: one per simulated
+/// platform.
+#[derive(Debug, Clone, Copy, Default)]
+struct Core {
+    cycles: u64,
+    instructions: u64,
+    accesses: u64,
+    dram_accesses: u64,
+}
+
+impl Core {
+    /// Retires `a`'s gap instructions at 1 IPC; returns the cycle `a`
+    /// issues at.
+    fn issue(&mut self, a: &MemAccess) -> u64 {
+        self.accesses += 1;
+        self.instructions += 1 + a.gap_instructions as u64;
+        self.cycles += a.gap_instructions as u64;
+        self.cycles
+    }
+
+    /// Charges the latency of an access served at `level` (`llc` is the
+    /// LLC's response when it got there) and returns it.
+    fn complete(&mut self, config: &SystemConfig, level: Level, llc: Option<LlcResponse>) -> u64 {
+        let mut latency = config.l1.access_cycles;
+        if level != Level::L1 {
+            latency += config.l2.access_cycles;
+        }
+        let mut dram = 0;
+        if let Some(r) = llc {
+            latency += r.latency_cycles;
+            if !r.hit {
+                latency += config.memory.access_cycles;
+                dram += 1;
+            }
+            dram += u64::from(r.writeback);
+        }
+        self.dram_accesses += dram;
+        self.cycles += latency;
+        let reg = rtm_obs::global().registry();
+        if reg.enabled() {
+            if level != Level::L1 {
+                reg.counter_add("hier.l1_misses", 1);
+            }
+            if level == Level::Llc {
+                reg.counter_add("hier.l2_misses", 1);
+            }
+            if dram > 0 {
+                reg.counter_add("hier.dram_accesses", dram);
+            }
+            reg.counter_add("hier.accesses", 1);
+            reg.observe("hier.access_latency_cycles", latency as f64);
+        }
+        latency
+    }
+
+    /// This platform's result, given its LLC's counters.
+    fn result(
+        &self,
+        choice: LlcChoice,
+        upper: &UpperCaches,
+        llc: LlcStats,
+        activity: impl FnOnce(Seconds) -> LlcActivity,
+        scale: ScaleStats,
+    ) -> SimResult {
+        let duration = Seconds(self.cycles as f64 / upper.config.clock_hz);
+        // Per-run gauges are NOT recorded here: results are built inside
+        // parallel sweep workers, where concurrent last-writer-wins
+        // `gauge_set`s would make the registry depend on scheduling.
+        // Callers that want the gauges invoke
+        // [`SimResult::record_metrics`] after their parallel section.
+        SimResult {
+            choice,
+            accesses: self.accesses,
+            instructions: self.instructions,
+            cycles: self.cycles,
+            duration,
+            l1_misses: upper.l1.iter().map(|c| c.stats().misses).sum(),
+            l2_misses: upper.l2.stats().misses,
+            llc,
+            activity: activity(duration),
+            dram_accesses: self.dram_accesses,
+            shift_cycles: llc.shift_cycles,
+            scale,
+        }
+    }
+}
+
+fn kind_of(a: &MemAccess) -> AccessKind {
+    if a.is_write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
+}
+
+/// The simulated platform.
+pub struct Hierarchy {
+    choice: LlcChoice,
+    upper: UpperCaches,
+    llc: Box<dyn LlcModel>,
+    core: Core,
+}
+
+impl Hierarchy {
+    /// Builds the paper's Table 4 platform with the chosen LLC.
+    pub fn new(choice: LlcChoice) -> Self {
         let llc: Box<dyn LlcModel> = match choice {
             LlcChoice::SramBaseline => Box::new(SimpleLlc::new(LlcDesign::sram())),
             LlcChoice::SttRam => Box::new(SimpleLlc::new(LlcDesign::stt_ram())),
@@ -241,19 +377,7 @@ impl Hierarchy {
                 ShiftPolicy::Adaptive,
             )),
         };
-        Self {
-            l1: (0..config.cores)
-                .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
-                .collect(),
-            l2: Cache::new(config.l2.capacity_bytes, config.l2.ways, config.line_bytes),
-            llc,
-            config,
-            choice,
-            cycles: 0,
-            instructions: 0,
-            accesses: 0,
-            dram_accesses: 0,
-        }
+        Self::with_llc(llc, choice)
     }
 
     /// Builds the platform with a *custom* racetrack LLC configuration
@@ -308,24 +432,11 @@ impl Hierarchy {
     /// all accounting stay identical to the paper's configuration.
     /// `choice` labels the result for energy-model purposes.
     pub fn with_llc(llc: Box<dyn LlcModel>, choice: LlcChoice) -> Self {
-        let tech = match choice {
-            LlcChoice::SramBaseline => CacheTech::Sram,
-            LlcChoice::SttRam => CacheTech::SttRam,
-            _ => CacheTech::Racetrack,
-        };
-        let config = SystemConfig::paper(tech);
         Self {
-            l1: (0..config.cores)
-                .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
-                .collect(),
-            l2: Cache::new(config.l2.capacity_bytes, config.l2.ways, config.line_bytes),
-            llc,
-            config,
             choice,
-            cycles: 0,
-            instructions: 0,
-            accesses: 0,
-            dram_accesses: 0,
+            upper: UpperCaches::new(choice),
+            llc,
+            core: Core::default(),
         }
     }
 
@@ -336,42 +447,11 @@ impl Hierarchy {
 
     /// Drives one access through the hierarchy, returning its latency.
     pub fn access(&mut self, a: &MemAccess) -> u64 {
-        let kind = if a.is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        self.accesses += 1;
-        self.instructions += 1 + a.gap_instructions as u64;
-        // Gap instructions retire at 1 IPC before the access issues.
-        self.cycles += a.gap_instructions as u64;
-
-        let core = (a.core as usize) % self.l1.len();
-        let mut latency = self.config.l1.access_cycles;
-        let l1r = self.l1[core].access(a.addr, kind);
-        if !l1r.is_hit() {
-            rtm_obs::counter_add("hier.l1_misses", 1);
-            latency += self.config.l2.access_cycles;
-            let l2r = self.l2.access(a.addr, kind);
-            if !l2r.is_hit() {
-                rtm_obs::counter_add("hier.l2_misses", 1);
-                let llc_resp = self.llc.access(a.addr, kind, self.cycles);
-                latency += llc_resp.latency_cycles;
-                if !llc_resp.hit {
-                    latency += self.config.memory.access_cycles;
-                    self.dram_accesses += 1;
-                    rtm_obs::counter_add("hier.dram_accesses", 1);
-                }
-                if llc_resp.writeback {
-                    self.dram_accesses += 1;
-                    rtm_obs::counter_add("hier.dram_accesses", 1);
-                }
-            }
-        }
-        self.cycles += latency;
-        rtm_obs::counter_add("hier.accesses", 1);
-        rtm_obs::observe("hier.access_latency_cycles", latency as f64);
-        latency
+        let kind = kind_of(a);
+        let now = self.core.issue(a);
+        let level = self.upper.walk(a, kind);
+        let llc = (level == Level::Llc).then(|| self.llc.access(a.addr, kind, now));
+        self.core.complete(&self.upper.config, level, llc)
     }
 
     /// Runs `n` accesses from the generator and summarises.
@@ -394,37 +474,87 @@ impl Hierarchy {
 
     /// Snapshot of the current state as a result record.
     pub fn result(&self) -> SimResult {
-        let duration = Seconds(self.cycles as f64 / self.config.clock_hz);
-        let llc = self.llc.stats();
-        let result = SimResult {
-            choice: self.choice,
-            accesses: self.accesses,
-            instructions: self.instructions,
-            cycles: self.cycles,
-            duration,
-            l1_misses: self.l1.iter().map(|c| c.stats().misses).sum(),
-            l2_misses: self.l2.stats().misses,
-            llc,
-            activity: self.llc.activity(duration),
-            dram_accesses: self.dram_accesses,
-            shift_cycles: llc.shift_cycles,
-            scale: self.llc.scale_stats(),
-        };
-        // Per-run gauges are NOT recorded here: `result()` runs inside
-        // parallel sweep workers, where concurrent last-writer-wins
-        // `gauge_set`s would make the registry depend on scheduling.
-        // Callers that want the gauges invoke
-        // [`SimResult::record_metrics`] after their parallel section.
-        result
+        self.core.result(
+            self.choice,
+            &self.upper,
+            self.llc.stats(),
+            |duration| self.llc.activity(duration),
+            self.llc.scale_stats(),
+        )
     }
+}
+
+/// Runs `n` accesses from `gen` through one L1/L2 front end and one
+/// racetrack LLC directory, and serves every access that reaches the
+/// LLC through each of `back_ends` at that back end's own clock.
+/// Returns one result per back end, in order, each equal to the
+/// [`Hierarchy::run`] of a [`RacetrackLlc`] built with that back end
+/// (labelled `RacetrackUnprotected`, like
+/// [`Hierarchy::with_racetrack`]).
+///
+/// Sharing is exact because nothing above the shift controllers reads
+/// the clock: the trace, the L1/L2 caches, the tag directory and the
+/// head registers see the same address stream under every back end, so
+/// each access's hits, writebacks and shift distance are the same for
+/// all of them. Only latencies differ, and each back end keeps its own
+/// clock. Every back end makes the same per-access observability calls
+/// as its own [`Hierarchy`] would; counters and integer-valued
+/// histograms do not depend on their order, while the event and span
+/// rings interleave the back ends access by access.
+///
+/// # Panics
+///
+/// Panics if the back ends' bank counts differ.
+pub fn run_shared(
+    back_ends: Vec<ShiftBackEnd>,
+    gen: &mut TraceGenerator,
+    n: u64,
+) -> Vec<SimResult> {
+    let Some(banks) = back_ends.first().map(ShiftBackEnd::banks) else {
+        return Vec::new();
+    };
+    assert!(
+        back_ends.iter().all(|b| b.banks() == banks),
+        "back ends sharing a directory must share its bank layout"
+    );
+    let choice = LlcChoice::RacetrackUnprotected;
+    let mut upper = UpperCaches::new(choice);
+    let mut dir = LlcDirectory::new(LlcDesign::racetrack(), banks);
+    let mut lanes: Vec<(Core, ShiftBackEnd)> = back_ends
+        .into_iter()
+        .map(|b| (Core::default(), b))
+        .collect();
+    for _ in 0..n {
+        let a = gen.next_access();
+        let kind = kind_of(&a);
+        let level = upper.walk(&a, kind);
+        let placed = (level == Level::Llc).then(|| dir.place(a.addr, kind));
+        for (core, back) in &mut lanes {
+            let now = core.issue(&a);
+            let llc = placed.map(|p| back.serve(&p, now, false));
+            core.complete(&upper.config, level, llc);
+        }
+    }
+    lanes
+        .iter()
+        .map(|(core, back)| {
+            core.result(
+                choice,
+                &upper,
+                back.stats(&dir),
+                |duration| back.activity(&dir, duration),
+                dir.scale_stats(),
+            )
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for Hierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
             .field("choice", &self.choice)
-            .field("cycles", &self.cycles)
-            .field("accesses", &self.accesses)
+            .field("cycles", &self.core.cycles)
+            .field("accesses", &self.core.accesses)
             .finish()
     }
 }

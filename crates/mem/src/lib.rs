@@ -15,6 +15,9 @@
 //! accepts any [`llc::LlcModel`], and the `rtm-serve` crate uses that
 //! hook to mount a queued serving layer with per-stripe-group request
 //! queues, bank-level parallelism and pluggable scheduling policies.
+//! [`hierarchy::run_shared`] runs one pass over a trace for several
+//! racetrack [`ShiftBackEnd`]s at once, which is how the variant sweep
+//! simulates every protection scheme of a workload together.
 //!
 //! * [`cache`] — generic set-associative LRU cache bookkeeping;
 //! * [`llc`] — the three LLC backends behind one interface;
@@ -43,4 +46,4 @@ pub mod physical;
 
 pub use cache::{AccessKind, Cache, CacheStats};
 pub use hierarchy::{Hierarchy, LlcChoice, SimResult};
-pub use llc::{LlcStats, RacetrackLlc, SimpleLlc};
+pub use llc::{LlcStats, RacetrackLlc, ShiftBackEnd, SimpleLlc};

@@ -183,52 +183,367 @@ pub enum HeadPolicy {
     ReturnToCentre,
 }
 
-/// The racetrack LLC: cache bookkeeping plus physical head positions
-/// and the position-error-aware shift controller.
+/// The clock-independent half of the racetrack LLC: the tag directory
+/// and the per-group head registers.
 ///
 /// Data mapping follows the paper (and STAG): each 64-byte line is
 /// interleaved bit-by-bit over a group of 512 stripes sharing one shift
 /// command; a group of 64-domain stripes therefore holds 64 lines, and
 /// consecutive physical lines sit in adjacent domains. Every group has
 /// its own head-position register.
+///
+/// Which way a line lands in, whether an access hits or evicts a dirty
+/// victim, and how far its group's head must move depend only on the
+/// address stream, never on when an access arrives or how its shift is
+/// planned, so one directory can drive several [`ShiftBackEnd`]s.
 #[derive(Debug, Clone)]
-pub struct RacetrackLlc {
+pub(crate) struct LlcDirectory {
     cache: Cache,
     design: LlcDesign,
-    /// One shift controller per bank (Section 5.3: interleaved banks
-    /// service requests independently, so each adapter measures its own
-    /// inter-shift interval).
-    controllers: Vec<ShiftController>,
     geometry: StripeGeometry,
     /// Current head position of each stripe group, stored sparsely:
     /// untouched groups cost nothing and read as head 0 (the
     /// fabrication state), so a GB-scale LLC only pays for the groups a
     /// trace actually visits.
     heads: PagedBytes,
-    stripes_per_group: u32,
-    stats_shift_ops: u64,
-    stats_shift_steps: u64,
-    stats_shift_cycles: u64,
-    stats_verify_cycles: u64,
+    /// Accesses that required no shift (head already aligned).
     zero_shift: u64,
+    /// Zero-shift accesses served while the group's head register was
+    /// still untouched (lazy fast path; subset of `zero_shift`).
+    pristine_hits: u64,
+}
+
+/// What an [`LlcDirectory`] resolved for one access: everything about
+/// it that no shift controller can change.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    hit: bool,
+    writeback: bool,
+    /// The stripe group the line lives in.
+    group: usize,
+    /// Steps the group's head moved onto the line (0 when aligned).
+    distance: u32,
+    /// Array read or write cycles.
+    array_cycles: u64,
+}
+
+impl LlcDirectory {
+    /// An empty directory for `design` (64 B lines, 16 ways, the
+    /// paper's stripe geometry) whose stripe groups interleave over
+    /// `banks`.
+    pub(crate) fn new(design: LlcDesign, banks: u32) -> Self {
+        let geometry = StripeGeometry::paper_default();
+        // Bank-major directory storage: each bank's (4-set-per-group,
+        // round-robin-interleaved) sets become one contiguous slice, so
+        // a per-bank serving worker touches — and faults in — only its
+        // own banks' share of the arrays.
+        let sets_per_group = geometry.data_len() as u32 / 16;
+        let cache =
+            Cache::new(design.capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
+        let groups = design.capacity_bytes / 64 / geometry.data_len() as u64;
+        Self {
+            cache,
+            design,
+            geometry,
+            heads: PagedBytes::new(groups as usize),
+            zero_shift: 0,
+            pristine_hits: 0,
+        }
+    }
+
+    /// Looks `addr` up (allocating on a miss) and moves its group's
+    /// head onto the line's domain.
+    pub(crate) fn place(&mut self, addr: u64, kind: AccessKind) -> Placement {
+        let set = self.cache.set_of(addr);
+        let r = self.cache.access(addr, kind);
+        let (group, domain) = self.slot_to_group_domain(set, r.way());
+        let target = self.geometry.head_position_for(domain) as u8;
+        let current = self.heads.get(group);
+        if target == current {
+            self.zero_shift += 1;
+            if !self.heads.is_touched(group) {
+                // The group's head register has never been written: the
+                // access was answered entirely from fabrication-state
+                // defaults without materialising anything.
+                self.pristine_hits += 1;
+            }
+        } else {
+            self.heads.set(group, target);
+        }
+        Placement {
+            hit: r.is_hit(),
+            writeback: matches!(
+                r,
+                AccessResult::Miss {
+                    writeback: Some(_),
+                    ..
+                }
+            ),
+            group,
+            distance: current.abs_diff(target) as u32,
+            array_cycles: match kind {
+                AccessKind::Read => self.design.read_cycles,
+                AccessKind::Write => self.design.write_cycles,
+            },
+        }
+    }
+
+    /// Moves a group's head to the centre of its range; returns the
+    /// steps moved (0 when it was already there).
+    fn park(&mut self, group: usize) -> u32 {
+        let rest = (self.geometry.max_shift() / 2) as u8;
+        let current = self.heads.get(group);
+        if current != rest {
+            self.heads.set(group, rest);
+        }
+        current.abs_diff(rest) as u32
+    }
+
+    /// Maps a (set, way) slot to its stripe group and domain index.
+    fn slot_to_group_domain(&self, set: u64, way: u32) -> (usize, usize) {
+        let line_index = set * self.cache.ways() as u64 + way as u64;
+        let d = self.geometry.data_len() as u64;
+        ((line_index / d) as usize, (line_index % d) as usize)
+    }
+
+    fn group_of(&self, addr: u64) -> usize {
+        let set = self.cache.set_of(addr);
+        self.slot_to_group_domain(set, 0).0
+    }
+
+    fn predicted_shift_distance(&self, addr: u64) -> u32 {
+        let set = self.cache.set_of(addr);
+        let way = self
+            .cache
+            .probe(addr)
+            .unwrap_or_else(|| self.cache.victim_way(set));
+        let (group, domain) = self.slot_to_group_domain(set, way);
+        let target = self.geometry.head_position_for(domain) as u8;
+        self.heads.get(group).abs_diff(target) as u32
+    }
+
+    /// Occupancy of the sparse head store.
+    pub(crate) fn scale_stats(&self) -> ScaleStats {
+        ScaleStats {
+            configured_groups: self.heads.len() as u64,
+            materialised_groups: self.heads.touched() as u64,
+            pristine_hits: self.pristine_hits,
+            arena_bytes: self.heads.approx_bytes() as u64,
+        }
+    }
+}
+
+/// The clock-dependent half of the racetrack LLC: one shift controller
+/// per bank, the optional fault sampler, and the shift and verify
+/// counters. It owns no tag directory, head store or upper caches: it
+/// serves the head moves the LLC's directory resolved, so the variant
+/// sweep drives one back end per protection scheme from one shared
+/// pass over each workload ([`crate::hierarchy::run_shared`]).
+#[derive(Debug, Clone)]
+pub struct ShiftBackEnd {
+    /// One shift controller per bank (Section 5.3: interleaved banks
+    /// service requests independently, so each adapter measures its own
+    /// inter-shift interval).
+    controllers: Vec<ShiftController>,
     /// Whether the controller models an idealised zero-latency shift
     /// (the paper's "RM-Ideal" series in Fig. 16).
     ideal_shifts: bool,
-    /// Idle head management.
-    head_policy: HeadPolicy,
-    /// Steps spent on idle (off-critical-path) repositioning.
-    idle_steps: u64,
     /// Optional per-shift outcome sampler: when set, every planned
     /// sub-shift draws a concrete outcome from the engine's fault
     /// model (alias tables for analytic, Gaussian for mc), giving the
     /// sweep an *observed* error count alongside the controller's
     /// expected-value risk accounting.
     sampler: Option<SelectedFaultModel>,
+    shift_ops: u64,
+    shift_steps: u64,
+    shift_cycles: u64,
+    verify_cycles: u64,
+    /// Steps spent on idle (off-critical-path) repositioning.
+    idle_steps: u64,
     sampled_shifts: u64,
     observed_errors: u64,
-    /// Zero-shift accesses served while the group's head register was
-    /// still untouched (lazy fast path; subset of `zero_shift`).
-    pristine_hits: u64,
+}
+
+impl ShiftBackEnd {
+    /// One shift controller per bank for the given protection scheme
+    /// and safe-distance policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks == 0`.
+    pub fn new(kind: ProtectionKind, policy: ShiftPolicy, banks: u32) -> Self {
+        assert!(banks > 0, "at least one bank required");
+        Self {
+            controllers: vec![ShiftController::new(kind, policy); banks as usize],
+            ideal_shifts: false,
+            sampler: None,
+            shift_ops: 0,
+            shift_steps: 0,
+            shift_cycles: 0,
+            verify_cycles: 0,
+            idle_steps: 0,
+            sampled_shifts: 0,
+            observed_errors: 0,
+        }
+    }
+
+    /// Enables per-shift outcome sampling through an explicit
+    /// [`FaultModelChoice`] (builder style); see
+    /// [`RacetrackLlc::with_fault_model`].
+    pub fn with_fault_model(mut self, choice: FaultModelChoice, engine: Engine, seed: u64) -> Self {
+        self.sampler = Some(choice.build(engine, &DeviceParams::table1(), seed));
+        self
+    }
+
+    /// Number of banks.
+    pub(crate) fn banks(&self) -> u32 {
+        self.controllers.len() as u32
+    }
+
+    /// Serves one placed access at absolute time `now`: plans the shift
+    /// its head move needs (as a batched-stream continuation when
+    /// `fused`), samples the plan's outcomes, and answers with the shift
+    /// plus array latency.
+    pub(crate) fn serve(&mut self, p: &Placement, now: u64, fused: bool) -> LlcResponse {
+        let shift = if p.distance == 0 {
+            0
+        } else {
+            let bank = p.group % self.controllers.len();
+            let plan = if fused {
+                self.controllers[bank].plan_shift_continuation(p.distance, now)
+            } else {
+                self.controllers[bank].plan_shift(p.distance, now)
+            };
+            self.shift_ops += plan.sequence.len() as u64;
+            self.shift_steps += p.distance as u64;
+            let latency = if self.ideal_shifts {
+                0
+            } else {
+                self.verify_cycles +=
+                    plan.checks as u64 * rtm_controller::sequence::PECC_CHECK_CYCLES;
+                plan.latency.count()
+            };
+            self.shift_cycles += latency;
+            self.sample_sequence(&plan.sequence);
+            latency
+        };
+        let resp = LlcResponse {
+            hit: p.hit,
+            latency_cycles: shift + p.array_cycles,
+            writeback: p.writeback,
+        };
+        let reg = rtm_obs::global().registry();
+        if reg.enabled() {
+            if p.distance == 0 {
+                reg.counter_add("llc.zero_shift_accesses", 1);
+            }
+            reg.counter_add("llc.accesses", 1);
+            if !resp.hit {
+                reg.counter_add("llc.misses", 1);
+            }
+            if resp.writeback {
+                reg.counter_add("llc.writebacks", 1);
+            }
+            reg.observe("llc.access_latency_cycles", resp.latency_cycles as f64);
+        }
+        resp
+    }
+
+    /// Charges an idle-time head move of `distance` steps on `group`'s
+    /// bank: steps, risk and sampled outcomes count, latency does not.
+    fn park(&mut self, group: usize, distance: u32, now: u64) {
+        let bank = group % self.controllers.len();
+        let plan = self.controllers[bank].plan_shift(distance, now);
+        self.shift_ops += plan.sequence.len() as u64;
+        self.shift_steps += distance as u64;
+        self.idle_steps += distance as u64;
+        rtm_obs::counter_add("llc.idle_steps", distance as u64);
+        self.sample_sequence(&plan.sequence);
+    }
+
+    /// Draws one outcome per planned sub-shift when sampling is on.
+    fn sample_sequence(&mut self, sequence: &[u32]) {
+        if let Some(model) = &mut self.sampler {
+            let mut errors = 0u64;
+            for &d in sequence {
+                if !model.sample(d).is_success() {
+                    errors += 1;
+                }
+            }
+            self.sampled_shifts += sequence.len() as u64;
+            self.observed_errors += errors;
+            rtm_obs::counter_add("engine.sample.shifts", sequence.len() as u64);
+            if errors > 0 {
+                rtm_obs::counter_add("engine.sample.errors", errors);
+            }
+        }
+    }
+
+    /// Aggregated controller statistics across all banks.
+    fn controller_totals(&self) -> rtm_controller::controller::ControllerStats {
+        let mut total = rtm_controller::controller::ControllerStats::default();
+        for c in &self.controllers {
+            let s = c.stats();
+            total.requests += s.requests;
+            total.operations += s.operations;
+            total.steps += s.steps;
+            total.shift_cycles += s.shift_cycles;
+            total.checks += s.checks;
+            total.batched_requests += s.batched_requests;
+            total.batch_saved_cycles += s.batch_saved_cycles;
+            total.expected_dues += s.expected_dues;
+            total.expected_sdcs += s.expected_sdcs;
+        }
+        total
+    }
+
+    /// The LLC counters of this back end serving `dir`'s accesses.
+    pub(crate) fn stats(&self, dir: &LlcDirectory) -> LlcStats {
+        let c = self.controller_totals();
+        let stripes = RacetrackLlc::STRIPES_PER_GROUP as f64;
+        LlcStats {
+            cache: *dir.cache.stats(),
+            shift_ops: self.shift_ops,
+            shift_steps: self.shift_steps,
+            shift_cycles: self.shift_cycles,
+            verify_cycles: self.verify_cycles,
+            zero_shift_accesses: dir.zero_shift,
+            // Each commanded sequence runs on every stripe of the group;
+            // any stripe failing fails the group.
+            expected_dues: c.expected_dues * stripes,
+            expected_sdcs: c.expected_sdcs * stripes,
+            sampled_shifts: self.sampled_shifts,
+            observed_errors: self.observed_errors,
+        }
+    }
+
+    /// Activity record of this back end serving `dir`'s accesses.
+    pub(crate) fn activity(&self, dir: &LlcDirectory, duration: Seconds) -> LlcActivity {
+        let s = dir.cache.stats();
+        LlcActivity {
+            reads: s.reads,
+            writes: s.writes + s.writebacks,
+            shift_steps: self.shift_steps,
+            shift_ops: self.shift_ops,
+            pecc_checks: self.controller_totals().checks,
+            pecc_corrections: 0,
+            duration,
+        }
+    }
+}
+
+/// The racetrack LLC: a directory of cache bookkeeping and physical
+/// head positions (the paper's data mapping: each 64-byte line is
+/// interleaved bit-by-bit over a group of 512 stripes sharing one shift
+/// command, a group of 64-domain stripes holds 64 lines, and every
+/// group has its own head-position register), driving a
+/// [`ShiftBackEnd`] of position-error-aware shift controllers.
+#[derive(Debug, Clone)]
+pub struct RacetrackLlc {
+    dir: LlcDirectory,
+    back: ShiftBackEnd,
+    /// Idle head management.
+    head_policy: HeadPolicy,
 }
 
 impl RacetrackLlc {
@@ -254,39 +569,10 @@ impl RacetrackLlc {
     ///
     /// Panics if `banks == 0`.
     pub fn with_banks(kind: ProtectionKind, policy: ShiftPolicy, banks: u32) -> Self {
-        assert!(banks > 0, "at least one bank required");
-        let design = LlcDesign::racetrack();
-        let geometry = StripeGeometry::paper_default();
-        // Bank-major directory storage: each bank's (4-set-per-group,
-        // round-robin-interleaved) sets become one contiguous slice, so
-        // a per-bank serving worker touches — and faults in — only its
-        // own banks' share of the arrays.
-        let sets_per_group = geometry.data_len() as u32 / 16;
-        let cache =
-            Cache::new(design.capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
-        let lines = design.capacity_bytes / 64;
-        let groups = lines / geometry.data_len() as u64;
         Self {
-            cache,
-            design,
-            controllers: (0..banks)
-                .map(|_| ShiftController::new(kind, policy))
-                .collect(),
-            geometry,
-            heads: PagedBytes::new(groups as usize),
-            stripes_per_group: Self::STRIPES_PER_GROUP,
-            stats_shift_ops: 0,
-            stats_shift_steps: 0,
-            stats_shift_cycles: 0,
-            stats_verify_cycles: 0,
-            zero_shift: 0,
-            ideal_shifts: false,
+            dir: LlcDirectory::new(LlcDesign::racetrack(), banks),
+            back: ShiftBackEnd::new(kind, policy, banks),
             head_policy: HeadPolicy::Stay,
-            idle_steps: 0,
-            sampler: None,
-            sampled_shifts: 0,
-            observed_errors: 0,
-            pristine_hits: 0,
         }
     }
 
@@ -300,33 +586,27 @@ impl RacetrackLlc {
     /// Panics if `capacity_bytes` does not divide into whole 64-line
     /// stripe groups and banks, or if traffic has already been issued.
     pub fn with_capacity(mut self, capacity_bytes: u64) -> Self {
+        let s = self.dir.cache.stats();
         assert!(
-            self.cache.stats().reads + self.cache.stats().writes == 0,
+            s.reads + s.writes == 0,
             "capacity override must precede traffic"
         );
-        let banks = self.controllers.len() as u32;
-        let sets_per_group = self.geometry.data_len() as u32 / 16;
-        self.design.capacity_bytes = capacity_bytes;
-        self.cache = Cache::new(capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
-        let lines = capacity_bytes / 64;
-        let groups = lines / self.geometry.data_len() as u64;
-        self.heads = PagedBytes::new(groups as usize);
+        let design = LlcDesign {
+            capacity_bytes,
+            ..self.dir.design
+        };
+        self.dir = LlcDirectory::new(design, self.back.banks());
         self
     }
 
     /// Occupancy of the sparse head store.
     pub fn scale_stats_racetrack(&self) -> ScaleStats {
-        ScaleStats {
-            configured_groups: self.heads.len() as u64,
-            materialised_groups: self.heads.touched() as u64,
-            pristine_hits: self.pristine_hits,
-            arena_bytes: self.heads.approx_bytes() as u64,
-        }
+        self.dir.scale_stats()
     }
 
     /// Number of banks.
     pub fn banks(&self) -> u32 {
-        self.controllers.len() as u32
+        self.back.banks()
     }
 
     /// Sets the idle head-management policy (builder style).
@@ -350,31 +630,13 @@ impl RacetrackLlc {
     /// only adds observed-error tallies; the statistical accounting is
     /// untouched.
     pub fn with_fault_model(mut self, choice: FaultModelChoice, engine: Engine, seed: u64) -> Self {
-        self.sampler = Some(choice.build(engine, &DeviceParams::table1(), seed));
+        self.back = self.back.with_fault_model(choice, engine, seed);
         self
-    }
-
-    /// Draws one outcome per planned sub-shift when sampling is on.
-    fn sample_sequence(&mut self, sequence: &[u32]) {
-        if let Some(model) = &mut self.sampler {
-            let mut errors = 0u64;
-            for &d in sequence {
-                if !model.sample(d).is_success() {
-                    errors += 1;
-                }
-            }
-            self.sampled_shifts += sequence.len() as u64;
-            self.observed_errors += errors;
-            rtm_obs::counter_add("engine.sample.shifts", sequence.len() as u64);
-            if errors > 0 {
-                rtm_obs::counter_add("engine.sample.errors", errors);
-            }
-        }
     }
 
     /// Steps spent repositioning heads off the critical path.
     pub fn idle_steps(&self) -> u64 {
-        self.idle_steps
+        self.back.idle_steps
     }
 
     /// An idealised racetrack LLC whose shifts are free (Fig. 16's
@@ -382,18 +644,18 @@ impl RacetrackLlc {
     /// zero — the ideal memory has no position errors either.
     pub fn ideal() -> Self {
         let mut llc = Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained);
-        llc.ideal_shifts = true;
+        llc.back.ideal_shifts = true;
         llc
     }
 
     /// The stripe-group geometry.
     pub fn geometry(&self) -> &StripeGeometry {
-        &self.geometry
+        &self.dir.geometry
     }
 
     /// The shift controller of bank 0 (diagnostics).
     pub fn controller(&self) -> &ShiftController {
-        &self.controllers[0]
+        self.controller_at(0)
     }
 
     /// The shift controller of a specific bank. The per-bank serving
@@ -405,32 +667,7 @@ impl RacetrackLlc {
     ///
     /// Panics if `bank >= self.banks()`.
     pub fn controller_at(&self, bank: usize) -> &ShiftController {
-        &self.controllers[bank]
-    }
-
-    /// Aggregated controller statistics across all banks.
-    fn controller_totals(&self) -> rtm_controller::controller::ControllerStats {
-        let mut total = rtm_controller::controller::ControllerStats::default();
-        for c in &self.controllers {
-            let s = c.stats();
-            total.requests += s.requests;
-            total.operations += s.operations;
-            total.steps += s.steps;
-            total.shift_cycles += s.shift_cycles;
-            total.checks += s.checks;
-            total.batched_requests += s.batched_requests;
-            total.batch_saved_cycles += s.batch_saved_cycles;
-            total.expected_dues += s.expected_dues;
-            total.expected_sdcs += s.expected_sdcs;
-        }
-        total
-    }
-
-    /// Maps a (set, way) slot to its stripe group and domain index.
-    fn slot_to_group_domain(&self, set: u64, way: u32) -> (usize, usize) {
-        let line_index = set * self.cache.ways() as u64 + way as u64;
-        let d = self.geometry.data_len() as u64;
-        ((line_index / d) as usize, (line_index % d) as usize)
+        &self.back.controllers[bank]
     }
 
     /// The stripe group an access to `addr` lands in. With 16 ways and
@@ -439,13 +676,12 @@ impl RacetrackLlc {
     /// which way the line occupies — schedulers use it to route
     /// requests to per-group queues.
     pub fn group_of(&self, addr: u64) -> usize {
-        let set = self.cache.set_of(addr);
-        self.slot_to_group_domain(set, 0).0
+        self.dir.group_of(addr)
     }
 
     /// Number of stripe groups.
     pub fn groups(&self) -> usize {
-        self.heads.len()
+        self.dir.heads.len()
     }
 
     /// Current head position of a stripe group.
@@ -454,7 +690,7 @@ impl RacetrackLlc {
     ///
     /// Panics if `group` is out of range.
     pub fn head_position(&self, group: usize) -> u8 {
-        self.heads.get(group)
+        self.dir.heads.get(group)
     }
 
     /// Predicts the shift distance an access to `addr` would need right
@@ -465,90 +701,31 @@ impl RacetrackLlc {
     /// other access intervenes — which is what a scheduler comparing
     /// queued candidates wants.
     pub fn predicted_shift_distance(&self, addr: u64) -> u32 {
-        let set = self.cache.set_of(addr);
-        let way = self
-            .cache
-            .probe(addr)
-            .unwrap_or_else(|| self.cache.victim_way(set));
-        let (group, domain) = self.slot_to_group_domain(set, way);
-        let target = self.geometry.head_position_for(domain) as u8;
-        self.heads.get(group).abs_diff(target) as u32
+        self.dir.predicted_shift_distance(addr)
     }
 
     /// Estimated service latency in cycles for an access to `addr`
-    /// (shift under the bank's current plan costing plus array access),
-    /// using [`RacetrackLlc::predicted_shift_distance`]. Non-mutating.
+    /// (one shift of the predicted distance, with its p-ECC check when
+    /// the scheme has one, plus array access), using
+    /// [`RacetrackLlc::predicted_shift_distance`]. Non-mutating; costs
+    /// no plan.
     pub fn estimated_latency(&self, addr: u64, kind: AccessKind) -> u64 {
         let array = match kind {
-            AccessKind::Read => self.design.read_cycles,
-            AccessKind::Write => self.design.write_cycles,
+            AccessKind::Read => self.dir.design.read_cycles,
+            AccessKind::Write => self.dir.design.write_cycles,
         };
-        let shift = if self.ideal_shifts {
+        let shift = if self.back.ideal_shifts {
             0
         } else {
             match self.predicted_shift_distance(addr) {
                 0 => 0,
                 d => {
-                    let group = self.group_of(addr);
-                    let bank = group % self.controllers.len();
-                    self.controllers[bank].cost_sequence(&[d]).latency.count()
+                    let bank = self.group_of(addr) % self.back.controllers.len();
+                    self.back.controllers[bank].shift_latency(d).count()
                 }
             }
         };
         shift + array
-    }
-
-    /// Positions the group's head for `domain`, issuing a shift through
-    /// the controller if needed. Returns the shift latency in cycles.
-    /// `fused` marks a batched-stream continuation: the bank's STS
-    /// driver is still armed from the directly preceding request, so
-    /// the shift is planned via
-    /// [`ShiftController::plan_shift_continuation`].
-    fn position_head(&mut self, group: usize, domain: usize, now: u64, fused: bool) -> u64 {
-        let target = self.geometry.head_position_for(domain) as u8;
-        let current = self.heads.get(group);
-        let latency = if target == current {
-            self.zero_shift += 1;
-            if !self.heads.is_touched(group) {
-                // The group's head register has never been written: the
-                // access was answered entirely from fabrication-state
-                // defaults without materialising anything.
-                self.pristine_hits += 1;
-            }
-            rtm_obs::counter_add("llc.zero_shift_accesses", 1);
-            0
-        } else {
-            let distance = current.abs_diff(target) as u32;
-            let bank = group % self.controllers.len();
-            let plan = if fused {
-                self.controllers[bank].plan_shift_continuation(distance, now)
-            } else {
-                self.controllers[bank].plan_shift(distance, now)
-            };
-            self.stats_shift_ops += plan.sequence.len() as u64;
-            self.stats_shift_steps += distance as u64;
-            let latency = if self.ideal_shifts {
-                0
-            } else {
-                plan.latency.count()
-            };
-            self.stats_shift_cycles += latency;
-            if !self.ideal_shifts {
-                self.stats_verify_cycles +=
-                    plan.checks as u64 * rtm_controller::sequence::PECC_CHECK_CYCLES;
-            }
-            self.sample_sequence(&plan.sequence);
-            latency
-        };
-        if target != current {
-            self.heads.set(group, target);
-        }
-        // Idle management: after servicing, drift the head back to the
-        // centre of its range off the critical path.
-        if self.head_policy == HeadPolicy::ReturnToCentre {
-            self.park_group(group, now + latency);
-        }
-        latency
     }
 
     /// Drifts a group's head back to the centre of its range off the
@@ -563,17 +740,9 @@ impl RacetrackLlc {
     ///
     /// Panics if `group` is out of range.
     pub fn park_group(&mut self, group: usize, now: u64) {
-        let rest = (self.geometry.max_shift() / 2) as u8;
-        if self.heads.get(group) != rest {
-            let distance = self.heads.get(group).abs_diff(rest) as u32;
-            let bank = group % self.controllers.len();
-            let plan = self.controllers[bank].plan_shift(distance, now);
-            self.stats_shift_ops += plan.sequence.len() as u64;
-            self.stats_shift_steps += distance as u64;
-            self.idle_steps += distance as u64;
-            rtm_obs::counter_add("llc.idle_steps", distance as u64);
-            self.sample_sequence(&plan.sequence);
-            self.heads.set(group, rest);
+        let distance = self.dir.park(group);
+        if distance > 0 {
+            self.back.park(group, distance, now);
         }
     }
 
@@ -590,35 +759,12 @@ impl RacetrackLlc {
         now: u64,
         fused: bool,
     ) -> LlcResponse {
-        let set = self.cache.set_of(addr);
-        let r = self.cache.access(addr, kind);
-        let (group, domain) = self.slot_to_group_domain(set, r.way());
-        let shift_latency = self.position_head(group, domain, now, fused);
-        let array = match kind {
-            AccessKind::Read => self.design.read_cycles,
-            AccessKind::Write => self.design.write_cycles,
-        };
-        let resp = LlcResponse {
-            hit: r.is_hit(),
-            latency_cycles: shift_latency + array,
-            writeback: matches!(
-                r,
-                AccessResult::Miss {
-                    writeback: Some(_),
-                    ..
-                }
-            ),
-        };
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
-            reg.counter_add("llc.accesses", 1);
-            if !resp.hit {
-                reg.counter_add("llc.misses", 1);
-            }
-            if resp.writeback {
-                reg.counter_add("llc.writebacks", 1);
-            }
-            reg.observe("llc.access_latency_cycles", resp.latency_cycles as f64);
+        let p = self.dir.place(addr, kind);
+        let resp = self.back.serve(&p, now, fused);
+        // Idle management: after servicing, drift the head back to the
+        // centre of its range off the critical path.
+        if self.head_policy == HeadPolicy::ReturnToCentre {
+            self.park_group(p.group, now + resp.latency_cycles - p.array_cycles);
         }
         resp
     }
@@ -630,25 +776,11 @@ impl LlcModel for RacetrackLlc {
     }
 
     fn stats(&self) -> LlcStats {
-        let c = self.controller_totals();
-        LlcStats {
-            cache: *self.cache.stats(),
-            shift_ops: self.stats_shift_ops,
-            shift_steps: self.stats_shift_steps,
-            shift_cycles: self.stats_shift_cycles,
-            verify_cycles: self.stats_verify_cycles,
-            zero_shift_accesses: self.zero_shift,
-            // Each commanded sequence runs on every stripe of the group;
-            // any stripe failing fails the group.
-            expected_dues: c.expected_dues * self.stripes_per_group as f64,
-            expected_sdcs: c.expected_sdcs * self.stripes_per_group as f64,
-            sampled_shifts: self.sampled_shifts,
-            observed_errors: self.observed_errors,
-        }
+        self.back.stats(&self.dir)
     }
 
     fn design(&self) -> &LlcDesign {
-        &self.design
+        &self.dir.design
     }
 
     fn scale_stats(&self) -> ScaleStats {
@@ -656,17 +788,7 @@ impl LlcModel for RacetrackLlc {
     }
 
     fn activity(&self, duration: Seconds) -> LlcActivity {
-        let s = self.cache.stats();
-        let c = self.controller_totals();
-        LlcActivity {
-            reads: s.reads,
-            writes: s.writes + s.writebacks,
-            shift_steps: self.stats_shift_steps,
-            shift_ops: self.stats_shift_ops,
-            pecc_checks: c.checks,
-            pecc_corrections: 0,
-            duration,
-        }
+        self.back.activity(&self.dir, duration)
     }
 }
 
@@ -682,10 +804,10 @@ mod tests {
     fn group_mapping_is_contiguous() {
         let llc = rm(ProtectionKind::None, ShiftPolicy::Unconstrained);
         // Lines 0..63 share group 0, domains 0..63.
-        assert_eq!(llc.slot_to_group_domain(0, 0), (0, 0));
-        assert_eq!(llc.slot_to_group_domain(0, 15), (0, 15));
-        assert_eq!(llc.slot_to_group_domain(3, 15), (0, 63));
-        assert_eq!(llc.slot_to_group_domain(4, 0), (1, 0));
+        assert_eq!(llc.dir.slot_to_group_domain(0, 0), (0, 0));
+        assert_eq!(llc.dir.slot_to_group_domain(0, 15), (0, 15));
+        assert_eq!(llc.dir.slot_to_group_domain(3, 15), (0, 63));
+        assert_eq!(llc.dir.slot_to_group_domain(4, 0), (1, 0));
     }
 
     #[test]
@@ -748,7 +870,7 @@ mod tests {
         llc.access(0x40, AccessKind::Read, 0);
         let before = llc.stats().shift_steps;
         // A second address in set 0: 0x40 + sets*64.
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         llc.access(0x40 + stride, AccessKind::Read, 10);
         assert!(llc.stats().shift_steps > before);
     }
@@ -757,7 +879,7 @@ mod tests {
     fn fused_access_saves_exactly_the_sts_setup() {
         let mut plain = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
         let mut fused = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let stride = plain.cache.sets() * 64;
+        let stride = plain.dir.cache.sets() * 64;
         plain.access(0x40, AccessKind::Read, 0);
         fused.access(0x40, AccessKind::Read, 0);
         // Same shifting access on both, one as a stream continuation:
@@ -782,7 +904,7 @@ mod tests {
     #[test]
     fn predicted_distance_matches_realised_shift() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         llc.access(0x40, AccessKind::Read, 0);
         // A hit on the resident line: prediction must see distance 0.
         assert_eq!(llc.predicted_shift_distance(0x40), 0);
@@ -799,14 +921,14 @@ mod tests {
     #[test]
     fn estimated_latency_matches_realised_response() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Unconstrained);
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         llc.access(0, AccessKind::Read, 0);
         for i in 1..8u64 {
             let addr = i * stride;
             let est = llc.estimated_latency(addr, AccessKind::Read);
             let r = llc.access(addr, AccessKind::Read, i * 1000);
             // Unconstrained plans are exactly one sub-shift, so the
-            // cost_sequence estimate is exact.
+            // one-shift estimate is exact.
             assert_eq!(est, r.latency_cycles, "access {i}");
         }
     }
@@ -825,7 +947,7 @@ mod tests {
     #[test]
     fn protected_llc_accumulates_risk_over_all_stripes() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Unconstrained);
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         for i in 0..100u64 {
             llc.access(i * stride, AccessKind::Read, i * 50);
         }
@@ -839,7 +961,7 @@ mod tests {
     #[test]
     fn verify_cycles_are_the_check_portion_of_shift_cycles() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         let mut t = 0u64;
         for i in 0..200u64 {
             t += 500;
@@ -850,7 +972,7 @@ mod tests {
         assert!(s.verify_cycles < s.shift_cycles);
         // Without parking, every controller check is on the critical
         // path, so the subset is exactly checks × the check latency.
-        let c = llc.controller_totals();
+        let c = llc.back.controller_totals();
         assert_eq!(
             s.verify_cycles,
             c.checks * rtm_controller::sequence::PECC_CHECK_CYCLES
@@ -866,7 +988,7 @@ mod tests {
     #[test]
     fn ideal_llc_has_free_shifts() {
         let mut llc = RacetrackLlc::ideal();
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         llc.access(0, AccessKind::Read, 0);
         let r = llc.access(stride, AccessKind::Read, 10);
         assert_eq!(r.latency_cycles, llc.design().read_cycles);
@@ -888,7 +1010,7 @@ mod tests {
     fn step_by_step_policy_costs_more_cycles() {
         let mut adaptive = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
         let mut stepwise = rm(ProtectionKind::SECDED_O, ShiftPolicy::StepByStep);
-        let stride = adaptive.cache.sets() * 64;
+        let stride = adaptive.dir.cache.sets() * 64;
         let mut t = 0;
         for i in 0..200u64 {
             // Jump between distant ways to force long shifts; generous
@@ -911,7 +1033,7 @@ mod tests {
         let mut stay = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
         let mut centre = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive)
             .with_head_policy(HeadPolicy::ReturnToCentre);
-        let stride = stay.cache.sets() * 64;
+        let stride = stay.dir.cache.sets() * 64;
         let mut rng = rtm_util::rng::SmallRng64::new(11);
         let mut t = 0u64;
         for _ in 0..1500 {
@@ -946,7 +1068,7 @@ mod tests {
         let mut single = RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, 1);
         let mut banked = RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, 8);
         assert_eq!(banked.banks(), 8);
-        let stride = single.cache.sets() * 64;
+        let stride = single.dir.cache.sets() * 64;
         let mut t = 0u64;
         for i in 0..2000u64 {
             // Rotate across 32 groups (addresses in different sets) and
@@ -975,7 +1097,7 @@ mod tests {
         let mut plain = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
         let mut sampled = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive)
             .with_fault_sampling(Engine::Analytic, 9);
-        let stride = plain.cache.sets() * 64;
+        let stride = plain.dir.cache.sets() * 64;
         let mut t = 0u64;
         for i in 0..2000u64 {
             let addr = (i % 16) * stride;
@@ -999,7 +1121,7 @@ mod tests {
         let run = |engine: Engine, seed: u64| {
             let mut llc =
                 rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive).with_fault_sampling(engine, seed);
-            let stride = llc.cache.sets() * 64;
+            let stride = llc.dir.cache.sets() * 64;
             let mut t = 0u64;
             for i in 0..3000u64 {
                 t += 200;
@@ -1016,7 +1138,7 @@ mod tests {
     #[test]
     fn activity_reflects_counters() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let stride = llc.cache.sets() * 64;
+        let stride = llc.dir.cache.sets() * 64;
         llc.access(0, AccessKind::Read, 0);
         llc.access(stride, AccessKind::Write, 10);
         let a = llc.activity(Seconds(1e-6));
