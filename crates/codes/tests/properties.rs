@@ -4,7 +4,7 @@
 //! errors, and exactness of the redundancy accounting that feeds
 //! `rtm-cost`.
 //!
-//! The round-trip contract mirrors the `bench-codes` battery: a decoder
+//! The round-trip contract mirrors the `bench codes` battery: a decoder
 //! may conservatively *refuse* an ambiguous in-strength read
 //! (`Uncorrectable`), but it must never alias (a silent `Clean` on a
 //! real slip), never name a wrong slip, and never hand back data that
@@ -20,7 +20,7 @@ fn random_word(g: &mut Gen, bits: usize) -> Vec<Bit> {
 
 /// Strike pulses stay inside the data region so the slip is still in
 /// flight when the codec's check structure is read — the same bound the
-/// `bench-codes` battery uses.
+/// `bench codes` battery uses.
 fn strike_limit(codec: &dyn PositionCodec) -> usize {
     codec
         .pulses()

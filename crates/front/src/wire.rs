@@ -7,7 +7,7 @@
 //! both paths share every decision-relevant component — the table,
 //! the buckets, the serving simulator — a wire replay is bit-identical
 //! to the internal run it was recorded from (asserted by tests and
-//! the `bench-front --check` gate).
+//! the `bench front` wire gate).
 
 use std::fmt;
 

@@ -24,7 +24,7 @@
 //!
 //! Monte-Carlo stays as the validation oracle: property tests pin the
 //! closed forms to 4·10⁶-trial runs within binomial error, and
-//! `bench-engine` gates the divergence in CI.
+//! `bench engine` gates the divergence in CI.
 
 use crate::montecarlo::{BinEstimate, PositionBin, PositionPdf};
 use crate::params::DeviceParams;

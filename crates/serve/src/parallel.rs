@@ -34,7 +34,7 @@
 //! [`run_oracle`] executes the identical lane semantics serially on one
 //! LLC; [`run_parallel`] must produce a bit-identical [`ServeStats`]
 //! for any thread count, which the test-suite and the
-//! `bench-serve --check` gate enforce. Floating-point counters are
+//! `bench serve` oracle gate enforce. Floating-point counters are
 //! merged per *bank* in ascending bank order (via
 //! [`RacetrackLlc::controller_at`]), never per worker, reproducing the
 //! oracle's exact summation order; everything else is integral and

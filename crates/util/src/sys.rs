@@ -1,6 +1,6 @@
 //! Minimal std-only process introspection.
 //!
-//! `bench-scale` gates GB-scale runs on peak resident set size; this
+//! `bench scale` gates GB-scale runs on peak resident set size; this
 //! module reads it from `/proc/self/status` so the benchmark needs no
 //! external crates and degrades gracefully (returning `None`) on
 //! platforms without procfs.
