@@ -20,12 +20,7 @@ fn bench_shift_planning() {
     for (label, policy) in [
         ("adaptive", ShiftPolicy::Adaptive),
         ("step_by_step", ShiftPolicy::StepByStep),
-        (
-            "fixed_safe",
-            ShiftPolicy::FixedSafe {
-                worst_intensity_hz: 83_000_000,
-            },
-        ),
+        ("fixed_safe", ShiftPolicy::WORST_CASE),
     ] {
         let kind = if label == "step_by_step" {
             ProtectionKind::SECDED_O

@@ -39,6 +39,14 @@ pub enum ShiftPolicy {
     Adaptive,
 }
 
+impl ShiftPolicy {
+    /// The paper's "p-ECC-S worst" preset: the static safe distance of a
+    /// 128 MB memory provisioned for up to 83 M accesses/s (Section 5.2).
+    pub const WORST_CASE: ShiftPolicy = ShiftPolicy::FixedSafe {
+        worst_intensity_hz: 83_000_000,
+    };
+}
+
 /// A planned shift transaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShiftPlan {

@@ -11,20 +11,26 @@
 //!   implied by the scheme's shift policy;
 //! * **cost** — the Table 5 row for the scheme (detection energy and
 //!   cell overhead), including the derived rows for the stream codecs;
-//! * **sampled behaviour** — one short trace-driven simulation per cell
-//!   through [`Hierarchy::with_racetrack_faults`], tallying how many
-//!   concrete shift outcomes the fault model drew and how many were
-//!   position errors.
+//! * **sampled behaviour** — a short trace-driven simulation per cell,
+//!   equal to [`Hierarchy::with_racetrack_faults`] on the cell's seed,
+//!   tallying how many concrete shift outcomes the fault model drew and
+//!   how many were position errors.
 //!
-//! Cells are independent, so the grid fans out across the `rtm-par`
-//! pool; sampling seeds derive from the settings seed and the cell's
-//! grid index (never the worker schedule) and results fold in strict
-//! grid order, so the matrix is bit-identical for any thread count.
+//! Every cell replays the same trace, so the grid runs as shared passes
+//! ([`run_shared`]), one per contiguous chunk of cells, fanned out
+//! across the `rtm-par` pool. Every back end sees the same placements
+//! under any chunking, sampling seeds derive from the settings seed and
+//! the cell's grid index (never the worker schedule), and results fold
+//! in strict grid order, so the matrix is bit-identical for any thread
+//! count.
+//!
+//! [`Hierarchy::with_racetrack_faults`]: rtm_mem::hierarchy::Hierarchy::with_racetrack_faults
 
 use rtm_controller::controller::ShiftPolicy;
 use rtm_controller::safety::SafetyBudget;
 use rtm_cost::overhead::{ProtectionOverhead, Scheme};
-use rtm_mem::hierarchy::Hierarchy;
+use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice};
+use rtm_mem::ShiftBackEnd;
 use rtm_model::analytic::Engine;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};
@@ -94,12 +100,7 @@ impl SchemeChoice {
             SchemeChoice::Sts => (ProtectionKind::None, ShiftPolicy::Unconstrained),
             SchemeChoice::Pecc => (ProtectionKind::SECDED, ShiftPolicy::Unconstrained),
             SchemeChoice::PeccO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-            SchemeChoice::PeccSWorst => (
-                ProtectionKind::SECDED,
-                ShiftPolicy::FixedSafe {
-                    worst_intensity_hz: 83_000_000,
-                },
-            ),
+            SchemeChoice::PeccSWorst => (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
             SchemeChoice::PeccSAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
             SchemeChoice::CheeKiah => (ProtectionKind::CHEE_KIAH, ShiftPolicy::Unconstrained),
             SchemeChoice::Vahid2di => (ProtectionKind::VAHID_2DI, ShiftPolicy::Unconstrained),
@@ -239,6 +240,10 @@ impl SchemeFaultMatrix {
 
     /// [`Self::run`] with an explicit worker count; results are
     /// bit-identical for any `threads` value.
+    ///
+    /// The row-major cell list splits into at most `threads` contiguous
+    /// chunks, each one shared pass over the workload's trace with one
+    /// sampled back end per cell.
     pub fn run_with_threads(settings: &MatrixSettings, threads: usize) -> Self {
         let profile = WorkloadProfile::by_name(settings.workload)
             .unwrap_or_else(|| panic!("unknown workload {:?}", settings.workload));
@@ -247,59 +252,62 @@ impl SchemeFaultMatrix {
             .iter()
             .flat_map(|&s| settings.fault_models.iter().map(move |&f| (s, f)))
             .collect();
+        let chunk = cells.len().div_ceil(threads.max(1)).max(1);
         let progress = rtm_obs::timer::Progress::new("matrix", cells.len() as u64, "cells");
         let matrix = rtm_par::parallel_fold_with(
             threads,
-            cells.len(),
-            |i| {
-                let (scheme, fault_model) = cells[i];
-                let (kind, policy) = scheme.parts();
-                // Sampled view: a short trace through the hierarchy with
-                // the chosen fault process drawing every shift outcome.
-                // The seed is fixed by the grid index, so the cell is
-                // independent of worker scheduling.
-                let mut sys = Hierarchy::with_racetrack_faults(
-                    kind,
-                    policy,
-                    fault_model,
-                    settings.engine,
-                    rtm_util::rng::derive_seed(settings.seed, 0x3A78_0000 + i as u64),
-                );
-                let mut gen = TraceGenerator::new(
-                    profile,
-                    rtm_util::rng::derive_seed(settings.seed, 0x3A78_8000),
-                );
-                let r = sys.run(&mut gen, settings.accesses);
-                progress.tick(1);
-                r
+            cells.len().div_ceil(chunk),
+            |k| {
+                let first = k * chunk;
+                let llcs: Vec<_> = (first..cells.len().min(first + chunk))
+                    .map(|i| {
+                        let (scheme, fault_model) = cells[i];
+                        let (kind, policy) = scheme.parts();
+                        // Sampled view: the chosen fault process draws
+                        // every shift outcome. The seed is fixed by the
+                        // grid index, so the cell is independent of the
+                        // chunking and of worker scheduling.
+                        let back = ShiftBackEnd::new(kind, policy, 1).with_fault_model(
+                            fault_model,
+                            settings.engine,
+                            cell_seed(settings, i),
+                        );
+                        (LlcChoice::RacetrackUnprotected, LaneLlc::Racetrack(back))
+                    })
+                    .collect();
+                let results = run_shared(llcs, &mut trace(settings, profile), settings.accesses);
+                progress.tick(results.len() as u64);
+                results
             },
             Self::default(),
-            |matrix, i, r| {
-                let (scheme, fault_model) = cells[i];
-                let (kind, _) = scheme.parts();
-                // Analytic view: the scheme's own shift mix against the
-                // fault model's rate table.
-                let mix = scheme.shift_mix(settings.intensity);
-                let report = ReliabilityReport::with_rates(
-                    kind,
-                    &mix,
-                    settings.intensity,
-                    &fault_model.analytic_rates(),
-                );
-                // Cost view: the Table 5 row.
-                let cost = ProtectionOverhead::table5(scheme.cost_scheme());
-                matrix.cells.push(MatrixCell {
-                    scheme,
-                    fault_model,
-                    sdc_mttf_s: report.sdc_mttf().as_secs(),
-                    due_mttf_s: report.due_mttf().as_secs(),
-                    corrections_per_s: report.correction_rate_per_second,
-                    detect_energy_pj: cost.detect_energy.value(),
-                    cell_overhead: cost.cell_area_overhead,
-                    sampled_shifts: r.llc.sampled_shifts,
-                    observed_errors: r.llc.observed_errors,
-                    cycles: r.cycles,
-                });
+            |matrix, k, results| {
+                for (i, r) in (k * chunk..).zip(results) {
+                    let (scheme, fault_model) = cells[i];
+                    let (kind, _) = scheme.parts();
+                    // Analytic view: the scheme's own shift mix against
+                    // the fault model's rate table.
+                    let mix = scheme.shift_mix(settings.intensity);
+                    let report = ReliabilityReport::with_rates(
+                        kind,
+                        &mix,
+                        settings.intensity,
+                        &fault_model.analytic_rates(),
+                    );
+                    // Cost view: the Table 5 row.
+                    let cost = ProtectionOverhead::table5(scheme.cost_scheme());
+                    matrix.cells.push(MatrixCell {
+                        scheme,
+                        fault_model,
+                        sdc_mttf_s: report.sdc_mttf().as_secs(),
+                        due_mttf_s: report.due_mttf().as_secs(),
+                        corrections_per_s: report.correction_rate_per_second,
+                        detect_energy_pj: cost.detect_energy.value(),
+                        cell_overhead: cost.cell_area_overhead,
+                        sampled_shifts: r.llc.sampled_shifts,
+                        observed_errors: r.llc.observed_errors,
+                        cycles: r.cycles,
+                    });
+                }
             },
         );
         progress.finish();
@@ -342,6 +350,19 @@ impl SchemeFaultMatrix {
     }
 }
 
+/// The fault-sampling seed of the cell at `index` in row-major order.
+fn cell_seed(settings: &MatrixSettings, index: usize) -> u64 {
+    rtm_util::rng::derive_seed(settings.seed, 0x3A78_0000 + index as u64)
+}
+
+/// The trace every cell replays.
+fn trace(settings: &MatrixSettings, profile: WorkloadProfile) -> TraceGenerator {
+    TraceGenerator::new(
+        profile,
+        rtm_util::rng::derive_seed(settings.seed, 0x3A78_8000),
+    )
+}
+
 /// Formats an MTTF in seconds at human scale (years above one year,
 /// seconds in scientific notation below, `inf` when the failure mode
 /// never fires).
@@ -359,6 +380,7 @@ fn fmt_mttf(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtm_mem::hierarchy::Hierarchy;
 
     fn tiny() -> MatrixSettings {
         let mut s = MatrixSettings::quick();
@@ -400,6 +422,33 @@ mod tests {
         for threads in [2usize, 8] {
             let alt = SchemeFaultMatrix::run_with_threads(&s, threads);
             assert_eq!(base, alt, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn shared_matrix_matches_per_cell_reference() {
+        // The matrix serves its cells from shared passes; each cell must
+        // equal the standalone hierarchy of that cell, with the same
+        // trace and sampling seed, under any chunking.
+        let s = tiny();
+        let profile = WorkloadProfile::by_name(s.workload).unwrap();
+        for threads in [1, 4] {
+            let m = SchemeFaultMatrix::run_with_threads(&s, threads);
+            for (i, c) in m.cells.iter().enumerate() {
+                let (kind, policy) = c.scheme.parts();
+                let r = Hierarchy::with_racetrack_faults(
+                    kind,
+                    policy,
+                    c.fault_model,
+                    s.engine,
+                    cell_seed(&s, i),
+                )
+                .run(&mut trace(&s, profile), s.accesses);
+                let name = format!("{}/{} threads={threads}", c.scheme, c.fault_model.name());
+                assert_eq!(c.sampled_shifts, r.llc.sampled_shifts, "{name}");
+                assert_eq!(c.observed_errors, r.llc.observed_errors, "{name}");
+                assert_eq!(c.cycles, r.cycles, "{name}");
+            }
         }
     }
 

@@ -39,9 +39,7 @@ pub const SCHEMES: [(&str, ProtectionKind, ShiftPolicy); 6] = [
     (
         "p-ECC-S worst",
         ProtectionKind::SECDED,
-        ShiftPolicy::FixedSafe {
-            worst_intensity_hz: 83_000_000,
-        },
+        ShiftPolicy::WORST_CASE,
     ),
     (
         "p-ECC-S adaptive",

@@ -2,19 +2,18 @@
 //! configuration) pair once and let the figure drivers slice the
 //! results.
 //!
-//! Cells of the grid are independent simulations, so the sweep fans
-//! them out across the `rtm-par` pool: one task per cell for the named
-//! LLC choices, and one per workload for the racetrack variants, whose
-//! cells share a single pass over the trace
-//! ([`rtm_mem::hierarchy::run_shared`]). Each cell's trace seed derives
-//! from the workload name alone (never the worker count or schedule),
+//! The sweep fans out across the `rtm-par` pool one task per workload,
+//! whose cells — every named LLC choice, or every racetrack variant —
+//! share a single pass over the trace
+//! ([`rtm_mem::hierarchy::run_shared`]). Each workload's trace seed
+//! derives from its name alone (never the worker count or schedule),
 //! and results are folded into the sweep in strict grid order as they
 //! stream back — per-run gauges record at fold time, never from a
 //! worker thread — so sweep output and metrics are identical for any
 //! `--threads` setting.
 
 use rtm_controller::controller::ShiftPolicy;
-use rtm_mem::hierarchy::{run_shared, Hierarchy, LlcChoice, SimResult};
+use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice, SimResult};
 use rtm_mem::ShiftBackEnd;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{TraceGenerator, WorkloadProfile};
@@ -124,12 +123,7 @@ impl RtVariant {
             RtVariant::Sed => (ProtectionKind::Sed, ShiftPolicy::Unconstrained),
             RtVariant::Secded => (ProtectionKind::SECDED, ShiftPolicy::Unconstrained),
             RtVariant::SecdedO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-            RtVariant::SecdedSafeWorst => (
-                ProtectionKind::SECDED,
-                ShiftPolicy::FixedSafe {
-                    worst_intensity_hz: 83_000_000,
-                },
-            ),
+            RtVariant::SecdedSafeWorst => (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
             RtVariant::SecdedSafeAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
             RtVariant::CheeKiah => (ProtectionKind::CHEE_KIAH, ShiftPolicy::Unconstrained),
             RtVariant::Vahid2di => (ProtectionKind::VAHID_2DI, ShiftPolicy::Unconstrained),
@@ -174,43 +168,14 @@ impl SimSweep {
         choices: &[LlcChoice],
         threads: usize,
     ) -> Self {
-        let profiles = settings.profiles();
-        let cells: Vec<(WorkloadProfile, LlcChoice)> = profiles
-            .iter()
-            .flat_map(|&p| choices.iter().map(move |&c| (p, c)))
-            .collect();
-        let progress = rtm_obs::timer::Progress::new("sweep(choices)", cells.len() as u64, "cells");
-        // Streaming fold: each cell's result is folded into the sweep in
-        // strict grid order as soon as its predecessors have arrived, so
-        // no worker-count-sized Vec of results accumulates and gauges
-        // stay deterministic for any `threads` value.
-        let sweep = rtm_par::parallel_fold_with(
-            threads,
-            cells.len(),
-            |i| {
-                let (p, c) = cells[i];
-                let mut sys = Hierarchy::new(c);
-                let mut gen = TraceGenerator::new(
-                    p,
-                    rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
-                );
-                let r = sys.run(&mut gen, settings.accesses);
-                progress.tick(1);
-                r
-            },
-            Self::default(),
-            |sweep, i, r| {
-                let (p, c) = cells[i];
-                r.record_metrics();
-                sweep
-                    .by_choice
-                    .entry(p.name)
-                    .or_default()
-                    .insert(c.to_string(), r);
-            },
-        );
-        progress.finish();
-        sweep
+        let labels: Vec<String> = choices.iter().map(LlcChoice::to_string).collect();
+        let by_choice = run_grid(settings, threads, "sweep(choices)", &labels, |_| {
+            choices.iter().map(|&c| (c, c.llc())).collect()
+        });
+        Self {
+            by_choice,
+            ..Self::default()
+        }
     }
 
     /// Runs every workload against racetrack protection variants on
@@ -226,62 +191,87 @@ impl SimSweep {
         variants: &[RtVariant],
         threads: usize,
     ) -> Self {
-        let profiles = settings.profiles();
-        let progress = rtm_obs::timer::Progress::new(
-            "sweep(variants)",
-            (profiles.len() * variants.len()) as u64,
-            "cells",
-        );
-        // One task per workload: a single pass over its trace serves
-        // every variant's shift back end (`run_shared`), since only the
-        // shift controller differs between the variants.
-        let sweep = rtm_par::parallel_fold_with(
-            threads,
-            profiles.len(),
-            |w| {
-                let p = profiles[w];
-                let back_ends = variants
-                    .iter()
-                    .enumerate()
-                    .map(|(v, variant)| {
-                        let (kind, policy) = variant.parts();
-                        let back = ShiftBackEnd::new(kind, policy, 1);
-                        match settings.sample_engine {
-                            // Sampling seed from (sweep seed, grid index):
-                            // fixed by the cell layout, independent of
-                            // worker scheduling.
-                            Some(engine) => back.with_fault_model(
-                                settings.fault_model,
-                                engine,
-                                variant_seed(settings, w * variants.len() + v),
-                            ),
-                            None => back,
-                        }
-                    })
-                    .collect();
-                let mut gen = TraceGenerator::new(
-                    p,
-                    rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
-                );
-                let results = run_shared(back_ends, &mut gen, settings.accesses);
-                progress.tick(variants.len() as u64);
-                results
-            },
-            Self::default(),
-            |sweep, w, results| {
-                for (v, r) in variants.iter().zip(results) {
-                    r.record_metrics();
-                    sweep
-                        .by_variant
-                        .entry(profiles[w].name)
-                        .or_default()
-                        .insert(v.label().to_string(), r);
-                }
-            },
-        );
-        progress.finish();
-        sweep
+        let labels: Vec<String> = variants.iter().map(|v| v.label().to_string()).collect();
+        let by_variant = run_grid(settings, threads, "sweep(variants)", &labels, |w| {
+            variants
+                .iter()
+                .enumerate()
+                .map(|(v, variant)| {
+                    let (kind, policy) = variant.parts();
+                    let back = ShiftBackEnd::new(kind, policy, 1);
+                    let back = match settings.sample_engine {
+                        // Sampling seed from (sweep seed, grid index):
+                        // fixed by the cell layout, independent of
+                        // worker scheduling.
+                        Some(engine) => back.with_fault_model(
+                            settings.fault_model,
+                            engine,
+                            variant_seed(settings, w * variants.len() + v),
+                        ),
+                        None => back,
+                    };
+                    (LlcChoice::RacetrackUnprotected, LaneLlc::Racetrack(back))
+                })
+                .collect()
+        });
+        Self {
+            by_variant,
+            ..Self::default()
+        }
     }
+}
+
+/// Per-workload results keyed by cell label.
+type Grid = BTreeMap<&'static str, BTreeMap<String, SimResult>>;
+
+/// Runs one task per workload on `threads` workers: a single pass over
+/// the workload's trace serves every LLC `llcs(w)` builds for workload
+/// `w` (one per entry of `labels`). Results fold into the grid in strict
+/// grid order as they stream back, so no worker-count-sized Vec of
+/// results accumulates and gauges stay deterministic for any `threads`
+/// value.
+fn run_grid(
+    settings: &SweepSettings,
+    threads: usize,
+    what: &str,
+    labels: &[String],
+    llcs: impl Fn(usize) -> Vec<(LlcChoice, LaneLlc)> + Sync,
+) -> Grid {
+    let profiles = settings.profiles();
+    let progress =
+        rtm_obs::timer::Progress::new(what, (profiles.len() * labels.len()) as u64, "cells");
+    let grid = rtm_par::parallel_fold_with(
+        threads,
+        profiles.len(),
+        |w| {
+            let results = run_shared(
+                llcs(w),
+                &mut trace(settings, profiles[w]),
+                settings.accesses,
+            );
+            progress.tick(labels.len() as u64);
+            results
+        },
+        Grid::new(),
+        |grid, w, results| {
+            for (label, r) in labels.iter().zip(results) {
+                r.record_metrics();
+                grid.entry(profiles[w].name)
+                    .or_default()
+                    .insert(label.clone(), r);
+            }
+        },
+    );
+    progress.finish();
+    grid
+}
+
+/// The trace of workload `p`, seeded from the sweep seed and its name.
+fn trace(settings: &SweepSettings, p: WorkloadProfile) -> TraceGenerator {
+    TraceGenerator::new(
+        p,
+        rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
+    )
 }
 
 /// The fault-sampling seed of the variant cell at `index` in the
@@ -298,6 +288,7 @@ fn seed_of(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtm_mem::hierarchy::Hierarchy;
 
     #[test]
     fn quick_sweep_covers_requested_matrix() {
@@ -357,14 +348,14 @@ mod tests {
 
     #[test]
     fn streamed_sweep_matches_collected_reference() {
-        // The streaming fold must reproduce the old collect-then-merge
-        // pipeline bit-for-bit: run the same grid through
-        // `parallel_map_with` + sequential merge and compare against
-        // the streamed sweep at several worker counts.
+        // The shared pass and the streaming fold must reproduce the
+        // per-cell pipeline bit-for-bit: run every cell as its own
+        // hierarchy through `parallel_map_with` + sequential merge and
+        // compare against the streamed sweep at several worker counts.
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         s.workloads = Some(vec!["canneal", "x264"]);
-        let choices = [LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal];
+        let choices = LlcChoice::ALL;
         let profiles = s.profiles();
         let cells: Vec<(WorkloadProfile, LlcChoice)> = profiles
             .iter()
@@ -372,10 +363,7 @@ mod tests {
             .collect();
         let results = rtm_par::parallel_map_with(4, cells.len(), |i| {
             let (p, c) = cells[i];
-            let mut sys = Hierarchy::new(c);
-            let mut gen =
-                TraceGenerator::new(p, rtm_util::rng::derive_seed(s.seed, seed_of(p.name)));
-            sys.run(&mut gen, s.accesses)
+            Hierarchy::new(c).run(&mut trace(&s, p), s.accesses)
         });
         let mut collected: BTreeMap<&'static str, BTreeMap<String, SimResult>> = BTreeMap::new();
         for ((p, c), r) in cells.into_iter().zip(results) {
@@ -417,9 +405,7 @@ mod tests {
                     ),
                     None => Hierarchy::with_racetrack(kind, policy),
                 };
-                let mut gen =
-                    TraceGenerator::new(p, rtm_util::rng::derive_seed(s.seed, seed_of(p.name)));
-                let reference = sys.run(&mut gen, s.accesses);
+                let reference = sys.run(&mut trace(&s, p), s.accesses);
                 assert_eq!(
                     sweep.by_variant[p.name][v.label()],
                     reference,

@@ -6,9 +6,12 @@
 //! sweep, the hierarchy, the LLC or the shift controller must leave
 //! every digest untouched; the benchmark's model digest reads only a
 //! few fields under one engine and cannot see the rest.
+//!
+//! The choice sweep (`SimSweep::run_choices_with_threads` over all seven
+//! `LlcChoice`s, Figs. 16-18) is pinned the same way on the same grid.
 
 use rtm_core::experiments::{RtVariant, SimSweep, SweepSettings};
-use rtm_mem::hierarchy::SimResult;
+use rtm_mem::hierarchy::{LlcChoice, SimResult};
 use rtm_mem::llc::{LlcStats, ScaleStats};
 use rtm_mem::CacheStats;
 use rtm_model::analytic::Engine;
@@ -159,6 +162,22 @@ fn digest(settings: &SweepSettings, threads: usize) -> u64 {
     h.0
 }
 
+/// Digest of the choice sweep, workloads and choices in map order.
+fn choice_digest(settings: &SweepSettings, threads: usize) -> u64 {
+    let sweep = SimSweep::run_choices_with_threads(settings, &LlcChoice::ALL, threads);
+    let mut h = Fnv(FNV_OFFSET);
+    assert_eq!(sweep.by_choice.len(), 3);
+    for (workload, per) in &sweep.by_choice {
+        assert_eq!(per.len(), LlcChoice::ALL.len());
+        h.bytes(workload.as_bytes());
+        for (label, r) in per {
+            h.bytes(label.as_bytes());
+            h.result(r);
+        }
+    }
+    h.0
+}
+
 fn check(engine: Option<Engine>, fault_model: FaultModelChoice, want: u64) {
     let s = settings(engine, fault_model);
     for threads in [1, 8] {
@@ -209,4 +228,16 @@ fn monte_carlo_sweep_is_pinned() {
         FaultModelChoice::Engine,
         0x8c9b_4a83_7735_d196,
     );
+}
+
+#[test]
+fn choice_sweep_is_pinned() {
+    let s = settings(None, FaultModelChoice::Engine);
+    for threads in [1, 8] {
+        let got = choice_digest(&s, threads);
+        assert_eq!(
+            got, 0x2c02_c64c_bab6_a328,
+            "choice sweep, {threads} threads: {got:#018x}"
+        );
+    }
 }

@@ -74,9 +74,14 @@ impl CacheStats {
     }
 }
 
-/// Line state flag bits (structure-of-arrays storage).
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
+/// A line's state byte: the dirty bit over the line's recency rank in
+/// its set (1 = most recent, `ways` = least recent, 0 = invalid).
+const DIRTY: u8 = 0x80;
+const RANK: u8 = 0x7f;
+
+/// The fewest words a tag block holds: past glibc's 32 MiB cap on its
+/// dynamic mmap threshold (see [`Cache`]'s `tags`).
+const MIN_TAG_WORDS: usize = (32 << 20) / 8 + 64 * 1024;
 
 /// Bank-major storage permutation (see [`Cache::with_bank_layout`]).
 #[derive(Debug, Clone, Copy)]
@@ -86,39 +91,45 @@ struct BankLayout {
     groups_per_bank: u64,
 }
 
-/// A set-associative write-back, write-allocate cache.
+/// A set-associative write-back, write-allocate cache with exact LRU
+/// replacement.
 ///
-/// Line state is held as parallel arrays (tags and LRU stamps as the
-/// two halves of one block, flag bytes alongside) rather than an array
-/// of structs. Two things follow:
+/// Line state is two parallel arrays: a u64 tag and one state byte per
+/// line. The state byte packs the dirty bit with the line's recency
+/// rank in its set, which is all exact LRU needs: a miss fills the
+/// lowest invalid way and only [`clear`](Self::clear) invalidates, so a
+/// set's valid ways are always a prefix whose ranks are a permutation
+/// of `1..=valid`, and a full set's LRU victim is the way ranked `ways`.
+/// Three things follow:
 ///
-/// * **construction is O(1) in touched memory** — all three arrays
-///   are all-zero, so `vec![0; n]` takes the allocator's zeroed-page
-///   path and a 128 MB LLC's 2 Mi-line directory costs microseconds
-///   to build instead of a ~50 MB write. Pages fault in only for the
-///   sets a run actually touches, which is what lets the per-bank
-///   serving workers each own a private cache without paying for the
-///   whole directory up front;
+/// * **construction is O(1) in touched memory** — both arrays are
+///   all-zero, so `vec![0; n]` takes the allocator's zeroed-page path
+///   and a 128 MB LLC's 2 Mi-line directory costs microseconds to build
+///   instead of an 18 MiB write. Pages fault in only for the sets a run
+///   actually touches, which is what lets the per-bank serving workers
+///   each own a private cache without paying for the whole directory up
+///   front;
+/// * **a touched line costs 9 bytes**, not the 17 of a u64 LRU stamp
+///   and a flag byte beside its tag;
 /// * **probes touch less memory** — a 16-way tag scan reads two cache
-///   lines of tags instead of six of interleaved struct fields.
+///   lines of tags, and the victim scan 16 bytes.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Tags then LRU stamps (larger = more recent, 0 = never touched),
-    /// back to back in one backing allocation: `meta[i]` is line `i`'s
-    /// tag, `meta[lines + i]` its stamp. One big block instead of two
-    /// halves matters beyond locality: glibc caps its dynamic mmap
-    /// threshold at 32 MiB, so a 128 MB LLC's combined directory
-    /// (> 32 MiB, padded) always comes from fresh zeroed pages, while
-    /// two 16 MiB halves fall back to recycled heap memory — which
-    /// `calloc` must then memset — as soon as the process has ever
-    /// freed a directory. The serving benchmarks build per-worker
-    /// caches in a loop and would pay that memset on every build.
-    meta: Vec<u64>,
-    flags: Vec<u8>,
+    /// One tag per line, in a block of at least [`MIN_TAG_WORDS`] words
+    /// so that it always comes from fresh zeroed pages. The 128 MB LLC's
+    /// 16 MiB of tags sit below glibc's 32 MiB cap on its dynamic mmap
+    /// threshold: once the process has freed a directory, an unpadded
+    /// block would come from recycled heap memory, which `calloc` must
+    /// then memset. The serving benchmarks build per-worker caches in a
+    /// loop and would pay that memset on every build, and so would every
+    /// freshly built hierarchy's L1s and L2; the pad pages are never
+    /// touched.
+    tags: Vec<u64>,
+    /// One state byte per line ([`DIRTY`] | rank).
+    state: Vec<u8>,
     sets: u64,
     ways: u32,
     line_shift: u32,
-    tick: u64,
     stats: CacheStats,
     /// Optional bank-major relocation of set storage. `None` = sets
     /// stored in index order.
@@ -132,26 +143,23 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless capacity divides evenly into sets of power-of-two
-    /// lines.
+    /// lines, or if `ways` is 0 or above 127 (a line's recency rank
+    /// shares its state byte with the dirty bit).
     pub fn new(capacity_bytes: u64, ways: u32, line_bytes: u32) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be 2^n");
-        assert!(ways > 0, "need at least one way");
+        assert!((1..=127).contains(&ways), "need 1 to 127 ways, got {ways}");
         let total_lines = capacity_bytes / line_bytes as u64;
         assert!(
             total_lines.is_multiple_of(ways as u64) && total_lines > 0,
             "capacity {capacity_bytes} does not divide into {ways}-way sets"
         );
-        let sets = total_lines / ways as u64;
-        // Pad the tag+stamp block past glibc's 32 MiB mmap-threshold
-        // cap (see the field doc); the pad pages are never touched.
-        let pad = 64 * 1024;
+        let lines = total_lines as usize;
         Self {
-            meta: vec![0; 2 * total_lines as usize + pad],
-            flags: vec![0; total_lines as usize],
-            sets,
+            tags: vec![0; lines.max(MIN_TAG_WORDS)],
+            state: vec![0; lines],
+            sets: total_lines / ways as u64,
             ways,
             line_shift: line_bytes.trailing_zeros(),
-            tick: 0,
             stats: CacheStats::default(),
             layout: None,
         }
@@ -160,7 +168,7 @@ impl Cache {
     /// Relocates set storage bank-major (builder style): with groups of
     /// `group_sets` consecutive sets interleaved round-robin over
     /// `banks`, each bank's directory becomes one contiguous run of the
-    /// tag/stamp/flag arrays instead of a 4-set comb strided across
+    /// tag and state arrays instead of a 4-set comb strided across
     /// every page.
     ///
     /// This is a pure storage permutation — lookups, LRU, eviction and
@@ -187,21 +195,17 @@ impl Cache {
         self
     }
 
-    /// Total line slots (the stamp half of `meta` starts here).
-    fn lines(&self) -> usize {
-        (self.sets * self.ways as u64) as usize
-    }
-
-    /// Where `set`'s ways live in the parallel arrays.
-    fn storage_set(&self, set: u64) -> u64 {
-        match self.layout {
+    /// Index of `set`'s first way in the parallel arrays.
+    fn base(&self, set: u64) -> usize {
+        let storage_set = match self.layout {
             None => set,
             Some(l) => {
                 let group = set / l.group_sets;
                 let storage_group = (group % l.banks) * l.groups_per_bank + group / l.banks;
                 storage_group * l.group_sets + set % l.group_sets
             }
-        }
+        };
+        storage_set as usize * self.ways as usize
     }
 
     /// Number of sets.
@@ -229,14 +233,51 @@ impl Cache {
         (addr >> self.line_shift) % self.sets
     }
 
+    /// The way of the set at `base` holding `tag`, if any.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let end = base + self.ways as usize;
+        self.tags[base..end]
+            .iter()
+            .zip(&self.state[base..end])
+            .position(|(&t, &s)| s != 0 && t == tag)
+    }
+
+    /// The way a miss on the set at `base` fills: the lowest invalid
+    /// way, else the least recent.
+    fn victim(&self, base: usize) -> usize {
+        let lru = self.ways as u8;
+        self.state[base..base + self.ways as usize]
+            .iter()
+            .position(|&s| {
+                let rank = s & RANK;
+                rank == 0 || rank == lru
+            })
+            .expect("a set has an invalid or a least-recent way")
+    }
+
+    /// Makes way `w` of the set at `base` the most recent, keeping its
+    /// dirty bit: every valid line more recent than it (every valid
+    /// line, if it was invalid) ages by one rank.
+    fn touch(&mut self, base: usize, w: usize) {
+        let set = &mut self.state[base..base + self.ways as usize];
+        let w_rank = match set[w] & RANK {
+            0 => u8::MAX,
+            rank => rank,
+        };
+        for s in set.iter_mut() {
+            let rank = *s & RANK;
+            if rank != 0 && rank < w_rank {
+                *s += 1;
+            }
+        }
+        set[w] = (set[w] & DIRTY) | 1;
+    }
+
     /// Looks up `addr` without touching LRU state or counters.
     /// Returns the way holding the line, if present.
     pub fn probe(&self, addr: u64) -> Option<u32> {
         let line_addr = addr >> self.line_shift;
-        let tag = line_addr / self.sets;
-        let base = self.storage_set(line_addr % self.sets) as usize * self.ways as usize;
-        (0..self.ways as usize)
-            .position(|w| self.flags[base + w] & VALID != 0 && self.meta[base + w] == tag)
+        self.find(self.base(line_addr % self.sets), line_addr / self.sets)
             .map(|w| w as u32)
     }
 
@@ -244,84 +285,54 @@ impl Cache {
     /// way first, else LRU victim), without changing any state. This is
     /// exactly the way [`Cache::access`] would pick if called next.
     pub fn victim_way(&self, set: u64) -> u32 {
-        let base = self.storage_set(set) as usize * self.ways as usize;
-        let sb = self.lines();
-        (0..self.ways as usize)
-            .min_by_key(|&w| {
-                if self.flags[base + w] & VALID != 0 {
-                    self.meta[sb + base + w]
-                } else {
-                    0
-                }
-            })
-            .expect("sets are never empty") as u32
+        self.victim(self.base(set)) as u32
     }
 
     /// Looks up `addr`, allocating on miss (write-allocate) and
     /// evicting LRU. Returns what happened.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
-        self.tick += 1;
-        match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
-        }
+        let dirty = match kind {
+            AccessKind::Read => {
+                self.stats.reads += 1;
+                0
+            }
+            AccessKind::Write => {
+                self.stats.writes += 1;
+                DIRTY
+            }
+        };
         let line_addr = addr >> self.line_shift;
         let tag = line_addr / self.sets;
-        let set = (line_addr % self.sets) as usize;
-        let base = self.storage_set(set as u64) as usize * self.ways as usize;
-        let ways = self.ways as usize;
-        let sb = self.lines();
+        let set = line_addr % self.sets;
+        let base = self.base(set);
 
-        // Hit path: a contiguous tag scan.
-        for w in 0..ways {
-            let i = base + w;
-            if self.flags[i] & VALID != 0 && self.meta[i] == tag {
-                self.meta[sb + i] = self.tick;
-                if kind == AccessKind::Write {
-                    self.flags[i] |= DIRTY;
-                }
-                self.stats.hits += 1;
-                return AccessResult::Hit { way: w as u32 };
-            }
+        if let Some(w) = self.find(base, tag) {
+            self.touch(base, w);
+            self.state[base + w] |= dirty;
+            self.stats.hits += 1;
+            return AccessResult::Hit { way: w as u32 };
         }
-        // Miss: pick invalid way or LRU victim.
         self.stats.misses += 1;
-        let victim_way = (0..ways)
-            .min_by_key(|&w| {
-                if self.flags[base + w] & VALID != 0 {
-                    self.meta[sb + base + w]
-                } else {
-                    0
-                }
-            })
-            .expect("sets are never empty");
-        let i = base + victim_way;
-        let writeback = if self.flags[i] & (VALID | DIRTY) == VALID | DIRTY {
+        let w = self.victim(base);
+        let i = base + w;
+        let writeback = if self.state[i] & DIRTY != 0 {
             self.stats.writebacks += 1;
-            let victim_line = self.meta[i] * self.sets + set as u64;
-            Some(victim_line << self.line_shift)
+            Some((self.tags[i] * self.sets + set) << self.line_shift)
         } else {
             None
         };
-        self.meta[i] = tag;
-        self.meta[sb + i] = self.tick;
-        self.flags[i] = if kind == AccessKind::Write {
-            VALID | DIRTY
-        } else {
-            VALID
-        };
+        self.tags[i] = tag;
+        self.touch(base, w);
+        self.state[i] = dirty | 1;
         AccessResult::Miss {
-            way: victim_way as u32,
+            way: w as u32,
             writeback,
         }
     }
 
     /// Invalidates everything (e.g. between workload runs).
     pub fn clear(&mut self) {
-        let sb = self.lines();
-        self.flags.fill(0);
-        self.meta[sb..2 * sb].fill(0);
-        self.tick = 0;
+        self.state.fill(0);
         self.stats = CacheStats::default();
     }
 }
@@ -510,6 +521,29 @@ mod tests {
         // The paper's 128 MB LLC: 2 Mi lines, 16-way, 128 Ki sets.
         let c = Cache::new(128 << 20, 16, 64);
         assert_eq!(c.sets(), 131_072);
+    }
+
+    #[test]
+    fn rank_byte_allows_127_ways() {
+        let mut c = Cache::new(127 * 64, 127, 64);
+        for w in 0..127u64 {
+            c.access(w * 64, AccessKind::Write);
+        }
+        // The set is full and line 0 is least recent: it goes next.
+        assert_eq!(c.victim_way(0), 0);
+        assert_eq!(
+            c.access(127 * 64, AccessKind::Read),
+            AccessResult::Miss {
+                way: 0,
+                writeback: Some(0)
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need 1 to 127 ways, got 128")]
+    fn more_than_127_ways_rejected() {
+        let _ = Cache::new(128 * 64, 128, 64);
     }
 
     #[test]

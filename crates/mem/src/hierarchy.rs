@@ -72,6 +72,50 @@ impl LlcChoice {
     pub fn is_racetrack(&self) -> bool {
         !matches!(self, LlcChoice::SramBaseline | LlcChoice::SttRam)
     }
+
+    /// The protection scheme and shift policy of a racetrack preset, or
+    /// `None` for SRAM and STT-RAM. RM-Ideal's are unprotected and
+    /// unconstrained; [`LlcChoice::llc`] also makes its shifts free.
+    pub fn racetrack_parts(&self) -> Option<(ProtectionKind, ShiftPolicy)> {
+        match self {
+            LlcChoice::SramBaseline | LlcChoice::SttRam => None,
+            LlcChoice::RacetrackIdeal | LlcChoice::RacetrackUnprotected => {
+                Some((ProtectionKind::None, ShiftPolicy::Unconstrained))
+            }
+            LlcChoice::RacetrackPeccO => Some((ProtectionKind::SECDED_O, ShiftPolicy::StepByStep)),
+            LlcChoice::RacetrackPeccSWorst => {
+                Some((ProtectionKind::SECDED, ShiftPolicy::WORST_CASE))
+            }
+            LlcChoice::RacetrackPeccSAdaptive => {
+                Some((ProtectionKind::SECDED, ShiftPolicy::Adaptive))
+            }
+        }
+    }
+
+    /// The LLC this preset simulates: the one mapping both
+    /// [`Hierarchy::new`] and [`run_shared`] read. Racetrack presets are
+    /// single-bank shift back ends of the 128 MB racetrack LLC.
+    pub fn llc(&self) -> LaneLlc {
+        match self {
+            LlcChoice::SramBaseline => LaneLlc::Flat(SimpleLlc::new(LlcDesign::sram())),
+            LlcChoice::SttRam => LaneLlc::Flat(SimpleLlc::new(LlcDesign::stt_ram())),
+            LlcChoice::RacetrackIdeal => LaneLlc::Racetrack(ShiftBackEnd::ideal(1)),
+            racetrack => {
+                let (kind, policy) = racetrack.racetrack_parts().expect("a racetrack preset");
+                LaneLlc::Racetrack(ShiftBackEnd::new(kind, policy, 1))
+            }
+        }
+    }
+}
+
+/// The LLC of one lane of a shared pass ([`run_shared`]).
+#[derive(Debug, Clone)]
+pub enum LaneLlc {
+    /// A flat-latency LLC with a directory of its own.
+    Flat(SimpleLlc),
+    /// A racetrack shift back end, served from the pass's one racetrack
+    /// directory.
+    Racetrack(ShiftBackEnd),
 }
 
 impl std::fmt::Display for LlcChoice {
@@ -217,14 +261,11 @@ struct UpperCaches {
 }
 
 impl UpperCaches {
-    /// The paper's Table 4 L1s and L2 for the technology of `choice`.
-    fn new(choice: LlcChoice) -> Self {
-        let tech = match choice {
-            LlcChoice::SramBaseline => CacheTech::Sram,
-            LlcChoice::SttRam => CacheTech::SttRam,
-            _ => CacheTech::Racetrack,
-        };
-        let config = SystemConfig::paper(tech);
+    /// The paper's Table 4 L1s and L2. They, main memory and the clock
+    /// are the same under every LLC technology, so one front end serves
+    /// every LLC of a shared pass.
+    fn new() -> Self {
+        let config = SystemConfig::paper(CacheTech::Racetrack);
         Self {
             l1: (0..config.cores)
                 .map(|_| Cache::new(config.l1.capacity_bytes, config.l1.ways, config.line_bytes))
@@ -354,28 +395,9 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Builds the paper's Table 4 platform with the chosen LLC.
     pub fn new(choice: LlcChoice) -> Self {
-        let llc: Box<dyn LlcModel> = match choice {
-            LlcChoice::SramBaseline => Box::new(SimpleLlc::new(LlcDesign::sram())),
-            LlcChoice::SttRam => Box::new(SimpleLlc::new(LlcDesign::stt_ram())),
-            LlcChoice::RacetrackIdeal => Box::new(RacetrackLlc::ideal()),
-            LlcChoice::RacetrackUnprotected => Box::new(RacetrackLlc::new(
-                ProtectionKind::None,
-                ShiftPolicy::Unconstrained,
-            )),
-            LlcChoice::RacetrackPeccO => Box::new(RacetrackLlc::new(
-                ProtectionKind::SECDED_O,
-                ShiftPolicy::StepByStep,
-            )),
-            LlcChoice::RacetrackPeccSWorst => Box::new(RacetrackLlc::new(
-                ProtectionKind::SECDED,
-                ShiftPolicy::FixedSafe {
-                    worst_intensity_hz: 83_000_000,
-                },
-            )),
-            LlcChoice::RacetrackPeccSAdaptive => Box::new(RacetrackLlc::new(
-                ProtectionKind::SECDED,
-                ShiftPolicy::Adaptive,
-            )),
+        let llc: Box<dyn LlcModel> = match choice.llc() {
+            LaneLlc::Flat(llc) => Box::new(llc),
+            LaneLlc::Racetrack(back) => Box::new(RacetrackLlc::with_back_end(back)),
         };
         Self::with_llc(llc, choice)
     }
@@ -434,7 +456,7 @@ impl Hierarchy {
     pub fn with_llc(llc: Box<dyn LlcModel>, choice: LlcChoice) -> Self {
         Self {
             choice,
-            upper: UpperCaches::new(choice),
+            upper: UpperCaches::new(),
             llc,
             core: Core::default(),
         }
@@ -484,67 +506,95 @@ impl Hierarchy {
     }
 }
 
-/// Runs `n` accesses from `gen` through one L1/L2 front end and one
-/// racetrack LLC directory, and serves every access that reaches the
-/// LLC through each of `back_ends` at that back end's own clock.
-/// Returns one result per back end, in order, each equal to the
-/// [`Hierarchy::run`] of a [`RacetrackLlc`] built with that back end
-/// (labelled `RacetrackUnprotected`, like
-/// [`Hierarchy::with_racetrack`]).
+/// Runs `n` accesses from `gen` through one L1/L2 front end and serves
+/// every access that reaches the LLC through each of `llcs`, each lane at
+/// its own clock. Flat lanes each own their directory; racetrack lanes
+/// share one directory of the 128 MB racetrack LLC. Returns one result
+/// per lane, in order and labelled with its [`LlcChoice`], each equal to
+/// the [`Hierarchy::run`] of that lane's LLC alone: a
+/// [`LlcChoice::llc`] preset equals [`Hierarchy::new`], and any other
+/// racetrack back end the [`RacetrackLlc`] built with it.
 ///
 /// Sharing is exact because nothing above the shift controllers reads
-/// the clock: the trace, the L1/L2 caches, the tag directory and the
-/// head registers see the same address stream under every back end, so
-/// each access's hits, writebacks and shift distance are the same for
-/// all of them. Only latencies differ, and each back end keeps its own
-/// clock. Every back end makes the same per-access observability calls
-/// as its own [`Hierarchy`] would; counters and integer-valued
-/// histograms do not depend on their order, while the event and span
-/// rings interleave the back ends access by access.
+/// the clock and no level back-invalidates another: the trace, the
+/// L1/L2 caches, the racetrack directory and its head registers see the
+/// same address stream under every lane, so each access's L1/L2 outcome
+/// is the same for all of them, and so are its racetrack hits,
+/// writebacks and shift distance. Only LLC latencies differ, and each
+/// lane keeps its own clock. Every lane makes the same per-access
+/// observability calls as its own [`Hierarchy`] would; counters and
+/// integer-valued histograms do not depend on their order, while the
+/// event and span rings interleave the lanes access by access.
 ///
 /// # Panics
 ///
-/// Panics if the back ends' bank counts differ.
+/// Panics if the racetrack back ends' bank counts differ.
 pub fn run_shared(
-    back_ends: Vec<ShiftBackEnd>,
+    llcs: Vec<(LlcChoice, LaneLlc)>,
     gen: &mut TraceGenerator,
     n: u64,
 ) -> Vec<SimResult> {
-    let Some(banks) = back_ends.first().map(ShiftBackEnd::banks) else {
+    if llcs.is_empty() {
         return Vec::new();
-    };
+    }
+    let banks: Vec<u32> = llcs
+        .iter()
+        .filter_map(|(_, llc)| match llc {
+            LaneLlc::Racetrack(back) => Some(back.banks()),
+            LaneLlc::Flat(_) => None,
+        })
+        .collect();
     assert!(
-        back_ends.iter().all(|b| b.banks() == banks),
+        banks.windows(2).all(|b| b[0] == b[1]),
         "back ends sharing a directory must share its bank layout"
     );
-    let choice = LlcChoice::RacetrackUnprotected;
-    let mut upper = UpperCaches::new(choice);
-    let mut dir = LlcDirectory::new(LlcDesign::racetrack(), banks);
-    let mut lanes: Vec<(Core, ShiftBackEnd)> = back_ends
+    let mut upper = UpperCaches::new();
+    let mut dir = banks
+        .first()
+        .map(|&b| LlcDirectory::new(LlcDesign::racetrack(), b));
+    let mut lanes: Vec<(LlcChoice, Core, LaneLlc)> = llcs
         .into_iter()
-        .map(|b| (Core::default(), b))
+        .map(|(choice, llc)| (choice, Core::default(), llc))
         .collect();
     for _ in 0..n {
         let a = gen.next_access();
         let kind = kind_of(&a);
         let level = upper.walk(&a, kind);
-        let placed = (level == Level::Llc).then(|| dir.place(a.addr, kind));
-        for (core, back) in &mut lanes {
+        let placed = match (&mut dir, level) {
+            (Some(dir), Level::Llc) => Some(dir.place(a.addr, kind)),
+            _ => None,
+        };
+        for (_, core, llc) in &mut lanes {
             let now = core.issue(&a);
-            let llc = placed.map(|p| back.serve(&p, now, false));
-            core.complete(&upper.config, level, llc);
+            let response = (level == Level::Llc).then(|| match llc {
+                LaneLlc::Flat(llc) => llc.access(a.addr, kind, now),
+                LaneLlc::Racetrack(back) => {
+                    back.serve(placed.as_ref().expect("placed at the LLC"), now, false)
+                }
+            });
+            core.complete(&upper.config, level, response);
         }
     }
     lanes
         .iter()
-        .map(|(core, back)| {
-            core.result(
-                choice,
+        .map(|(choice, core, llc)| match llc {
+            LaneLlc::Flat(llc) => core.result(
+                *choice,
                 &upper,
-                back.stats(&dir),
-                |duration| back.activity(&dir, duration),
-                dir.scale_stats(),
-            )
+                llc.stats(),
+                |duration| llc.activity(duration),
+                llc.scale_stats(),
+            ),
+            LaneLlc::Racetrack(back) => {
+                let dir = dir.as_ref().expect("racetrack lanes have a directory");
+                core.result(
+                    *choice,
+                    &upper,
+                    back.stats(dir),
+                    |duration| back.activity(dir, duration),
+                    dir.scale_stats(),
+                )
+            }
         })
         .collect()
 }
@@ -666,6 +716,24 @@ mod tests {
         assert_eq!(r.llc.shift_ops, 0);
         assert_eq!(r.shift_cycles, 0);
         assert_eq!(r.llc.expected_sdcs, 0.0);
+    }
+
+    #[test]
+    fn upper_levels_are_technology_independent() {
+        // One L1/L2 front end serves every LLC of a shared pass: only
+        // the LLC differs between the technologies' platforms.
+        let rm = SystemConfig::paper(CacheTech::Racetrack);
+        for tech in [CacheTech::Sram, CacheTech::SttRam] {
+            let other = SystemConfig::paper(tech);
+            assert_eq!(
+                SystemConfig {
+                    llc: rm.llc,
+                    ..other
+                },
+                rm,
+                "{tech:?}"
+            );
+        }
     }
 
     #[test]

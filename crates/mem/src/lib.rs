@@ -16,8 +16,9 @@
 //! hook to mount a queued serving layer with per-stripe-group request
 //! queues, bank-level parallelism and pluggable scheduling policies.
 //! [`hierarchy::run_shared`] runs one pass over a trace for several
-//! racetrack [`ShiftBackEnd`]s at once, which is how the variant sweep
-//! simulates every protection scheme of a workload together.
+//! LLCs at once — flat ones and racetrack [`ShiftBackEnd`]s sharing one
+//! directory — which is how the sweeps simulate every configuration of
+//! a workload together, and the scheme × fault-model matrix its cells.
 //!
 //! * [`cache`] — generic set-associative LRU cache bookkeeping;
 //! * [`llc`] — the three LLC backends behind one interface;

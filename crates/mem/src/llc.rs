@@ -336,9 +336,9 @@ impl LlcDirectory {
 /// The clock-dependent half of the racetrack LLC: one shift controller
 /// per bank, the optional fault sampler, and the shift and verify
 /// counters. It owns no tag directory, head store or upper caches: it
-/// serves the head moves the LLC's directory resolved, so the variant
-/// sweep drives one back end per protection scheme from one shared
-/// pass over each workload ([`crate::hierarchy::run_shared`]).
+/// serves the head moves the LLC's directory resolved, so one shared
+/// pass over a workload drives one back end per protection scheme
+/// ([`crate::hierarchy::run_shared`]).
 #[derive(Debug, Clone)]
 pub struct ShiftBackEnd {
     /// One shift controller per bank (Section 5.3: interleaved banks
@@ -384,6 +384,22 @@ impl ShiftBackEnd {
             idle_steps: 0,
             sampled_shifts: 0,
             observed_errors: 0,
+        }
+    }
+
+    /// The back end of an idealised racetrack LLC whose shifts are free
+    /// (Fig. 16's "RM-Ideal" upper bound): unprotected, unconstrained
+    /// plans whose steps count but cost no cycles. Protection risk is
+    /// still accounted as zero — the ideal memory has no position errors
+    /// either.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks == 0`.
+    pub fn ideal(banks: u32) -> Self {
+        Self {
+            ideal_shifts: true,
+            ..Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained, banks)
         }
     }
 
@@ -569,9 +585,23 @@ impl RacetrackLlc {
     ///
     /// Panics if `banks == 0`.
     pub fn with_banks(kind: ProtectionKind, policy: ShiftPolicy, banks: u32) -> Self {
+        // The directory is allocated before the controllers' plan
+        // tables: in the other order its 2 MiB of state bytes land above
+        // the tables on the heap, and every other build-and-drop (the
+        // serving set-ups) pays a heap trim and ~1 ms of fresh page
+        // faults.
         Self {
             dir: LlcDirectory::new(LlcDesign::racetrack(), banks),
             back: ShiftBackEnd::new(kind, policy, banks),
+            head_policy: HeadPolicy::Stay,
+        }
+    }
+
+    /// The 128 MB racetrack LLC served by `back`, with its bank count.
+    pub(crate) fn with_back_end(back: ShiftBackEnd) -> Self {
+        Self {
+            dir: LlcDirectory::new(LlcDesign::racetrack(), back.banks()),
+            back,
             head_policy: HeadPolicy::Stay,
         }
     }
@@ -640,12 +670,9 @@ impl RacetrackLlc {
     }
 
     /// An idealised racetrack LLC whose shifts are free (Fig. 16's
-    /// "RM-Ideal" upper bound). Protection risk is still accounted as
-    /// zero — the ideal memory has no position errors either.
+    /// "RM-Ideal" upper bound), served by [`ShiftBackEnd::ideal`].
     pub fn ideal() -> Self {
-        let mut llc = Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained);
-        llc.back.ideal_shifts = true;
-        llc
+        Self::with_back_end(ShiftBackEnd::ideal(1))
     }
 
     /// The stripe-group geometry.

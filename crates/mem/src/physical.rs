@@ -64,8 +64,8 @@ impl PhysicalCache {
     /// # Panics
     ///
     /// Panics on invalid geometry (capacity not divisible, zero sizes,
-    /// an invalid protection layout) or when the line count does not
-    /// fill whole groups.
+    /// more than 127 ways, an invalid protection layout) or when the
+    /// line count does not fill whole groups.
     pub fn new(
         capacity_bytes: u64,
         ways: u32,

@@ -87,45 +87,18 @@ impl LlcModel for QueuedLlc {
 
 /// Builds the paper's platform around a queued racetrack LLC — the
 /// hierarchy's queued-LLC mode. `choice` must be a racetrack preset;
-/// it selects the protection scheme, shift policy and energy-model
-/// label exactly as [`Hierarchy::new`] would.
+/// it selects the protection scheme and shift policy
+/// ([`LlcChoice::racetrack_parts`]) and the energy-model label.
 ///
 /// # Panics
 ///
 /// Panics if `choice` is not a racetrack configuration or `banks == 0`.
 pub fn queued_hierarchy(choice: LlcChoice, banks: u32) -> Hierarchy {
-    assert!(choice.is_racetrack(), "queued mode needs a racetrack LLC");
-    let (kind, policy) = racetrack_parts(choice);
+    let (kind, policy) = choice
+        .racetrack_parts()
+        .expect("queued mode needs a racetrack LLC");
     let llc = QueuedLlc::new(RacetrackLlc::with_banks(kind, policy, banks));
     Hierarchy::with_llc(Box::new(llc), choice)
-}
-
-/// The (protection, shift policy) pair behind a racetrack preset,
-/// mirroring [`Hierarchy::new`].
-fn racetrack_parts(
-    choice: LlcChoice,
-) -> (
-    rtm_pecc::layout::ProtectionKind,
-    rtm_controller::controller::ShiftPolicy,
-) {
-    use rtm_controller::controller::ShiftPolicy;
-    use rtm_pecc::layout::ProtectionKind;
-    match choice {
-        LlcChoice::RacetrackIdeal | LlcChoice::RacetrackUnprotected => {
-            (ProtectionKind::None, ShiftPolicy::Unconstrained)
-        }
-        LlcChoice::RacetrackPeccO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-        LlcChoice::RacetrackPeccSWorst => (
-            ProtectionKind::SECDED,
-            ShiftPolicy::FixedSafe {
-                worst_intensity_hz: 83_000_000,
-            },
-        ),
-        LlcChoice::RacetrackPeccSAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
-        LlcChoice::SramBaseline | LlcChoice::SttRam => {
-            unreachable!("caller checked is_racetrack")
-        }
-    }
 }
 
 #[cfg(test)]
