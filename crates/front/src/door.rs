@@ -20,8 +20,8 @@ use crate::class::{ClassSpec, SloClass};
 use crate::proto::Verdict;
 use crate::session::{FrontArrival, SessionArrivals, SessionTable};
 use rtm_serve::{
-    Completion, LatencySummary, RequestSource, SchedPolicy, ServeConfig, ServeResult, ServeSim,
-    SourcePoll,
+    Completion, LatencyCounts, LatencySummary, RequestSource, SchedPolicy, ServeConfig,
+    ServeResult, ServeSim, SourcePoll,
 };
 use rtm_trace::MemAccess;
 
@@ -194,7 +194,7 @@ struct ClassAccum {
     shed: u64,
     deferred: u64,
     completed: u64,
-    samples: Vec<u64>,
+    latency: LatencyCounts,
 }
 
 /// Admission control over an arrival stream.
@@ -299,7 +299,7 @@ impl<A: Iterator<Item = FrontArrival>> FrontDoor<A> {
         assert_eq!(self.outstanding, 0, "admitted requests left incomplete");
         let mut classes = Vec::new();
         for class in self.table.spec().active_classes() {
-            let acc = std::mem::take(&mut self.accum[class.index()]);
+            let mut acc = std::mem::take(&mut self.accum[class.index()]);
             classes.push(ClassStats {
                 class,
                 tenants: self.table.spec().population(class, self.table.tenants()),
@@ -307,7 +307,7 @@ impl<A: Iterator<Item = FrontArrival>> FrontDoor<A> {
                 shed: acc.shed,
                 deferred: acc.deferred,
                 completed: acc.completed,
-                latency: LatencySummary::from_samples(acc.samples),
+                latency: acc.latency.summary(),
             });
         }
         let responses = self.responses.take().map(|mut log| {
@@ -387,7 +387,7 @@ impl<A: Iterator<Item = FrontArrival>> RequestSource for FrontDoor<A> {
         let (seq, class) = self.admitted_of[c.id as usize];
         let acc = &mut self.accum[class.index()];
         acc.completed += 1;
-        acc.samples.push(c.total);
+        acc.latency.record(c.total);
         self.outstanding -= 1;
         if let Some(log) = &mut self.responses {
             log.push(LoggedResponse {

@@ -669,6 +669,14 @@ impl RacetrackLlc {
         self.back.idle_steps
     }
 
+    /// The critical-path shift and p-ECC verify cycles so far: the
+    /// [`LlcStats::shift_cycles`] and [`LlcStats::verify_cycles`] of
+    /// [`LlcModel::stats`], without summing the bank controllers or
+    /// reading the directory.
+    pub fn shift_verify_cycles(&self) -> (u64, u64) {
+        (self.back.shift_cycles, self.back.verify_cycles)
+    }
+
     /// An idealised racetrack LLC whose shifts are free (Fig. 16's
     /// "RM-Ideal" upper bound), served by [`ShiftBackEnd::ideal`].
     pub fn ideal() -> Self {

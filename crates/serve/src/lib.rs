@@ -61,6 +61,6 @@ pub use parallel::{
 pub use policy::SchedPolicy;
 pub use queued::{queued_hierarchy, QueuedLlc};
 pub use sim::{
-    Completion, LatencySummary, RequestSource, ServeConfig, ServeResult, ServeSim, SourcePoll,
-    ATTRIBUTION_COMPONENTS,
+    Completion, LatencyCounts, LatencySummary, RequestSource, ServeConfig, ServeResult, ServeSim,
+    SourcePoll, ATTRIBUTION_COMPONENTS,
 };

@@ -42,7 +42,7 @@
 
 use std::thread;
 
-use crate::sim::LatencySummary;
+use crate::sim::{LatencyCounts, LatencySummary};
 use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::technology::LlcDesign;
 use rtm_mem::cache::AccessKind;
@@ -224,13 +224,14 @@ impl ServeStats {
 }
 
 /// One bank's private execution state: a simulated clock and the
-/// per-request samples. Plain accumulators only — the hot loop does no
-/// registry lookup, no span bookkeeping and no stats snapshotting.
+/// exact counts of its requests' service latencies, which the merge
+/// adds up. Plain accumulators only — the hot loop does no registry
+/// lookup, no span bookkeeping and no stats snapshotting.
 #[derive(Debug)]
 struct Lane {
     bank: usize,
     clock: u64,
-    samples: Vec<u64>,
+    service: LatencyCounts,
     fused: u64,
 }
 
@@ -239,7 +240,7 @@ impl Lane {
         Self {
             bank,
             clock: 0,
-            samples: Vec::new(),
+            service: LatencyCounts::default(),
             fused: 0,
         }
     }
@@ -253,7 +254,7 @@ impl Lane {
         };
         let resp = llc.access_fused(cmd.addr, kind, self.clock, cmd.fused);
         self.clock += resp.latency_cycles;
-        self.samples.push(resp.latency_cycles);
+        self.service.record(resp.latency_cycles);
         self.fused += u64::from(cmd.fused);
     }
 }
@@ -353,15 +354,16 @@ fn merge(cfg: &ThroughputConfig, shards: Vec<Shard>) -> ServeStats {
     let lane_cycles: Vec<u64> = lanes.iter().map(|l| l.clock).collect();
     let makespan_cycles = lane_cycles.iter().copied().max().unwrap_or(0);
     let fused_dispatches = lanes.iter().map(|l| l.fused).sum();
-    let mut samples = Vec::with_capacity(lanes.iter().map(|l| l.samples.len()).sum());
-    for lane in &mut lanes {
-        samples.append(&mut lane.samples);
+    let mut service = LatencyCounts::default();
+    for lane in &lanes {
+        service.merge(&lane.service);
     }
+    let service = service.summary();
     ServeStats {
-        requests: samples.len() as u64,
+        requests: service.count,
         makespan_cycles,
         lane_cycles,
-        service: LatencySummary::from_samples(samples),
+        service,
         zero_shift_dispatches: llc.zero_shift_accesses,
         fused_dispatches,
         batched_requests: batched,

@@ -178,6 +178,10 @@ impl LatencySummary {
     /// Summarises a sample vector (consumed; sorted internally).
     /// Quantiles use integer nearest-rank indexing, so results are
     /// bit-identical across platforms and thread counts.
+    ///
+    /// The sort-based reference that [`LatencyCounts::summary`] is
+    /// tested against. The serving layer itself keeps no sample vectors
+    /// and never calls this.
     pub fn from_samples(mut samples: Vec<u64>) -> Self {
         if samples.is_empty() {
             return Self::default();
@@ -202,6 +206,103 @@ impl LatencySummary {
             0.0
         } else {
             self.sum as f64 / self.count as f64
+        }
+    }
+}
+
+/// Values below this many cycles are counted per value; larger ones are
+/// kept raw. Saturated serving latencies stay far below it
+/// (serve-saturated's p99 total is 538 cycles, and the deep-queue
+/// configurations peak at ~1.7k), so nearly every record is one
+/// increment. Front-door queue delays run to ~38k cycles and mostly go
+/// to the raw list, which then holds about what a sample vector would.
+/// A 65,536-cycle cut would count them instead, in arrays of up to
+/// 512 KiB per recorder: it raised frontdoor-10k's peak RSS from 26.7
+/// to 29.4 MB.
+const DENSE_CUT: u64 = 4_096;
+
+/// An exact latency recorder: the [`LatencySummary`] of a stream without
+/// keeping the stream.
+///
+/// Each value below a fixed cut of 4,096 cycles is counted in a dense
+/// array indexed by value; the rarer larger values are kept raw.
+/// [`Self::summary`] is bit for bit what [`LatencySummary::from_samples`]
+/// computes from the same values: nearest rank needs only per-value
+/// counts, because `sorted[k]` with `k = (n - 1) * p / 100` is the
+/// smallest value whose cumulative count exceeds `k`. Every raw value
+/// lies above every counted one, so the ranks past the counted values
+/// index the sorted raw list directly.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyCounts {
+    /// `dense[v]` observations of value `v`, for `v < DENSE_CUT`; grown
+    /// on demand to the largest such value seen.
+    dense: Vec<u64>,
+    /// Observations of `DENSE_CUT` cycles or more, in any order.
+    raw: Vec<u64>,
+}
+
+impl LatencyCounts {
+    /// Records one observation.
+    pub fn record(&mut self, cycles: u64) {
+        if cycles < DENSE_CUT {
+            let v = cycles as usize;
+            if v >= self.dense.len() {
+                self.dense.resize(v + 1, 0);
+            }
+            self.dense[v] += 1;
+        } else {
+            self.raw.push(cycles);
+        }
+    }
+
+    /// Adds every observation of `other`. Recording is a multiset
+    /// union, so merge order never changes the summary.
+    pub fn merge(&mut self, other: &LatencyCounts) {
+        if other.dense.len() > self.dense.len() {
+            self.dense.resize(other.dense.len(), 0);
+        }
+        for (mine, theirs) in self.dense.iter_mut().zip(&other.dense) {
+            *mine += theirs;
+        }
+        self.raw.extend_from_slice(&other.raw);
+    }
+
+    /// The exact summary of everything recorded so far. Sorts the raw
+    /// values in place.
+    pub fn summary(&mut self) -> LatencySummary {
+        self.raw.sort_unstable();
+        let counted: u64 = self.dense.iter().sum();
+        let count = counted + self.raw.len() as u64;
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        let dense = &self.dense;
+        let raw = &self.raw;
+        // The value at nearest rank `pct`: p0 is the minimum, p100 the
+        // maximum.
+        let at = |pct: u64| {
+            let k = (count - 1) * pct / 100;
+            if k >= counted {
+                return raw[(k - counted) as usize];
+            }
+            let mut cumulative = 0;
+            for (v, &c) in dense.iter().enumerate() {
+                cumulative += c;
+                if cumulative > k {
+                    return v as u64;
+                }
+            }
+            unreachable!("rank {k} lies among the {counted} counted values")
+        };
+        let counted_sum: u64 = dense.iter().zip(0u64..).map(|(&c, v)| c * v).sum();
+        LatencySummary {
+            count,
+            sum: counted_sum + raw.iter().sum::<u64>(),
+            min: at(0),
+            max: at(100),
+            p50: at(50),
+            p95: at(95),
+            p99: at(99),
         }
     }
 }
@@ -450,14 +551,13 @@ pub struct ServeSim {
     backpressure_stalls: u64,
     /// Dedup key so one blocked request counts one stall per instant.
     last_stall: Option<(u64, usize)>,
-    zero_shift_dispatches: u64,
     peak_queued: usize,
     peak_in_flight: usize,
-    queue_delays: Vec<u64>,
-    services: Vec<u64>,
-    totals: Vec<u64>,
-    read_totals: Vec<u64>,
-    write_totals: Vec<u64>,
+    queue_delays: LatencyCounts,
+    services: LatencyCounts,
+    totals: LatencyCounts,
+    read_totals: LatencyCounts,
+    write_totals: LatencyCounts,
     fill_cycles_total: u64,
     bank_busy: Vec<u64>,
     /// Per-client cycle accounting, charged at dispatch.
@@ -503,14 +603,13 @@ impl ServeSim {
             next_id: 0,
             backpressure_stalls: 0,
             last_stall: None,
-            zero_shift_dispatches: 0,
             peak_queued: 0,
             peak_in_flight: 0,
-            queue_delays: Vec::new(),
-            services: Vec::new(),
-            totals: Vec::new(),
-            read_totals: Vec::new(),
-            write_totals: Vec::new(),
+            queue_delays: LatencyCounts::default(),
+            services: LatencyCounts::default(),
+            totals: LatencyCounts::default(),
+            read_totals: LatencyCounts::default(),
+            write_totals: LatencyCounts::default(),
             fill_cycles_total: 0,
             bank_busy: vec![0; cfg.banks as usize],
             tenant_requests: vec![0; cfg.clients as usize],
@@ -611,7 +710,7 @@ impl ServeSim {
                 let f = self.in_flight.remove(i);
                 self.outstanding[f.client as usize] -= 1;
                 self.completed += 1;
-                self.totals.push(f.total_cycles);
+                self.totals.record(f.total_cycles);
                 rtm_obs::record_event(
                     f.complete_at,
                     ShiftEvent::ReqCompleted {
@@ -744,13 +843,10 @@ impl ServeSim {
             }
             self.queued_total -= 1;
             self.bank_dispatched[bank] += 1;
-            if self.llc.predicted_shift_distance(req.addr) == 0 {
-                self.zero_shift_dispatches += 1;
-            }
             // Attribution: the controller accumulates shift/verify
             // cycles inside the access; the before/after delta is this
             // request's share (exact — the event loop is serial).
-            let before = self.llc.stats();
+            let (shift_before, verify_before) = self.llc.shift_verify_cycles();
             // The dispatch span id must exist before the access so the
             // controller's plan_shift spans nest under it; its record
             // is filled in below once the extent is known.
@@ -760,9 +856,9 @@ impl ServeSim {
                 let _parent = ParentScope::enter(dispatch_span);
                 self.llc.access(req.addr, req.kind(), self.clock)
             };
-            let after = self.llc.stats();
-            let shift_delta = after.shift_cycles - before.shift_cycles;
-            let verify_delta = after.verify_cycles - before.verify_cycles;
+            let (shift_after, verify_after) = self.llc.shift_verify_cycles();
+            let shift_delta = shift_after - shift_before;
+            let verify_delta = verify_after - verify_before;
             self.bank_free_at[bank] = self.clock + resp.latency_cycles;
             self.bank_busy[bank] += resp.latency_cycles;
             // Misses and writebacks go to memory off the bank: the
@@ -812,12 +908,13 @@ impl ServeSim {
                 is_write: req.is_write,
             });
             self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
-            self.queue_delays.push(queue_delay);
-            self.services.push(service_cycles);
+            self.queue_delays.record(queue_delay);
+            self.services.record(service_cycles);
             if req.is_write {
-                self.write_totals.push(queue_delay + service_cycles + fill);
+                self.write_totals
+                    .record(queue_delay + service_cycles + fill);
             } else {
-                self.read_totals.push(queue_delay + service_cycles + fill);
+                self.read_totals.record(queue_delay + service_cycles + fill);
             }
             rtm_obs::record_event(
                 self.clock,
@@ -891,7 +988,16 @@ impl ServeSim {
     }
 
     /// Final accounting.
-    fn finish(self) -> ServeResult {
+    ///
+    /// `zero_shift_dispatches` is the LLC's own zero-shift counter. The
+    /// two are equal: the LLC is built with [`HeadPolicy::Stay`] and no
+    /// group is ever parked, every LLC access is a dispatch, and
+    /// [`RacetrackLlc::predicted_shift_distance`] is exact when no
+    /// access intervenes, so the counter counts exactly the dispatches
+    /// whose predicted distance was 0.
+    ///
+    /// [`HeadPolicy::Stay`]: rtm_mem::llc::HeadPolicy::Stay
+    fn finish(mut self) -> ServeResult {
         let mut tenants = AttributionTable::new(["tenant"], ATTRIBUTION_COMPONENTS);
         for c in 0..self.cfg.clients as usize {
             let service = self.tenant_service[c];
@@ -910,24 +1016,25 @@ impl ServeSim {
                 self.tenant_queue[c] + service + self.tenant_fill[c],
             );
         }
+        let llc = self.llc.stats();
         ServeResult {
             policy: self.cfg.policy,
             requests: self.completed,
             cycles: self.clock,
-            queue_delay: LatencySummary::from_samples(self.queue_delays),
-            service: LatencySummary::from_samples(self.services),
-            total: LatencySummary::from_samples(self.totals),
-            read_total: LatencySummary::from_samples(self.read_totals),
-            write_total: LatencySummary::from_samples(self.write_totals),
+            queue_delay: self.queue_delays.summary(),
+            service: self.services.summary(),
+            total: self.totals.summary(),
+            read_total: self.read_totals.summary(),
+            write_total: self.write_totals.summary(),
             backpressure_stalls: self.backpressure_stalls,
-            zero_shift_dispatches: self.zero_shift_dispatches,
+            zero_shift_dispatches: llc.zero_shift_accesses,
             peak_queued: self.peak_queued,
             peak_in_flight: self.peak_in_flight,
             fill_cycles: self.fill_cycles_total,
             bank_busy_cycles: self.bank_busy,
             tenants,
             scale: self.llc.scale_stats(),
-            llc: self.llc.stats(),
+            llc,
         }
     }
 }
@@ -1132,6 +1239,141 @@ mod tests {
             LatencySummary::from_samples(vec![]),
             LatencySummary::default()
         );
+    }
+
+    /// Records `samples` into one recorder.
+    fn counts(samples: &[u64]) -> LatencyCounts {
+        let mut c = LatencyCounts::default();
+        for &v in samples {
+            c.record(v);
+        }
+        c
+    }
+
+    /// 100k draws skewed towards small values, with a tail past the
+    /// dense cut.
+    fn skewed_draws() -> Vec<u64> {
+        let mut rng = rtm_util::rng::SmallRng64::new(2015);
+        (0..100_000)
+            .map(|_| (rng.next_f64().powi(6) * 40_000.0) as u64)
+            .collect()
+    }
+
+    #[test]
+    fn latency_counts_match_the_sort_reference() {
+        let skewed = skewed_draws();
+        assert!(skewed.iter().any(|&v| v < DENSE_CUT));
+        assert!(skewed.iter().any(|&v| v >= DENSE_CUT));
+        let cases: [Vec<u64>; 8] = [
+            vec![],
+            vec![17],
+            vec![300; 1_000],
+            vec![0],
+            vec![4_095, 4_096],
+            vec![4_096, 4_095, 4_096, 4_095, 4_095, 0, 4_096],
+            (0..500).map(|i| 4_096 + i * i * 7).rev().collect(),
+            skewed,
+        ];
+        for samples in cases {
+            let want = LatencySummary::from_samples(samples.clone());
+            assert_eq!(
+                counts(&samples).summary(),
+                want,
+                "{} samples",
+                samples.len()
+            );
+        }
+    }
+
+    #[test]
+    fn merged_counts_match_one_recorder() {
+        let draws = skewed_draws();
+        let mut whole = counts(&draws);
+        let want = whole.summary();
+        assert_eq!(want, LatencySummary::from_samples(draws.clone()));
+        // Uneven chunks, one of them empty, merged in several orders.
+        let parts: Vec<LatencyCounts> = [0, 10, 10, 4_000, 60_000, 100_000]
+            .windows(2)
+            .map(|w| counts(&draws[w[0]..w[1]]))
+            .collect();
+        for order in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 4, 0, 3, 1]] {
+            let mut merged = LatencyCounts::default();
+            for i in order {
+                merged.merge(&parts[i]);
+            }
+            assert_eq!(merged.summary(), want, "order {order:?}");
+            // Summarising sorts the raw values only; it records nothing.
+            assert_eq!(merged.summary(), want, "order {order:?}, again");
+        }
+    }
+
+    /// A mixed-tenant source that keeps every admitted access and every
+    /// completion.
+    struct Recorder {
+        mix: rtm_trace::MixedTraceGenerator,
+        admitted: Vec<MemAccess>,
+        completions: Vec<Completion>,
+    }
+
+    impl RequestSource for Recorder {
+        fn poll(&mut self, _now: u64) -> SourcePoll {
+            let a = self.mix.next_access();
+            self.admitted.push(a);
+            SourcePoll::Ready(a)
+        }
+
+        fn completed(&mut self, c: &Completion) {
+            self.completions.push(*c);
+        }
+    }
+
+    #[test]
+    fn zero_shift_dispatches_match_the_llc_counter() {
+        // Replays each run's dispatches in order on a fresh LLC, probing
+        // the predicted distance before every access: the count of
+        // zero-distance probes is the LLC's own zero-shift counter, which
+        // `ServeResult::zero_shift_dispatches` reports.
+        let p = WorkloadProfile::by_name("canneal").unwrap();
+        for policy in SchedPolicy::ALL {
+            let cfg = ServeConfig::new(policy)
+                .with_requests(8_000)
+                .with_clients(4, 8)
+                .with_paced(false);
+            let mut source = Recorder {
+                mix: rtm_trace::MixedTraceGenerator::new(&[p, p, p, p], 2015),
+                admitted: Vec::new(),
+                completions: Vec::new(),
+            };
+            let r = ServeSim::new(cfg).run_source(&mut source);
+            assert_eq!(r.zero_shift_dispatches, r.llc.zero_shift_accesses);
+            // A request dispatched at `cycle - service - fill`. Banks own
+            // disjoint groups, so (dispatch cycle, bank) orders every
+            // group's accesses as the run did.
+            let mut llc = RacetrackLlc::with_banks(cfg.protection, cfg.shift_policy, cfg.banks);
+            let mut dispatches: Vec<(u64, usize, MemAccess)> = source
+                .completions
+                .iter()
+                .map(|c| {
+                    let a = source.admitted[c.id as usize];
+                    let bank = llc.group_of(a.addr) % cfg.banks as usize;
+                    (c.cycle - c.service - c.fill, bank, a)
+                })
+                .collect();
+            dispatches.sort_unstable_by_key(|&(at, bank, _)| (at, bank));
+            let mut predicted_zero = 0;
+            for (at, _, a) in dispatches {
+                predicted_zero += u64::from(llc.predicted_shift_distance(a.addr) == 0);
+                let kind = if a.is_write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                llc.access(a.addr, kind, at);
+            }
+            assert_eq!(llc.stats(), r.llc, "{policy}: the replay is exact");
+            assert_eq!(predicted_zero, r.zero_shift_dispatches, "{policy}");
+            assert!(predicted_zero > 0, "{policy}");
+        }
     }
 
     #[test]

@@ -80,8 +80,13 @@ impl TraceGenerator {
             (frac * p.hot_set_bytes.max(64) as f64) as u64
         } else if u < p.hot_fraction + p.stream_fraction {
             // Sequential streaming through the working set, one word at
-            // a time, wrapping around.
-            self.stream_pos = (self.stream_pos + 8) % p.working_set_bytes;
+            // a time, wrapping around. The position is already below
+            // the working-set size, so only a step that reaches it needs
+            // the division.
+            self.stream_pos += 8;
+            if self.stream_pos >= p.working_set_bytes {
+                self.stream_pos %= p.working_set_bytes;
+            }
             self.stream_pos
         } else {
             // Scattered access over the whole working set.
@@ -93,7 +98,10 @@ impl TraceGenerator {
         // Geometric-ish gap around the profile mean.
         let gap = (p.gap_instructions * (0.5 + self.rng.next_f64())).round() as u32;
         let core = self.next_core;
-        self.next_core = (self.next_core + 1) % self.cores;
+        self.next_core += 1;
+        if self.next_core == self.cores {
+            self.next_core = 0;
+        }
         self.generated += 1;
         MemAccess {
             addr,

@@ -101,7 +101,12 @@ impl MixedTraceGenerator {
     /// tenant index as the core by its [`TenantStream`].
     pub fn next_access(&mut self) -> MemAccess {
         let tenant = self.schedule[self.pos];
-        self.pos = (self.pos + 1) % self.schedule.len();
+        // `pos` stays below the schedule length, so wrapping needs no
+        // division.
+        self.pos += 1;
+        if self.pos == self.schedule.len() {
+            self.pos = 0;
+        }
         self.generated += 1;
         self.tenants[tenant].next_access()
     }
