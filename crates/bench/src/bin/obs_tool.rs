@@ -7,10 +7,12 @@
 //! obs-tool compare BENCH_old.json BENCH_new.json --max-regress 5%
 //! ```
 //!
-//! `flame` renders the span forest of an events dump (or a bare span
-//! snapshot) as folded stacks — one `path value` line per call path,
-//! ready for any flamegraph renderer. `chrome` renders the same spans
-//! as a Chrome `trace_event` document for `chrome://tracing` / Perfetto.
+//! `flame` renders the span trace of an `--events` dump as folded
+//! stacks — one `path value` line per call path, ready for any
+//! flamegraph renderer; instants have no self time, so they print no
+//! line. `chrome` renders the same spans as a Chrome `trace_event`
+//! document for `chrome://tracing` / Perfetto. Both read only a
+//! `"schema_version": 2` dump and exit 2 on anything else.
 //!
 //! `compare` diffs two stamped `BENCH_*.json` artefacts row by row:
 //! rows pair up by their string-field identity, numeric fields are
@@ -22,7 +24,7 @@
 
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
-use rtm_obs::span::SpanTraceSnapshot;
+use rtm_obs::span::{SpanTraceSnapshot, TRACE_SCHEMA_VERSION};
 
 fn usage() -> ! {
     eprintln!(
@@ -44,17 +46,16 @@ fn read_json(path: &str) -> Json {
     })
 }
 
-/// Extracts the span snapshot from an events dump (nested under
-/// `"spans"`) or from a bare span-snapshot document.
+/// Decodes an `--events` dump; exits 2 unless it is a well-formed
+/// dump of the current schema version.
 fn load_spans(path: &str) -> SpanTraceSnapshot {
-    let doc = read_json(path);
-    let nested = doc.get("spans").and_then(SpanTraceSnapshot::from_json);
-    nested
-        .or_else(|| SpanTraceSnapshot::from_json(&doc))
-        .unwrap_or_else(|| {
-            eprintln!("error: {path}: no span snapshot found (expected a \"spans\" key)");
-            std::process::exit(2);
-        })
+    SpanTraceSnapshot::from_json(&read_json(path)).unwrap_or_else(|| {
+        eprintln!(
+            "error: {path}: expected a \"schema_version\": {TRACE_SCHEMA_VERSION} \
+             span trace dump (no span may be its own parent)"
+        );
+        std::process::exit(2);
+    })
 }
 
 fn emit(out: Option<&str>, content: &str) {

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Exits non-zero if any claim fails, so this doubles as a regression
-//! gate for the reproduction.
+//! gate for the reproduction. `--metrics` / `--events` dump the metric
+//! store and the span trace as `repro` does.
 
 use rtm_core::experiments::report::live_report;
 use rtm_core::experiments::SweepSettings;
@@ -86,7 +87,7 @@ fn main() {
         rtm_obs::global().registry().set_enabled(true);
     }
     if events.is_some() {
-        rtm_obs::global().trace().set_enabled(true);
+        rtm_obs::global().spans().set_enabled(true);
     }
     let mut settings = if quick {
         let mut s = SweepSettings::quick();
@@ -126,7 +127,7 @@ fn main() {
         write_json(path, &rtm_obs::global().registry().snapshot().to_json());
     }
     if let Some(path) = &events {
-        write_json(path, &rtm_obs::global().trace().snapshot().to_json());
+        write_json(path, &rtm_obs::global().spans().snapshot().to_json());
     }
     if report.pass_rate() < 1.0 {
         eprintln!("REPRODUCTION REGRESSION: some claims failed");

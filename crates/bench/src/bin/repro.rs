@@ -9,9 +9,9 @@
 //! ```
 //!
 //! `--metrics` / `--events` switch on the rtm-obs metric store and
-//! shift transaction trace and dump their snapshots as JSON on exit
-//! (the events dump carries the cycle-stamped span forest under a
-//! `"spans"` key, and any ring-buffer drops are reported on stderr);
+//! span trace and dump their snapshots as JSON on exit (the events
+//! dump is the cycle-stamped span forest, stamped `"schema_version":
+//! 2`, and any ring-buffer drops are reported on stderr);
 //! `--metrics` writes the unlabeled metrics and `--labels <path>` the
 //! labeled ones, and either flag switches the one store on;
 //! `--attribution` appends exact cycle-attribution tables to the
@@ -245,8 +245,6 @@ fn main() {
         rtm_obs::global().registry().set_enabled(true);
     }
     if opts.events.is_some() {
-        // Spans ride along in the events dump under a "spans" key.
-        rtm_obs::global().trace().set_enabled(true);
         rtm_obs::global().spans().set_enabled(true);
     }
     if opts.progress {
@@ -537,9 +535,9 @@ fn main() {
         out
     });
 
-    // Machine-readable run artefacts: metric store and shift transaction
-    // trace snapshots, written even on a partial run so a crash-free
-    // exit always leaves usable telemetry behind.
+    // Machine-readable run artefacts: metric store and span trace
+    // snapshots, written even on a partial run so a crash-free exit
+    // always leaves usable telemetry behind.
     let write_json = |path: &std::path::Path, doc: &rtm_obs::json::Json| {
         if let Err(e) = rtm_obs::export::write_json(path, doc) {
             eprintln!("error: cannot write {}: {e}", path.display());
@@ -551,23 +549,16 @@ fn main() {
         write_json(path, &rtm_obs::global().registry().snapshot().to_json());
     }
     if let Some(path) = &opts.events {
-        let events = rtm_obs::global().trace().snapshot();
-        let spans = rtm_obs::global().spans().snapshot();
+        let trace = rtm_obs::global().spans().snapshot();
         eprintln!(
-            "events: {} recorded, {} dropped; spans: {} recorded, {} dropped",
-            events.events.len(),
-            events.dropped,
-            spans.spans.len(),
-            spans.dropped
+            "trace: {} recorded, {} dropped",
+            trace.spans.len(),
+            trace.dropped
         );
-        if events.dropped > 0 || spans.dropped > 0 {
+        if trace.dropped > 0 {
             eprintln!("  (ring capacity exceeded; oldest entries evicted first)");
         }
-        let mut doc = events.to_json();
-        if let rtm_obs::json::Json::Obj(pairs) = &mut doc {
-            pairs.push(("spans".to_string(), spans.to_json()));
-        }
-        write_json(path, &doc);
+        write_json(path, &trace.to_json());
     }
     if let Some(path) = &opts.labels {
         write_json(

@@ -6,17 +6,17 @@
 //! trace-tool info canneal.rtmt
 //! trace-tool replay canneal.rtmt rm-adaptive
 //! trace-tool serve canneal.rtmt shift-aware [requests]
-//! trace-tool --queue-events q.csv serve canneal.rtmt shift-aware
+//! trace-tool --events e.json serve canneal.rtmt shift-aware 2000
 //! trace-tool --metrics m.json --events e.json --progress replay canneal.rtmt rm-adaptive
 //! ```
 //!
 //! The leading `--metrics` / `--events` / `--progress` flags switch on
 //! rtm-obs recording for any subcommand and dump JSON snapshots on
-//! exit (the events dump carries the span forest under a `"spans"` key
-//! and reports ring-buffer drop counts on stderr). `--queue-events <f.csv>` additionally dumps the serving
-//! layer's queue events (enqueue/dispatch/complete/backpressure) as
-//! CSV — pair it with the `serve` subcommand, which is what generates
-//! them.
+//! exit. The `--events` dump is the span trace (`"schema_version": 2`;
+//! ring-buffer drop counts go to stderr). Under `serve` it holds one
+//! `request` span per retained request, with `id` and `group`
+//! attributes and `queue` / `dispatch` children, plus a root
+//! `backpressure` instant per stall.
 
 use rtm_mem::hierarchy::{Hierarchy, LlcChoice};
 use rtm_serve::{SchedPolicy, ServeConfig, ServeSim};
@@ -25,8 +25,7 @@ use rtm_trace::{TraceGenerator, WorkloadProfile};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  trace-tool [--metrics <f.json>] [--events <f.json>] [--queue-events <f.csv>] \
-         [--progress] <command>\n  \
+        "usage:\n  trace-tool [--metrics <f.json>] [--events <f.json>] [--progress] <command>\n  \
          trace-tool record <workload> <accesses> <file> [seed]\n  \
          trace-tool info <file>\n  trace-tool replay <file> <llc>\n  \
          trace-tool serve <file> <policy> [requests]\n\n\
@@ -58,11 +57,10 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut metrics: Option<std::path::PathBuf> = None;
     let mut events: Option<std::path::PathBuf> = None;
-    let mut queue_events: Option<std::path::PathBuf> = None;
     // Peel leading observability flags off before subcommand dispatch.
     while let Some(flag) = args.first().map(String::as_str) {
         match flag {
-            "--metrics" | "--events" | "--queue-events" => {
+            "--metrics" | "--events" => {
                 if args.len() < 2 {
                     eprintln!("error: {flag} needs a path");
                     usage();
@@ -70,8 +68,7 @@ fn main() {
                 let path = std::path::PathBuf::from(args.remove(1));
                 match args.remove(0).as_str() {
                     "--metrics" => metrics = Some(path),
-                    "--events" => events = Some(path),
-                    _ => queue_events = Some(path),
+                    _ => events = Some(path),
                 }
             }
             "--progress" => {
@@ -84,11 +81,7 @@ fn main() {
     if metrics.is_some() {
         rtm_obs::global().registry().set_enabled(true);
     }
-    if events.is_some() || queue_events.is_some() {
-        rtm_obs::global().trace().set_enabled(true);
-    }
     if events.is_some() {
-        // Spans ride along in the events dump under a "spans" key.
         rtm_obs::global().spans().set_enabled(true);
     }
     match args.first().map(String::as_str) {
@@ -227,27 +220,12 @@ fn main() {
         write_json(path, &rtm_obs::global().registry().snapshot().to_json());
     }
     if let Some(path) = &events {
-        let ev = rtm_obs::global().trace().snapshot();
-        let spans = rtm_obs::global().spans().snapshot();
+        let trace = rtm_obs::global().spans().snapshot();
         eprintln!(
-            "events: {} recorded, {} dropped; spans: {} recorded, {} dropped",
-            ev.events.len(),
-            ev.dropped,
-            spans.spans.len(),
-            spans.dropped
+            "trace: {} recorded, {} dropped",
+            trace.spans.len(),
+            trace.dropped
         );
-        let mut doc = ev.to_json();
-        if let rtm_obs::json::Json::Obj(pairs) = &mut doc {
-            pairs.push(("spans".to_string(), spans.to_json()));
-        }
-        write_json(path, &doc);
-    }
-    if let Some(path) = &queue_events {
-        let csv = rtm_obs::global().trace().snapshot().queue_csv();
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote {}", path.display());
+        write_json(path, &trace.to_json());
     }
 }

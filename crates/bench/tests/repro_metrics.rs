@@ -1,11 +1,12 @@
 //! End-to-end check that the `repro` binary writes well-formed rtm-obs
 //! artefacts — a metrics registry snapshot, a labeled-metric snapshot
-//! and an ordered shift transaction event stream — and that the
-//! single-threaded metric dumps are byte-identical to golden digests.
+//! and the span trace — and that the single-threaded metric dumps and
+//! the trace's totals and folded stacks match golden values.
 
-use rtm_obs::events::EventTraceSnapshot;
+use rtm_obs::export::folded_stacks;
 use rtm_obs::json::Json;
 use rtm_obs::metrics::RegistrySnapshot;
+use rtm_obs::span::SpanTraceSnapshot;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -15,6 +16,12 @@ const FIG14_METRICS_DIGEST: u64 = 0x4812_8f31_f67b_31ad;
 const FRONT_METRICS_DIGEST: u64 = 0x0ca9_9313_8b1e_19ff;
 /// FNV-1a digest of the front-door `--labels` dump below.
 const FRONT_LABELS_DIGEST: u64 = 0x9d14_daf9_a6c7_b3c7;
+/// Span ids handed out by the fig14 run below.
+const FIG14_TRACE_TOTAL: u64 = 397_695;
+/// Spans the fig14 run's ring evicted.
+const FIG14_TRACE_DROPPED: u64 = 393_599;
+/// FNV-1a digest of the folded stacks of the fig14 run's trace.
+const FIG14_FOLDED_DIGEST: u64 = 0xf027_3815_8670_8cee;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -85,14 +92,20 @@ fn repro_fig14_writes_metrics_and_events() {
 
     let text = std::fs::read_to_string(&events_path).expect("events file written");
     let doc = Json::parse(&text).expect("events JSON parses");
-    let trace = EventTraceSnapshot::from_json(&doc).expect("trace decodes");
-    assert!(!trace.events.is_empty(), "no events recorded");
-    assert!(trace.count_kind("ShiftPlanned") >= 1);
-    assert!(trace.count_kind("PeccVerdict") >= 1);
+    let spans = SpanTraceSnapshot::from_json(&doc).expect("trace decodes");
+    let count = |name: &str| spans.spans.iter().filter(|s| s.name == name).count();
+    assert!(count("plan_shift") >= 1);
+    assert!(count("pecc_verify") >= 1);
+    for plan in spans.spans.iter().filter(|s| s.name == "plan_shift") {
+        assert!(plan.attr("distance").is_some() && plan.attr("parts").is_some());
+    }
     assert!(
-        trace.events.windows(2).all(|w| w[0].seq < w[1].seq),
-        "event stream must be ordered by sequence number"
+        spans.spans.windows(2).all(|w| w[0].id < w[1].id),
+        "the sweep's spans must be ordered by id"
     );
+    assert_eq!(spans.total, FIG14_TRACE_TOTAL);
+    assert_eq!(spans.dropped, FIG14_TRACE_DROPPED);
+    assert_eq!(fnv1a(folded_stacks(&spans).as_bytes()), FIG14_FOLDED_DIGEST);
 
     std::fs::remove_dir_all(&dir).ok();
 }

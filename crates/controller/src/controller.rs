@@ -15,7 +15,6 @@ use crate::safety::SafetyBudget;
 use crate::sequence::{SequenceTable, PECC_CHECK_CYCLES};
 use rtm_model::rates::MAX_TABULATED_DISTANCE;
 use rtm_model::sts::StsTiming;
-use rtm_obs::events::{PeccOutcome, ShiftEvent};
 use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_util::units::Cycles;
@@ -333,8 +332,8 @@ impl ShiftController {
     /// Emits the transaction into the global observer. No-ops (one
     /// relaxed atomic load each) when metrics/tracing are disabled.
     /// `fused` marks a batch continuation, whose *first* pulse is the
-    /// stage-1-only continuation pulse — the span/trace walk shortens
-    /// that pulse so children still tile the plan's latency exactly.
+    /// stage-1-only continuation pulse — the span walk shortens that
+    /// pulse so children still tile the plan's latency exactly.
     fn record_observability(&self, distance: u32, plan: &ShiftPlan, now_cycles: u64, fused: bool) {
         let obs = rtm_obs::global();
         let reg = obs.registry();
@@ -360,83 +359,47 @@ impl ShiftController {
                 &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 16.0, 32.0, 64.0],
             );
         }
-        let protected = plan.checks > 0;
-        let pulse_cycles = |idx: usize, d: u32| {
-            if fused && idx == 0 {
+        let spans = obs.spans();
+        if !spans.enabled() {
+            return;
+        }
+        // The whole transaction nests under whatever span the caller
+        // entered (a serving-layer dispatch, or nothing for standalone
+        // runs), then unfolds into its pulse/check sequence.
+        let parts = plan.sequence.len() as u64;
+        let mut attrs = vec![("distance", u64::from(distance)), ("parts", parts)];
+        if parts > 1 {
+            let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
+            attrs.push(("cap", u64::from(cap)));
+        }
+        let plan_span = spans.record(
+            rtm_obs::span::current_parent(),
+            "plan_shift",
+            now_cycles,
+            now_cycles + plan.latency.count(),
+            &attrs,
+        );
+        // The statistical controller does not sample faults, so every
+        // planned check lands clean; sampled verdicts come from the
+        // bit-accurate stripe.
+        let mut t = now_cycles;
+        for (i, &d) in plan.sequence.iter().enumerate() {
+            let cycles = if fused && i == 0 {
                 self.timing.continuation_shift_cycles(d).count()
             } else {
                 self.timing.shift_cycles(d).count()
-            }
-        };
-        let spans = obs.spans();
-        if spans.enabled() {
-            // The whole transaction nests under whatever span the
-            // caller entered (a serving-layer dispatch, or nothing for
-            // standalone runs), then unfolds into its pulse/check
-            // sequence using the same walk the event trace performs.
-            let plan_span = spans.record(
-                rtm_obs::span::current_parent(),
-                "plan_shift",
-                now_cycles,
-                now_cycles + plan.latency.count(),
+            };
+            spans.record(
+                plan_span,
+                "sts_pulse",
+                t,
+                t + cycles,
+                &[("distance", u64::from(d))],
             );
-            let mut t = now_cycles;
-            for (i, &d) in plan.sequence.iter().enumerate() {
-                let cycles = pulse_cycles(i, d);
-                spans.record(plan_span, "sts_pulse", t, t + cycles);
-                t += cycles;
-                if protected {
-                    spans.record(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES);
-                    t += PECC_CHECK_CYCLES;
-                }
-            }
-        }
-        let trace = obs.trace();
-        if trace.enabled() {
-            let parts = plan.sequence.len() as u32;
-            trace.record(
-                now_cycles,
-                ShiftEvent::ShiftPlanned {
-                    distance,
-                    parts,
-                    latency_cycles: plan.latency.count(),
-                },
-            );
-            if parts > 1 {
-                let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
-                trace.record(
-                    now_cycles,
-                    ShiftEvent::SafeDistanceSplit {
-                        distance,
-                        cap,
-                        parts,
-                    },
-                );
-            }
-            // The statistical controller does not sample faults, so
-            // every planned check lands clean here; sampled
-            // corrected/uncorrectable verdicts come from the
-            // bit-accurate injection layer.
-            let mut t = now_cycles;
-            for (i, &d) in plan.sequence.iter().enumerate() {
-                let cycles = pulse_cycles(i, d);
-                trace.record(
-                    t,
-                    ShiftEvent::StsPulse {
-                        distance: d,
-                        cycles,
-                    },
-                );
-                t += cycles;
-                if protected {
-                    t += PECC_CHECK_CYCLES;
-                    trace.record(
-                        t,
-                        ShiftEvent::PeccVerdict {
-                            outcome: PeccOutcome::Clean,
-                        },
-                    );
-                }
+            t += cycles;
+            if plan.checks > 0 {
+                spans.record(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES, &[]);
+                t += PECC_CHECK_CYCLES;
             }
         }
     }
@@ -783,9 +746,19 @@ mod tests {
             .expect("plan_shift span recorded");
         assert_eq!(plan_span.start_cycle, 1_000);
         assert_eq!(plan_span.duration(), plan.latency.count());
+        assert_eq!(plan_span.attr("distance"), Some(5));
+        assert_eq!(plan_span.attr("parts"), Some(5));
+        assert_eq!(
+            plan_span.attr("cap"),
+            Some(1),
+            "a split plan carries its cap"
+        );
         // Children tile the parent exactly: 5 pulses + 5 checks.
         let children = snap.children_of(plan_span.id);
         assert_eq!(children.len(), 10);
+        for pulse in children.iter().filter(|c| c.name == "sts_pulse") {
+            assert_eq!(pulse.attr("distance"), Some(1));
+        }
         let child_sum: u64 = children.iter().map(|c| c.duration()).sum();
         assert_eq!(child_sum, plan.latency.count());
         assert_eq!(snap.self_cycles(plan_span), 0);
@@ -815,5 +788,41 @@ mod tests {
         assert_eq!(child_sum, fused.latency.count());
         assert_eq!(snap.self_cycles(fused_span), 0);
         spans.reset();
+
+        // Every policy's plan carries `cap`, its largest pulse, exactly
+        // when it splits.
+        let policies = [
+            (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
+            (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
+            (ProtectionKind::None, ShiftPolicy::Unconstrained),
+        ];
+        for (kind, policy) in policies {
+            let mut ctl = ShiftController::new(kind, policy);
+            spans.set_enabled(true);
+            for d in 1..=7 {
+                ctl.plan_shift(d, 10_000 * d as u64);
+            }
+            spans.set_enabled(false);
+            let snap = spans.snapshot();
+            spans.reset();
+            let plans: Vec<_> = snap
+                .spans
+                .iter()
+                .filter(|s| s.name == "plan_shift")
+                .collect();
+            assert_eq!(plans.len(), 7);
+            for p in plans {
+                let pulses: Vec<u64> = snap
+                    .children_of(p.id)
+                    .iter()
+                    .filter(|c| c.name == "sts_pulse")
+                    .map(|c| c.attr("distance").expect("pulse distance"))
+                    .collect();
+                assert_eq!(p.attr("parts"), Some(pulses.len() as u64));
+                assert_eq!(p.attr("distance"), Some(pulses.iter().sum()));
+                let cap = (pulses.len() > 1).then(|| *pulses.iter().max().unwrap());
+                assert_eq!(p.attr("cap"), cap, "{policy:?}");
+            }
+        }
     }
 }

@@ -7,10 +7,11 @@
 //! level it had to reach.
 //!
 //! The single-request assumption is *not* baked in: a hierarchy can be
-//! built around any [`LlcModel`] via [`Hierarchy::with_llc`], which is
-//! how `rtm-serve` substitutes its queued, bank-parallel serving layer
-//! (per-stripe-group queues, multiple in-flight requests) while reusing
-//! the L1/L2 front end unchanged.
+//! built around any [`LlcModel`] via [`Hierarchy::with_llc`], reusing
+//! the L1/L2 front end unchanged. `rtm-serve` lifts the assumption
+//! beside the hierarchy: its bank-parallel serving layer
+//! (per-stripe-group queues, multiple in-flight requests) drives a
+//! banked racetrack LLC directly.
 
 use crate::cache::{AccessKind, Cache};
 use crate::llc::{
@@ -448,11 +449,11 @@ impl Hierarchy {
         Self::with_llc(Box::new(llc), LlcChoice::RacetrackUnprotected)
     }
 
-    /// Builds the platform around an arbitrary LLC backend — the
-    /// queued-LLC mode: `rtm-serve` wraps a [`RacetrackLlc`] in its
-    /// scheduling layer and mounts it here, so the L1/L2 front end and
-    /// all accounting stay identical to the paper's configuration.
-    /// `choice` labels the result for energy-model purposes.
+    /// Builds the platform around an arbitrary LLC backend, such as a
+    /// wrapper that records or reshapes a [`RacetrackLlc`]'s responses,
+    /// so the L1/L2 front end and all accounting stay identical to the
+    /// paper's configuration. `choice` labels the result for
+    /// energy-model purposes.
     pub fn with_llc(llc: Box<dyn LlcModel>, choice: LlcChoice) -> Self {
         Self {
             choice,

@@ -12,9 +12,9 @@
 //!
 //! The hierarchy defaults to the paper's single-request-at-a-time LLC
 //! access model, but does not require it: [`Hierarchy::with_llc`]
-//! accepts any [`llc::LlcModel`], and the `rtm-serve` crate uses that
-//! hook to mount a queued serving layer with per-stripe-group request
-//! queues, bank-level parallelism and pluggable scheduling policies.
+//! accepts any [`llc::LlcModel`], and the `rtm-serve` crate drives a
+//! banked racetrack LLC through per-stripe-group request queues,
+//! bank-level parallelism and pluggable scheduling policies.
 //! [`hierarchy::run_shared`] runs one pass over a trace for several
 //! LLCs at once — flat ones and racetrack [`ShiftBackEnd`]s sharing one
 //! directory — which is how the sweeps simulate every configuration of

@@ -1,24 +1,23 @@
 //! Unified observability for the `hifi-rtm` workspace.
 //!
 //! Simulation code across the workspace (shift controller, p-ECC
-//! layer, LLC model, Monte-Carlo drivers) emits into one process-wide
-//! [`Observer`] holding:
+//! layer, LLC model, serving layer) emits into one process-wide
+//! [`Observer`] holding two stores:
 //!
 //! * a [`metrics::MetricsRegistry`] — the one metric store — of
 //!   counters, gauges and fixed-bucket histograms with p50/p95/p99
 //!   summaries, keyed by `(name, label set)`: tenant, bank, scheme,
 //!   policy; an unlabeled metric has the empty label set;
-//! * an [`events::EventTrace`] — a bounded ring buffer of
-//!   shift-transaction events ([`events::ShiftEvent`]) with sequence
-//!   numbers and cycle timestamps, so peak memory stays independent of
-//!   run length;
-//! * a [`span::SpanTrace`] — a bounded ring of hierarchical,
-//!   cycle-stamped spans (`request → dispatch → plan_shift →
-//!   sts_pulse`), exportable as folded stacks (flamegraphs) and Chrome
-//!   `trace_event` JSON;
-//! * [`attrib::AttributionTable`] — exact per-cell cycle attribution
-//!   (components sum to the measured total within one cycle);
-//! * [`timer::Progress`] for sweep heartbeats.
+//! * a [`span::SpanTrace`] — the one trace — a bounded ring of
+//!   hierarchical, cycle-stamped spans (`request → dispatch →
+//!   plan_shift → sts_pulse`) carrying integer attributes, where a
+//!   point event (a back-pressure stall, a p-ECC verdict) is an
+//!   instant span; exportable as folded stacks (flamegraphs) and
+//!   Chrome `trace_event` JSON.
+//!
+//! Beside them sit [`attrib::AttributionTable`] — exact per-cell cycle
+//! attribution (components sum to the measured total within one
+//! cycle) — and [`timer::Progress`] for sweep heartbeats.
 //!
 //! Everything is **off by default**: a disabled recording call is a
 //! single relaxed atomic load, so instrumentation costs nothing in
@@ -31,48 +30,46 @@
 //! # Examples
 //!
 //! ```
-//! use rtm_obs::events::{PeccOutcome, ShiftEvent};
-//!
 //! let obs = rtm_obs::global();
 //! obs.registry().set_enabled(true);
-//! obs.trace().set_enabled(true);
+//! obs.spans().set_enabled(true);
 //!
 //! obs.registry().counter_add("shift.count", 1);
 //! obs.registry().observe("shift.latency_cycles", 18.0);
-//! obs.trace().record(7, ShiftEvent::PeccVerdict { outcome: PeccOutcome::Clean });
+//! let plan = rtm_obs::record_span(0, "plan_shift", 7, 25, &[("distance", 3), ("parts", 1)]);
+//! rtm_obs::record_span(plan, "pecc_verify", 24, 25, &[]);
+//! rtm_obs::record_span(0, "back_shift", 30, 30, &[("steps", 1)]);
 //!
 //! let snap = obs.registry().snapshot();
 //! assert_eq!(snap.counter("shift.count"), Some(1));
+//! let trace = obs.spans().snapshot();
+//! assert_eq!(trace.get(plan).and_then(|s| s.attr("distance")), Some(3));
 //! # obs.registry().set_enabled(false);
-//! # obs.trace().set_enabled(false);
+//! # obs.spans().set_enabled(false);
 //! # obs.registry().reset();
-//! # obs.trace().reset();
+//! # obs.spans().reset();
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attrib;
-pub mod events;
 pub mod export;
 pub mod json;
 pub mod metrics;
-mod ring;
 pub mod span;
 pub mod timer;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use events::{EventTrace, ShiftEvent};
 use metrics::MetricsRegistry;
 use span::SpanTrace;
 
-/// The process-wide metric store, event trace and span trace.
+/// The process-wide metric store and span trace.
 #[derive(Debug, Default)]
 pub struct Observer {
     registry: MetricsRegistry,
-    trace: EventTrace,
     spans: SpanTrace,
 }
 
@@ -88,12 +85,7 @@ impl Observer {
         &self.registry
     }
 
-    /// The shift-transaction event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
-    /// The hierarchical span trace.
+    /// The span trace.
     pub fn spans(&self) -> &SpanTrace {
         &self.spans
     }
@@ -118,14 +110,6 @@ pub fn progress_enabled() -> bool {
     PROGRESS.load(Ordering::Relaxed)
 }
 
-/// Records a shift-transaction event into the global trace.
-///
-/// Free-function convenience so hot paths need one import; a disabled
-/// trace makes this a single relaxed atomic load.
-pub fn record_event(cycle: u64, event: ShiftEvent) {
-    global().trace().record(cycle, event);
-}
-
 /// Adds to a counter in the global registry (no-op while disabled).
 pub fn counter_add(name: &str, delta: u64) {
     global().registry().counter_add(name, delta);
@@ -137,13 +121,21 @@ pub fn observe(name: &str, value: f64) {
     global().registry().observe(name, value);
 }
 
-/// Records a completed span into the global span trace and returns its
-/// id (0 while disabled). Pass [`span::current_parent`] as `parent` to
-/// nest under the enclosing [`span::ParentScope`].
-pub fn record_span(parent: u64, name: &str, start_cycle: u64, end_cycle: u64) -> u64 {
+/// Records a completed span with integer attributes into the global
+/// span trace and returns its id (0 while disabled; equal bounds record
+/// an instant). To nest under the enclosing [`span::ParentScope`],
+/// check [`span::SpanTrace::enabled`] first and pass
+/// [`span::current_parent`], so a disabled call reads no thread-local.
+pub fn record_span(
+    parent: u64,
+    name: &str,
+    start_cycle: u64,
+    end_cycle: u64,
+    attrs: &[(&str, u64)],
+) -> u64 {
     global()
         .spans()
-        .record(parent, name, start_cycle, end_cycle)
+        .record(parent, name, start_cycle, end_cycle, attrs)
 }
 
 #[cfg(test)]
@@ -158,9 +150,9 @@ mod tests {
         // Free functions are no-ops while disabled.
         counter_add("t.count", 1);
         observe("t.hist", 1.0);
-        record_event(0, ShiftEvent::BackShift { steps: 1 });
+        assert_eq!(record_span(0, "back_shift", 0, 0, &[("steps", 1)]), 0);
         assert_eq!(a.registry().snapshot().counter("t.count"), None);
-        assert_eq!(a.trace().snapshot().total, 0);
+        assert_eq!(a.spans().snapshot().total, 0);
     }
 
     #[test]

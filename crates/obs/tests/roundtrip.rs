@@ -3,7 +3,6 @@
 //! obey the attribution invariants the profiler reports rely on.
 
 use rtm_obs::attrib::AttributionTable;
-use rtm_obs::events::{EventTrace, EventTraceSnapshot, PeccOutcome, ShiftEvent};
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
 use rtm_obs::metrics::{MetricsRegistry, RegistrySnapshot};
@@ -50,56 +49,30 @@ fn populated_registry() -> MetricsRegistry {
     r
 }
 
-fn populated_events() -> EventTrace {
-    let t = EventTrace::new();
-    t.set_enabled(true);
-    t.record(
-        1,
-        ShiftEvent::ShiftPlanned {
-            distance: 32,
-            parts: 2,
-            latency_cycles: 18,
-        },
-    );
-    t.record(
-        3,
-        ShiftEvent::StsPulse {
-            distance: 16,
-            cycles: 9,
-        },
-    );
-    t.record(
-        12,
-        ShiftEvent::PeccVerdict {
-            outcome: PeccOutcome::Corrected(1),
-        },
-    );
-    t.record(13, ShiftEvent::BackShift { steps: 1 });
-    t.record(
-        20,
-        ShiftEvent::ReqDispatched {
-            id: 7,
-            group: 2,
-            queue_delay: 5,
-        },
-    );
-    t
-}
-
-/// A two-request span forest exercising nesting, siblings and roots.
+/// A two-request span forest exercising nesting, siblings, roots,
+/// attributes and instants.
 fn populated_spans() -> SpanTrace {
     let t = SpanTrace::new();
     t.set_enabled(true);
-    let req = t.record(0, "request", 0, 120);
-    t.record(req, "queue", 0, 25);
-    let d = t.record(req, "dispatch", 25, 110);
-    let plan = t.record(d, "plan_shift", 25, 80);
-    t.record(plan, "sts_pulse", 25, 50);
-    t.record(plan, "sts_pulse", 50, 72);
-    t.record(plan, "pecc_verify", 72, 80);
-    t.record(d, "mem_fill", 80, 110);
-    let req2 = t.record(0, "request", 120, 160);
-    t.record(req2, "dispatch", 120, 160);
+    let req = t.record(0, "request", 0, 120, &[("id", 0), ("group", 2)]);
+    t.record(req, "queue", 0, 25, &[]);
+    let d = t.record(req, "dispatch", 25, 110, &[]);
+    let plan = t.record(
+        d,
+        "plan_shift",
+        25,
+        80,
+        &[("distance", 32), ("parts", 2), ("cap", 16)],
+    );
+    t.record(plan, "sts_pulse", 25, 50, &[("distance", 16)]);
+    t.record(plan, "sts_pulse", 50, 72, &[("distance", 16)]);
+    t.record(plan, "pecc_verify", 72, 80, &[]);
+    t.record(d, "mem_fill", 80, 110, &[]);
+    t.record(0, "backpressure", 115, 115, &[("group", 2)]);
+    let req2 = t.record(0, "request", 120, 160, &[("id", 1), ("group", 2)]);
+    t.record(req2, "dispatch", 120, 160, &[]);
+    t.record(0, "pecc_corrected", 13, 13, &[("k", 1)]);
+    t.record(0, "back_shift", 14, 14, &[("steps", 1)]);
     t
 }
 
@@ -120,16 +93,6 @@ fn registry_json_round_trips_byte_identically() {
     let mut both = [unlabeled.metrics, labeled.metrics].concat();
     both.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
     assert_eq!(both, snap.metrics);
-}
-
-#[test]
-fn event_json_round_trips_byte_identically() {
-    let snap = populated_events().snapshot();
-    let doc = snap.to_json();
-    assert_json_stable(&doc);
-    let back = EventTraceSnapshot::from_json(&doc).expect("decode");
-    assert_eq!(back, snap);
-    assert_eq!(back.to_json().pretty(), doc.pretty());
 }
 
 #[test]
@@ -166,15 +129,6 @@ fn attribution_json_round_trips_byte_identically() {
     let back = AttributionTable::from_json(&doc).expect("decode");
     assert_eq!(back, t);
     assert_eq!(back.to_json().pretty(), doc.pretty());
-}
-
-#[test]
-fn queue_csv_is_stable_after_json_round_trip() {
-    // CSV is derived from snapshots; after a JSON round-trip the CSV
-    // must come out byte-identical too.
-    let ev = populated_events().snapshot();
-    let ev2 = EventTraceSnapshot::from_json(&ev.to_json()).unwrap();
-    assert_eq!(ev.queue_csv(), ev2.queue_csv());
 }
 
 #[test]
@@ -245,6 +199,17 @@ fn chrome_trace_covers_every_span() {
         .sum();
     let span_total: u64 = snap.spans.iter().map(|s| s.duration()).sum();
     assert_eq!(dur_total, span_total);
+    // Every attribute rides along in `args`.
+    for (e, s) in events.iter().zip(&snap.spans) {
+        for key in ["id", "group", "distance", "parts", "cap", "k", "steps"] {
+            let arg = e
+                .get("args")
+                .and_then(|a| a.get("attrs"))
+                .and_then(|a| a.get(key))
+                .and_then(Json::as_u64);
+            assert_eq!(arg, s.attr(key), "{} {key}", s.name);
+        }
+    }
 }
 
 #[test]

@@ -24,7 +24,6 @@
 
 use crate::code::{StripeChecker, Verdict};
 use crate::layout::{LayoutError, PeccLayout, ProtectionKind};
-use rtm_obs::events::{PeccOutcome, ShiftEvent};
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
@@ -231,12 +230,7 @@ impl ProtectedStripe {
         self.corrections += 1;
         rtm_obs::counter_add("pecc.back_shifts", 1);
         rtm_obs::counter_add("pecc.back_shift_steps", k.unsigned_abs() as u64);
-        rtm_obs::record_event(
-            self.shift_ops,
-            ShiftEvent::BackShift {
-                steps: k.unsigned_abs(),
-            },
-        );
+        self.record_instant("back_shift", &[("steps", u64::from(k.unsigned_abs()))]);
     }
 
     /// Full protected shift transaction: shift, check, correct (retrying
@@ -268,24 +262,34 @@ impl ProtectedStripe {
     }
 
     /// Emits a sampled (bit-accurate) p-ECC verdict into the global
-    /// observer, timestamped with the stripe's operation count (this
-    /// layer has no cycle clock). No-op when observability is off.
+    /// observer: a counter, and an instant named after the verdict.
+    /// No-op when observability is off.
     fn record_verdict(&self, verdict: Verdict) {
-        let outcome = match verdict {
+        match verdict {
             Verdict::Clean => {
                 rtm_obs::counter_add("pecc.verdict.clean", 1);
-                PeccOutcome::Clean
+                self.record_instant("pecc_clean", &[]);
             }
             Verdict::Correctable(k) => {
                 rtm_obs::counter_add("pecc.verdict.corrected", 1);
-                PeccOutcome::Corrected(k.unsigned_abs())
+                self.record_instant("pecc_corrected", &[("k", u64::from(k.unsigned_abs()))]);
             }
             Verdict::Uncorrectable => {
                 rtm_obs::counter_add("pecc.verdict.due", 1);
-                PeccOutcome::DetectedUncorrectable
+                self.record_instant("pecc_due", &[]);
             }
-        };
-        rtm_obs::record_event(self.shift_ops, ShiftEvent::PeccVerdict { outcome });
+        }
+    }
+
+    /// Records an instant span under the caller's current parent,
+    /// timestamped with the stripe's operation count (this layer has no
+    /// cycle clock). A disabled trace costs one relaxed load.
+    fn record_instant(&self, name: &str, attrs: &[(&str, u64)]) {
+        let spans = rtm_obs::global().spans();
+        if spans.enabled() {
+            let t = self.shift_ops;
+            spans.record(rtm_obs::span::current_parent(), name, t, t, attrs);
+        }
     }
 
     /// Reads data domain `d` at the current head position.

@@ -20,18 +20,13 @@
 //!   bounded outstanding-request budget;
 //! * **full queueing statistics** — exact p50/p95/p99 queue delay,
 //!   service and total latency, stall/backpressure counters, occupancy
-//!   peaks — plus `rtm-obs` queue events
-//!   (`ReqEnqueued`/`ReqDispatched`/`ReqCompleted`/`ReqBackpressure`)
-//!   when observability is enabled.
+//!   peaks — plus, when the `rtm-obs` trace is on, a `request` span per
+//!   request (`id`, `group`; `queue`, `dispatch` and `mem_fill`
+//!   children) and a root `backpressure` instant (`group`) per stall.
 //!
 //! Everything is single-threaded and seedable: a [`ServeSim`] run is a
 //! pure function of its configuration and trace, so sweeps parallelised
 //! with `rtm-par` are bit-identical for any thread count.
-//!
-//! For whole-hierarchy integration, [`QueuedLlc`] wraps a
-//! [`rtm_mem::RacetrackLlc`] with bank-occupancy accounting and mounts
-//! into [`rtm_mem::Hierarchy`] via `Hierarchy::with_llc` (the
-//! queued-LLC mode).
 //!
 //! # Examples
 //!
@@ -52,14 +47,12 @@
 
 pub mod parallel;
 pub mod policy;
-pub mod queued;
 pub mod sim;
 
 pub use parallel::{
     run_oracle, run_parallel, GroupRouter, ServeStats, ShiftCommand, ThroughputConfig,
 };
 pub use policy::SchedPolicy;
-pub use queued::{queued_hierarchy, QueuedLlc};
 pub use sim::{
     Completion, LatencyCounts, LatencySummary, RequestSource, ServeConfig, ServeResult, ServeSim,
     SourcePoll, ATTRIBUTION_COMPONENTS,

@@ -15,7 +15,6 @@ use rtm_cost::technology::{CacheTech, SystemConfig};
 use rtm_mem::cache::AccessKind;
 use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats};
 use rtm_obs::attrib::AttributionTable;
-use rtm_obs::events::ShiftEvent;
 use rtm_obs::metrics::nearest_rank;
 use rtm_obs::span::ParentScope;
 use rtm_pecc::layout::ProtectionKind;
@@ -711,13 +710,6 @@ impl ServeSim {
                 self.outstanding[f.client as usize] -= 1;
                 self.completed += 1;
                 self.totals.record(f.total_cycles);
-                rtm_obs::record_event(
-                    f.complete_at,
-                    ShiftEvent::ReqCompleted {
-                        id: f.id,
-                        service_cycles: f.service_cycles,
-                    },
-                );
                 source.completed(&Completion {
                     id: f.id,
                     cycle: f.complete_at,
@@ -771,11 +763,12 @@ impl ServeSim {
                 if self.last_stall != Some((self.clock, group)) {
                     self.last_stall = Some((self.clock, group));
                     self.backpressure_stalls += 1;
-                    rtm_obs::record_event(
+                    rtm_obs::record_span(
+                        0,
+                        "backpressure",
                         self.clock,
-                        ShiftEvent::ReqBackpressure {
-                            group: group as u32,
-                        },
+                        self.clock,
+                        &[("group", group as u64)],
                     );
                 }
                 break;
@@ -806,13 +799,6 @@ impl ServeSim {
             self.issued += 1;
             self.pending = None;
             source.admitted(id, self.clock);
-            rtm_obs::record_event(
-                self.clock,
-                ShiftEvent::ReqEnqueued {
-                    id,
-                    group: group as u32,
-                },
-            );
             any = true;
         }
         any
@@ -879,14 +865,21 @@ impl ServeSim {
             if dispatch_span != 0 {
                 // The request's whole span tree is known now: queue and
                 // dispatch (and any fill) tile the request exactly.
-                let req_span = spans.record(0, "request", req.arrival, complete_at);
-                spans.record(req_span, "queue", req.arrival, self.clock);
+                let req_span = spans.record(
+                    0,
+                    "request",
+                    req.arrival,
+                    complete_at,
+                    &[("id", req.id), ("group", group as u64)],
+                );
+                spans.record(req_span, "queue", req.arrival, self.clock, &[]);
                 spans.record_reserved(
                     dispatch_span,
                     req_span,
                     "dispatch",
                     self.clock,
                     self.clock + service_cycles,
+                    &[],
                 );
                 if fill > 0 {
                     spans.record(
@@ -894,6 +887,7 @@ impl ServeSim {
                         "mem_fill",
                         self.clock + service_cycles,
                         complete_at,
+                        &[],
                     );
                 }
             }
@@ -916,14 +910,6 @@ impl ServeSim {
             } else {
                 self.read_totals.record(queue_delay + service_cycles + fill);
             }
-            rtm_obs::record_event(
-                self.clock,
-                ShiftEvent::ReqDispatched {
-                    id: req.id,
-                    group: group as u32,
-                    queue_delay,
-                },
-            );
             any = true;
         }
         any

@@ -18,8 +18,10 @@ fn spans_record_the_request_tree_when_enabled() {
     spans.set_enabled(false);
     spans.reset();
     assert_eq!(r.requests, 200);
+    assert_eq!(snap.dropped, 0);
     let count = |name: &str| snap.spans.iter().filter(|s| s.name == name).count();
     assert_eq!(count("request"), 200);
+    assert_eq!(count("backpressure") as u64, r.backpressure_stalls);
     assert_eq!(count("queue"), 200);
     assert_eq!(count("dispatch"), 200);
     assert!(
@@ -27,10 +29,21 @@ fn spans_record_the_request_tree_when_enabled() {
         "controller spans nest under dispatch"
     );
     // Every dispatch hangs off a request, every plan_shift off a
-    // dispatch, and children stay inside their parents' extents.
+    // dispatch, and children stay inside their parents' extents. The
+    // only other roots are back-pressure instants.
     for s in &snap.spans {
         if s.parent == 0 {
-            assert_eq!(s.name, "request", "roots are requests");
+            match s.name.as_str() {
+                "request" => {
+                    assert!(s.attr("id").is_some_and(|id| id < 200));
+                    assert!(s.attr("group").is_some());
+                }
+                "backpressure" => {
+                    assert_eq!(s.duration(), 0, "a stall is an instant");
+                    assert!(s.attr("group").is_some());
+                }
+                other => panic!("unexpected root {other}"),
+            }
             continue;
         }
         let p = snap.get(s.parent).expect("parent retained");
