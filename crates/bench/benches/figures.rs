@@ -9,6 +9,7 @@ use rtm_core::experiments::{
     ablation, design, energy_exp, errormodel, motivation, performance, reliability_exp,
     SweepSettings,
 };
+use rtm_model::analytic::Engine;
 
 fn bench_settings() -> SweepSettings {
     let mut s = SweepSettings::quick();
@@ -20,7 +21,7 @@ fn main() {
     let s = bench_settings();
     bench("fig1_mttf_curve", motivation::figure1);
     bench("fig4_position_pdf_mc", || {
-        errormodel::figure4_experiment(20_000, 7)
+        errormodel::figure4_experiment(20_000, 7, Engine::MonteCarlo)
     });
     bench("table2_rate_table", errormodel::table2_experiment);
     bench("fig7_area_sweep", design::figure7_experiment);
@@ -52,6 +53,6 @@ fn main() {
         energy_exp::figure18_experiment(&s)
     });
     bench("ablation_report", || {
-        ablation::render_ablations(5_000, 7, 5.12e9)
+        ablation::render_ablations(5_000, 7, 5.12e9, Engine::MonteCarlo)
     });
 }

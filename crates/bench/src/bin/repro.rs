@@ -456,7 +456,7 @@ fn main() {
 
     section("fig1", &|| motivation::figure1().render());
     section("fig4", &|| {
-        errormodel::figure4_experiment_with_engine(mc_trials, 2015, opts.engine).render()
+        errormodel::figure4_experiment(mc_trials, 2015, opts.engine).render()
     });
     section("table2", &|| errormodel::table2_experiment().render());
     section("fig7", &|| design::figure7_experiment().render());
@@ -518,7 +518,7 @@ fn main() {
         matrix_result.as_ref().expect("matrix ran").render()
     });
     section("ablation", &|| {
-        ablation::render_ablations_with_engine(mc_trials / 4, 2015, 5.12e9, opts.engine)
+        ablation::render_ablations(mc_trials / 4, 2015, 5.12e9, opts.engine)
     });
     section("serve", &|| {
         if let Some(sweep) = &front_sweep {

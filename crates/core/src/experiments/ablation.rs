@@ -19,7 +19,6 @@ use super::render_table;
 use rtm_cost::area::AreaModel;
 use rtm_model::analytic::Engine;
 use rtm_model::params::DeviceParams;
-use rtm_model::pdfcache::position_pdf_cached_engine;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::shift::NoiseModel;
 use rtm_pecc::layout::{PeccLayout, ProtectionKind};
@@ -148,21 +147,16 @@ pub struct StsRow {
 }
 
 /// Quantifies the STS error-class conversion for 1-, 4- and 7-step
-/// shifts via Monte-Carlo plus analytic tails.
-pub fn sts_conversion(trials: u64, seed: u64) -> Vec<StsRow> {
-    sts_conversion_with_engine(trials, seed, Engine::MonteCarlo)
-}
-
-/// [`sts_conversion`] from the requested position-error engine. With
-/// [`Engine::Analytic`] the bin masses come from exact erf bands and
-/// `trials`/`seed` are ignored.
-pub fn sts_conversion_with_engine(trials: u64, seed: u64, engine: Engine) -> Vec<StsRow> {
+/// shifts from the requested position-error engine: Monte-Carlo plus
+/// analytic tails, or with [`Engine::Analytic`] exact erf bands (for
+/// which `trials`/`seed` are ignored).
+pub fn sts_conversion(trials: u64, seed: u64, engine: Engine) -> Vec<StsRow> {
     let params = DeviceParams::table1();
     let rates = OutOfStepRates::paper_calibration();
     [1u32, 4, 7]
         .iter()
         .map(|&d| {
-            let pdf = position_pdf_cached_engine(&params, d, trials, seed + d as u64, engine);
+            let pdf = engine.position_pdf(&params, d, trials, seed + d as u64);
             StsRow {
                 distance: d,
                 raw_stop_in_middle: pdf.stop_in_middle_probability(),
@@ -246,19 +240,9 @@ pub fn head_policy_comparison(accesses: u64) -> [HeadPolicyRow; 2] {
     ]
 }
 
-/// Renders all four ablations as one report.
-pub fn render_ablations(trials: u64, seed: u64, stripe_intensity: f64) -> String {
-    render_ablations_with_engine(trials, seed, stripe_intensity, Engine::MonteCarlo)
-}
-
-/// [`render_ablations`] with the STS-conversion study driven by the
-/// requested position-error engine.
-pub fn render_ablations_with_engine(
-    trials: u64,
-    seed: u64,
-    stripe_intensity: f64,
-    engine: Engine,
-) -> String {
+/// Renders all the ablations as one report, with the STS-conversion
+/// study driven by the requested position-error engine.
+pub fn render_ablations(trials: u64, seed: u64, stripe_intensity: f64, engine: Engine) -> String {
     let mut out = String::from("Ablation 1: drive current ratio (4-step shift)\n\n");
     let mut rows = vec![vec![
         "J/J0".to_string(),
@@ -317,7 +301,7 @@ pub fn render_ablations_with_engine(
         "raw out-of-step".to_string(),
         "after STS (out-of-step)".to_string(),
     ]];
-    for r in sts_conversion_with_engine(trials, seed, engine) {
+    for r in sts_conversion(trials, seed, engine) {
         rows.push(vec![
             r.distance.to_string(),
             format!("{:.2e}", r.raw_stop_in_middle),
@@ -432,7 +416,7 @@ mod tests {
 
     #[test]
     fn sts_conversion_moves_mass() {
-        let rows = sts_conversion(300_000, 11);
+        let rows = sts_conversion(300_000, 11, Engine::MonteCarlo);
         for r in &rows {
             // Raw shifts are dominated by stop-in-middle...
             assert!(
@@ -468,8 +452,8 @@ mod tests {
 
     #[test]
     fn sts_conversion_analytic_matches_mc() {
-        let mc = sts_conversion(400_000, 11);
-        let an = sts_conversion_with_engine(0, 0, Engine::Analytic);
+        let mc = sts_conversion(400_000, 11, Engine::MonteCarlo);
+        let an = sts_conversion(0, 0, Engine::Analytic);
         for (m, a) in mc.iter().zip(an.iter()) {
             assert_eq!(m.distance, a.distance);
             // The shared Table 2 reference column is engine-independent.
@@ -489,7 +473,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_seven_sections() {
-        let text = render_ablations(50_000, 3, 5.12e9);
+        let text = render_ablations(50_000, 3, 5.12e9, Engine::MonteCarlo);
         for i in 1..=7 {
             assert!(
                 text.contains(&format!("Ablation {i}")),

@@ -2,7 +2,7 @@
 
 use super::render_table;
 use rtm_model::analytic::Engine;
-use rtm_model::montecarlo::{figure4_with_engine, PositionPdf};
+use rtm_model::montecarlo::{figure4, PositionPdf};
 use rtm_model::params::DeviceParams;
 use rtm_model::rates::{OutOfStepRates, MAX_TABULATED_DISTANCE};
 use rtm_model::shift::NoiseModel;
@@ -14,17 +14,12 @@ pub struct Figure4 {
     pub panels: [PositionPdf; 3],
 }
 
-/// Runs the Fig. 4 Monte-Carlo (`trials` samples per panel).
-pub fn figure4_experiment(trials: u64, seed: u64) -> Figure4 {
-    figure4_experiment_with_engine(trials, seed, Engine::MonteCarlo)
-}
-
-/// [`figure4_experiment`] from the requested engine: Monte-Carlo
-/// sampling, or the exact closed form (for which `trials`/`seed` are
-/// irrelevant and the panels carry `trials == 0`).
-pub fn figure4_experiment_with_engine(trials: u64, seed: u64, engine: Engine) -> Figure4 {
+/// Runs Fig. 4 from the requested engine: Monte-Carlo sampling
+/// (`trials` samples per panel), or the exact closed form (for which
+/// `trials`/`seed` are irrelevant and the panels carry `trials == 0`).
+pub fn figure4_experiment(trials: u64, seed: u64, engine: Engine) -> Figure4 {
     Figure4 {
-        panels: figure4_with_engine(&DeviceParams::table1(), trials, seed, engine),
+        panels: figure4(&DeviceParams::table1(), trials, seed, engine),
     }
 }
 
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn figure4_render_has_all_bins() {
-        let f = figure4_experiment(50_000, 3);
+        let f = figure4_experiment(50_000, 3, Engine::MonteCarlo);
         let text = f.render();
         for label in ["(-2,-1)", "-1", "(-1,+0)", "+0", "(+0,+1)", "+1", "(+1,+2)"] {
             assert!(text.contains(label), "missing bin {label}");
@@ -171,7 +166,7 @@ mod tests {
 
     #[test]
     fn figure4_success_mass_dominates() {
-        let f = figure4_experiment(50_000, 3);
+        let f = figure4_experiment(50_000, 3, Engine::MonteCarlo);
         for p in &f.panels {
             assert!(p.success_probability() > 0.99);
         }
@@ -179,8 +174,8 @@ mod tests {
 
     #[test]
     fn figure4_analytic_engine_matches_mc_and_renders() {
-        let mc = figure4_experiment(200_000, 3);
-        let an = figure4_experiment_with_engine(0, 0, Engine::Analytic);
+        let mc = figure4_experiment(200_000, 3, Engine::MonteCarlo);
+        let an = figure4_experiment(0, 0, Engine::Analytic);
         for (m, a) in mc.panels.iter().zip(an.panels.iter()) {
             assert_eq!(a.trials, 0);
             assert_eq!(m.distance, a.distance);

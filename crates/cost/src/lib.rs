@@ -22,7 +22,6 @@ pub mod area;
 pub mod energy;
 pub mod overhead;
 pub mod technology;
-pub mod writes;
 
 pub use area::AreaModel;
 pub use energy::LlcEnergyModel;

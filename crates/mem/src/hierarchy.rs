@@ -413,24 +413,12 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::with_racetrack`] with per-shift outcome sampling
-    /// enabled through the chosen engine's fault model (see
-    /// [`RacetrackLlc::with_fault_sampling`]). Latency, risk and cache
-    /// behaviour are identical to the unsampled hierarchy; the run
-    /// additionally tallies observed sampled errors in
+    /// through `fault_model` (see [`RacetrackLlc::with_fault_model`]) —
+    /// the full scheme × fault-model matrix entry point. Latency, risk
+    /// and cache behaviour are identical to the unsampled hierarchy;
+    /// the run additionally tallies observed sampled errors in
     /// [`crate::llc::LlcStats::sampled_shifts`] /
     /// [`crate::llc::LlcStats::observed_errors`].
-    pub fn with_racetrack_sampled(
-        kind: ProtectionKind,
-        policy: ShiftPolicy,
-        engine: rtm_model::analytic::Engine,
-        seed: u64,
-    ) -> Self {
-        Self::from_racetrack_llc(RacetrackLlc::new(kind, policy).with_fault_sampling(engine, seed))
-    }
-
-    /// [`Hierarchy::with_racetrack_sampled`] with an explicit
-    /// fault-process choice — the full scheme × fault-model matrix
-    /// entry point.
     pub fn with_racetrack_faults(
         kind: ProtectionKind,
         policy: ShiftPolicy,

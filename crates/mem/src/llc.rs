@@ -645,20 +645,12 @@ impl RacetrackLlc {
         self
     }
 
-    /// Enables per-shift outcome sampling through the chosen engine's
-    /// fault model (builder style). Sampling never changes latency or
-    /// risk accounting — it adds the observed error tallies
+    /// Enables per-shift outcome sampling through `choice`'s fault
+    /// model, with Table 1 device parameters (builder style) — the
+    /// `--fault-model` axis. Sampling never changes latency or risk
+    /// accounting: it adds the observed error tallies
     /// ([`LlcStats::sampled_shifts`] / [`LlcStats::observed_errors`])
-    /// on top of the statistical model, with Table 1 device parameters.
-    pub fn with_fault_sampling(self, engine: Engine, seed: u64) -> Self {
-        self.with_fault_model(FaultModelChoice::Engine, engine, seed)
-    }
-
-    /// Enables per-shift outcome sampling through an explicit
-    /// [`FaultModelChoice`] (builder style) — the `--fault-model` axis.
-    /// Like [`with_fault_sampling`](Self::with_fault_sampling), sampling
-    /// only adds observed-error tallies; the statistical accounting is
-    /// untouched.
+    /// on top of the statistical model.
     pub fn with_fault_model(mut self, choice: FaultModelChoice, engine: Engine, seed: u64) -> Self {
         self.back = self.back.with_fault_model(choice, engine, seed);
         self
@@ -1130,8 +1122,11 @@ mod tests {
     #[test]
     fn fault_sampling_observes_without_changing_timing() {
         let mut plain = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
-        let mut sampled = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive)
-            .with_fault_sampling(Engine::Analytic, 9);
+        let mut sampled = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive).with_fault_model(
+            FaultModelChoice::Engine,
+            Engine::Analytic,
+            9,
+        );
         let stride = plain.dir.cache.sets() * 64;
         let mut t = 0u64;
         for i in 0..2000u64 {
@@ -1154,8 +1149,11 @@ mod tests {
     #[test]
     fn fault_sampling_is_deterministic_per_seed() {
         let run = |engine: Engine, seed: u64| {
-            let mut llc =
-                rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive).with_fault_sampling(engine, seed);
+            let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive).with_fault_model(
+                FaultModelChoice::Engine,
+                engine,
+                seed,
+            );
             let stride = llc.dir.cache.sets() * 64;
             let mut t = 0u64;
             for i in 0..3000u64 {

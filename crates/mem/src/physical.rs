@@ -465,9 +465,8 @@ mod tests {
         // The headline equivalence suite: 20k mixed read/write
         // operations (each seeking, shifting and sampling the Gaussian
         // fault physics) on the lazy arena-backed cache and on a fully
-        // materialised one built from the same seed. Lazy
-        // materialisation draws every outcome in stripe order before
-        // deciding whether a group stays pristine, so the RNG streams
+        // materialised one built from the same seed. Materialising a
+        // group draws nothing from the fault model, so the RNG streams
         // — and therefore every response, every sensed bit and every
         // counter — must be bit-identical.
         let model = || {

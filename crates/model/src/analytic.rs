@@ -17,10 +17,11 @@
 //! survival functions, mirrored below the mean), reproduces the seven
 //! Fig. 4 bins and the Table 2 ±k columns at any distance, and exposes
 //! the same [`PositionPdf`] shape as the Monte-Carlo engine so figure
-//! drivers and the PDF cache can serve either. Multi-shift access
-//! sequences compose by convolution on the quantized offset lattice
-//! ([`OffsetDistribution`]) — the same structure position-coding work
-//! exploits when it treats over/under-shift as deletions/insertions.
+//! drivers can serve either through [`Engine::position_pdf`].
+//! Multi-shift access sequences compose by convolution on the quantized
+//! offset lattice ([`OffsetDistribution`]) — the same structure
+//! position-coding work exploits when it treats over/under-shift as
+//! deletions/insertions.
 //!
 //! Monte-Carlo stays as the validation oracle: property tests pin the
 //! closed forms to 4·10⁶-trial runs within binomial error, and
@@ -54,11 +55,24 @@ impl Engine {
         }
     }
 
-    /// Stable tag for cache keys (engines must never alias).
-    pub const fn cache_tag(&self) -> u8 {
+    /// The position-error PDF of a `distance`-step shift under
+    /// `params`: `trials` simulations on `seed` for Monte-Carlo, the
+    /// closed form for analytic (which needs neither, and whose PDF
+    /// carries `trials == 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `distance == 0`, or (Monte-Carlo only) if `trials == 0`.
+    pub fn position_pdf(
+        &self,
+        params: &DeviceParams,
+        distance: u32,
+        trials: u64,
+        seed: u64,
+    ) -> PositionPdf {
         match self {
-            Engine::MonteCarlo => 0,
-            Engine::Analytic => 1,
+            Engine::MonteCarlo => crate::montecarlo::position_pdf(params, distance, trials, seed),
+            Engine::Analytic => AnalyticEngine::from_params(params).position_pdf(distance),
         }
     }
 }
@@ -381,17 +395,6 @@ impl OffsetDistribution {
     }
 }
 
-/// [`AnalyticEngine::position_pdf`] as a free function mirroring
-/// [`crate::montecarlo::position_pdf`] (same parameter order, no
-/// trials/seed — the closed form needs neither).
-///
-/// # Panics
-///
-/// Panics if `distance == 0`.
-pub fn position_pdf_analytic(params: &DeviceParams, distance: u32) -> PositionPdf {
-    AnalyticEngine::from_params(params).position_pdf(distance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,7 +410,6 @@ mod tests {
         assert_eq!("montecarlo".parse::<Engine>().unwrap(), Engine::MonteCarlo);
         assert_eq!("analytic".parse::<Engine>().unwrap(), Engine::Analytic);
         assert!("fft".parse::<Engine>().is_err());
-        assert_ne!(Engine::MonteCarlo.cache_tag(), Engine::Analytic.cache_tag());
         assert_eq!(Engine::Analytic.to_string(), "analytic");
         assert_eq!(Engine::default(), Engine::Analytic);
     }
@@ -483,8 +485,22 @@ mod tests {
     }
 
     #[test]
+    fn engine_dispatches_position_pdf() {
+        let p = DeviceParams::table1();
+        assert_eq!(
+            Engine::MonteCarlo.position_pdf(&p, 3, 10_000, 77),
+            crate::montecarlo::position_pdf(&p, 3, 10_000, 77)
+        );
+        // The closed form ignores trials and seed.
+        assert_eq!(
+            Engine::Analytic.position_pdf(&p, 3, 10_000, 77),
+            Engine::Analytic.position_pdf(&p, 3, 999, 12345)
+        );
+    }
+
+    #[test]
     fn analytic_pdf_has_closed_form_bins() {
-        let pdf = position_pdf_analytic(&DeviceParams::table1(), 4);
+        let pdf = Engine::Analytic.position_pdf(&DeviceParams::table1(), 4, 0, 0);
         assert_eq!(pdf.trials, 0);
         assert_eq!(pdf.bins.len(), 7);
         let total: f64 = pdf.bins.iter().map(|b| b.probability()).sum();

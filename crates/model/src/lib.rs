@@ -1,14 +1,12 @@
-//! Domain-wall dynamics and the position-error model for racetrack
-//! memory shift operations.
+//! The position-error model for racetrack memory shift operations.
 //!
 //! This crate reproduces Section 3 ("Position Error") and Section 4.1
 //! ("STS: Sub-threshold Shift") of the Hi-fi Playback paper (ISCA 2015):
 //!
 //! * [`params`] — the device parameters of the paper's Table 1 with their
 //!   process/environment variations;
-//! * [`dynamics`] — flat-region and notch-region transit times (the
-//!   paper's Eq. 2) and pulse-width planning for N-step shifts;
-//! * [`shift`] — a single-shot stochastic shift simulator producing
+//! * [`shift`] — the Gaussian displacement-noise model those variations
+//!   fold into, and a single-shot stochastic shift simulator producing
 //!   out-of-step and stop-in-middle outcomes;
 //! * [`sts`] — the two-stage sub-threshold shift and its latency model;
 //! * [`montecarlo`] — Monte-Carlo estimation of position-error PDFs
@@ -20,8 +18,6 @@
 //!   distributions across access sequences;
 //! * [`alias`] — Walker alias-table outcome sampling: one RNG draw and
 //!   two array reads per simulated shift on the hot paths;
-//! * [`pdfcache`] — a process-wide memo cache (keyed per engine) so
-//!   repeated figure runs stop recomputing identical PDFs;
 //! * [`rates`] — the canonical out-of-step rate table (the paper's
 //!   Table 2) plus interpolation, and the MTTF-vs-rate curve of Fig. 1.
 //!
@@ -47,18 +43,15 @@
 
 pub mod alias;
 pub mod analytic;
-pub mod dynamics;
-pub mod dynamics1d;
 pub mod montecarlo;
 pub mod params;
-pub mod pdfcache;
 pub mod rates;
 pub mod shift;
 pub mod sts;
 
 pub use alias::{AliasTable, OutcomeAliasSampler};
 pub use analytic::{AnalyticEngine, Engine, OffsetDistribution};
-pub use params::{DeviceParams, DeviceSample};
+pub use params::DeviceParams;
 pub use rates::OutOfStepRates;
 pub use shift::{ShiftOutcome, ShiftSimulator};
 pub use sts::StsTiming;

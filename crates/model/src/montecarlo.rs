@@ -8,6 +8,7 @@
 //! Gaussian fit of the *displacement* distribution so tail bins that saw
 //! zero samples still receive an analytic probability.
 
+use crate::analytic::Engine;
 use crate::params::DeviceParams;
 use crate::shift::{NoiseModel, ShiftOutcome};
 use rtm_util::fit::GaussianFit;
@@ -294,35 +295,19 @@ pub fn position_pdf_with_threads(
     }
 }
 
-/// Convenience: the three Fig. 4 panels (1-, 4- and 7-step shifts)
-/// from the Monte-Carlo engine.
+/// The three Fig. 4 panels (1-, 4- and 7-step shifts) from `engine`.
 ///
-/// Panels go through the PDF memo cache ([`crate::pdfcache`]), so
-/// repeated figure runs with identical inputs are free.
-pub fn figure4(params: &DeviceParams, trials: u64, seed: u64) -> [PositionPdf; 3] {
-    figure4_with_engine(params, trials, seed, crate::analytic::Engine::MonteCarlo)
-}
-
-/// [`figure4`] from the requested engine.
-///
-/// For [`crate::analytic::Engine::Analytic`] the panels come from the
-/// closed form (trials and seed are irrelevant and the returned PDFs
-/// carry `trials == 0`); for Monte-Carlo each panel runs `trials`
-/// simulations on a distance-derived seed. Both go through the
-/// engine-tagged PDF memo cache.
-pub fn figure4_with_engine(
-    params: &DeviceParams,
-    trials: u64,
-    seed: u64,
-    engine: crate::analytic::Engine,
-) -> [PositionPdf; 3] {
+/// For [`Engine::Analytic`] the panels come from the closed form
+/// (trials and seed are irrelevant and the returned PDFs carry
+/// `trials == 0`); for Monte-Carlo each panel runs `trials` simulations
+/// on a distance-derived seed.
+pub fn figure4(params: &DeviceParams, trials: u64, seed: u64, engine: Engine) -> [PositionPdf; 3] {
     let panel = |d: u32| {
-        crate::pdfcache::position_pdf_cached_engine(
+        engine.position_pdf(
             params,
             d,
             trials,
             rtm_util::rng::derive_seed(seed, d as u64),
-            engine,
         )
     };
     [panel(1), panel(4), panel(7)]
@@ -425,7 +410,7 @@ mod tests {
 
     #[test]
     fn figure4_produces_three_panels() {
-        let panels = figure4(&DeviceParams::table1(), 50_000, 3);
+        let panels = figure4(&DeviceParams::table1(), 50_000, 3, Engine::MonteCarlo);
         assert_eq!(panels[0].distance, 1);
         assert_eq!(panels[1].distance, 4);
         assert_eq!(panels[2].distance, 7);

@@ -3,14 +3,15 @@
 //!
 //! Two variation sources are modelled, following the paper's Section 3.1:
 //!
-//! * **process variation** — sampled once per stripe at "fabrication"
-//!   (domain-wall width, pinning potential depth/width, flat-region
-//!   width);
-//! * **environmental variation** — sampled per shift operation (thermal
+//! * **process variation** — fixed per etched feature (domain-wall
+//!   width, pinning potential depth/width, flat-region width);
+//! * **environmental variation** — fresh per shift operation (thermal
 //!   noise on the effective drive, modelled as a perturbation of the
 //!   wall velocity).
-
-use rtm_util::rng::SmallRng64;
+//!
+//! Both enter the simulation only through their sigmas, which
+//! [`crate::shift::NoiseModel`] folds into one Gaussian displacement
+//! error per shift.
 
 /// Mean values and standard deviations of the stripe device parameters.
 ///
@@ -131,80 +132,6 @@ impl DeviceParams {
     pub fn capture_half_window(&self) -> f64 {
         0.5 * self.notch_width_nm / self.pitch_nm()
     }
-
-    /// The parameter set as raw `f64` bit patterns, in field order —
-    /// the hashable identity used by the Monte-Carlo PDF memo cache.
-    /// Bitwise equality is exactly the reproducibility contract: two
-    /// parameter sets with identical bits drive identical simulations.
-    pub fn bit_key(&self) -> [u64; 11] {
-        let Self {
-            wall_width_nm,
-            wall_width_rel_sigma,
-            pin_depth,
-            pin_depth_rel_sigma,
-            notch_width_nm,
-            notch_width_rel_sigma,
-            flat_width_nm,
-            flat_width_rel_sigma_of_d,
-            drive_ratio,
-            env_velocity_rel_sigma,
-            step_time_ns,
-        } = *self;
-        [
-            wall_width_nm.to_bits(),
-            wall_width_rel_sigma.to_bits(),
-            pin_depth.to_bits(),
-            pin_depth_rel_sigma.to_bits(),
-            notch_width_nm.to_bits(),
-            notch_width_rel_sigma.to_bits(),
-            flat_width_nm.to_bits(),
-            flat_width_rel_sigma_of_d.to_bits(),
-            drive_ratio.to_bits(),
-            env_velocity_rel_sigma.to_bits(),
-            step_time_ns.to_bits(),
-        ]
-    }
-
-    /// Samples the per-stripe (process) parameters.
-    pub fn sample_process(&self, rng: &mut SmallRng64) -> DeviceSample {
-        let g = |rng: &mut SmallRng64, mean: f64, sigma: f64| mean + sigma * rng.next_gaussian();
-        let wall_width_nm = g(
-            rng,
-            self.wall_width_nm,
-            self.wall_width_rel_sigma * self.wall_width_nm,
-        )
-        .max(0.1);
-        let pin_depth = g(
-            rng,
-            self.pin_depth,
-            self.pin_depth_rel_sigma * self.pin_depth,
-        )
-        .max(1e-3);
-        let notch_width_nm = g(
-            rng,
-            self.notch_width_nm,
-            self.notch_width_rel_sigma * self.notch_width_nm,
-        )
-        .max(1.0);
-        let flat_width_nm = g(
-            rng,
-            self.flat_width_nm,
-            self.flat_width_rel_sigma_of_d * self.flat_width_nm,
-        )
-        .max(1.0);
-        DeviceSample {
-            wall_width_nm,
-            pin_depth,
-            notch_width_nm,
-            flat_width_nm,
-        }
-    }
-
-    /// Samples the per-shift multiplicative velocity perturbation
-    /// (environmental variation). Mean 1.0.
-    pub fn sample_env_velocity_factor(&self, rng: &mut SmallRng64) -> f64 {
-        (1.0 + self.env_velocity_rel_sigma * rng.next_gaussian()).max(0.05)
-    }
 }
 
 impl Default for DeviceParams {
@@ -213,40 +140,10 @@ impl Default for DeviceParams {
     }
 }
 
-/// One concrete draw of the process-varying parameters for a stripe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeviceSample {
-    /// Domain-wall width Δ (nm).
-    pub wall_width_nm: f64,
-    /// Pinning potential depth V (J/dm³).
-    pub pin_depth: f64,
-    /// Notch region width d (nm).
-    pub notch_width_nm: f64,
-    /// Flat region width L (nm).
-    pub flat_width_nm: f64,
-}
-
-impl DeviceSample {
-    /// The nominal (mean) sample of `params`, with no variation applied.
-    pub fn nominal(params: &DeviceParams) -> Self {
-        Self {
-            wall_width_nm: params.wall_width_nm,
-            pin_depth: params.pin_depth,
-            notch_width_nm: params.notch_width_nm,
-            flat_width_nm: params.flat_width_nm,
-        }
-    }
-
-    /// Notch pitch for this sample (nm).
-    pub fn pitch_nm(&self) -> f64 {
-        self.flat_width_nm + self.notch_width_nm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_util::stats::OnlineStats;
+    use crate::shift::{NoiseModel, ShiftSimulator};
 
     #[test]
     fn table1_matches_paper() {
@@ -268,41 +165,20 @@ mod tests {
     }
 
     #[test]
-    fn process_sampling_has_requested_moments() {
-        let p = DeviceParams::table1();
-        let mut rng = SmallRng64::new(42);
-        let mut widths = OnlineStats::new();
-        let mut flats = OnlineStats::new();
-        for _ in 0..50_000 {
-            let s = p.sample_process(&mut rng);
-            widths.push(s.wall_width_nm);
-            flats.push(s.flat_width_nm);
-        }
-        assert!((widths.mean() - 5.0).abs() < 0.01);
-        assert!((widths.std_dev() - 0.1).abs() < 0.005);
-        assert!((flats.mean() - 150.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn env_factor_is_centered_on_one() {
-        let p = DeviceParams::table1();
-        let mut rng = SmallRng64::new(17);
-        let s: OnlineStats = (0..50_000)
-            .map(|_| p.sample_env_velocity_factor(&mut rng))
-            .collect();
-        assert!((s.mean() - 1.0).abs() < 0.005);
-        assert!(s.min() > 0.0);
-    }
-
-    #[test]
     fn variation_scale_zero_is_deterministic() {
         let p = DeviceParams::table1().with_variation_scale(0.0);
-        let mut rng = SmallRng64::new(5);
-        let a = p.sample_process(&mut rng);
-        let b = p.sample_process(&mut rng);
-        assert_eq!(a, b);
-        assert_eq!(a, DeviceSample::nominal(&p));
-        assert_eq!(p.sample_env_velocity_factor(&mut rng), 1.0);
+        let noise = NoiseModel::from_params(&p);
+        assert_eq!(noise.sigma_fixed, 0.0);
+        assert_eq!(noise.sigma_walk, 0.0);
+        for n in 1..=7 {
+            assert_eq!(noise.sigma_for(n), 0.0, "{n}-step shift");
+        }
+        // Only the drift is left, so the seed no longer matters.
+        let mut a = ShiftSimulator::new(p, 5);
+        let mut b = ShiftSimulator::new(p, 6);
+        for n in 1..=7 {
+            assert_eq!(a.shift_raw(n), b.shift_raw(n), "{n}-step shift");
+        }
     }
 
     #[test]
@@ -314,15 +190,6 @@ mod tests {
         // ...but every relative sigma is worse.
         assert!(pma.notch_width_rel_sigma > inplane.notch_width_rel_sigma);
         assert!(pma.env_velocity_rel_sigma > inplane.env_velocity_rel_sigma);
-    }
-
-    #[test]
-    fn bit_key_separates_distinct_params() {
-        let a = DeviceParams::table1();
-        assert_eq!(a.bit_key(), DeviceParams::table1().bit_key());
-        assert_ne!(a.bit_key(), DeviceParams::perpendicular().bit_key());
-        assert_ne!(a.bit_key(), a.with_drive_ratio(2.1).bit_key());
-        assert_ne!(a.bit_key(), a.with_variation_scale(1.1).bit_key());
     }
 
     #[test]

@@ -102,7 +102,9 @@ pub struct NoiseModel {
 impl NoiseModel {
     /// Derives the noise model from device parameters.
     pub fn from_params(params: &DeviceParams) -> Self {
-        // Share of the step time spent in each region (see dynamics.rs).
+        // Share of the nominal step time spent in each region: the notch
+        // is 45/195 ≈ 23 % of the pitch and slows the wall, so it takes
+        // a larger share.
         const FLAT_SHARE: f64 = 0.65;
         const NOTCH_SHARE: f64 = 0.35;
         let flat_sigma = params.flat_width_rel_sigma_of_d * FLAT_SHARE;

@@ -12,10 +12,12 @@
 //!   phase-difference decoder;
 //! * [`layout`] — domain/port/guard budgets for SED, SECDED, the general
 //!   m-step construction, and the overhead-region variant p-ECC-O;
-//! * [`protected`] — a bit-accurate protected stripe that runs
-//!   detection/correction against physically simulated shifts;
-//! * [`init`] — the program-and-test initialization protocol of
-//!   Section 4.3.
+//! * [`protected`] — the bit-accurate stripe: data and code regions,
+//!   the believed head position, and detection/correction against
+//!   physically simulated shifts (`ProtectionKind::None` is the
+//!   unprotected stripe);
+//! * [`group`] — the lockstep stripe group holding one cache line, with
+//!   per-stripe repair and lazy materialisation.
 //!
 //! # Examples
 //!
@@ -35,7 +37,6 @@
 
 pub mod code;
 pub mod group;
-pub mod init;
 pub mod layout;
 pub mod protected;
 

@@ -46,8 +46,7 @@ pub struct ProtectedStripe {
 
 impl ProtectedStripe {
     /// Builds a protected stripe with all data domains zeroed and the
-    /// p-ECC region initialised (error-free initialisation; the
-    /// program-and-test protocol lives in [`crate::init`]).
+    /// p-ECC region initialised error-free.
     ///
     /// # Errors
     ///
@@ -484,22 +483,29 @@ mod tests {
 
     #[test]
     fn data_round_trip_with_protection() {
-        let mut s = secded_stripe();
-        let mut ideal = IdealFaultModel;
-        let geom = s.layout().geometry;
-        // Write a pattern across all domains using checked seeks.
-        for d in 0..geom.data_len() {
-            let bit = Bit::from(d % 5 == 0);
-            s.seek_checked(geom.head_position_for(d), &mut ideal);
-            s.write_domain(d, bit).unwrap();
-        }
-        for d in 0..geom.data_len() {
-            s.seek_checked(geom.head_position_for(d), &mut ideal);
-            assert_eq!(
-                s.read_domain(d).unwrap(),
-                Bit::from(d % 5 == 0),
-                "domain {d}"
-            );
+        for kind in [ProtectionKind::None, ProtectionKind::SECDED] {
+            let mut s = ProtectedStripe::new(StripeGeometry::paper_default(), kind).unwrap();
+            let mut ideal = IdealFaultModel;
+            let geom = s.layout().geometry;
+            // Write a pattern across all domains using checked seeks.
+            for d in 0..geom.data_len() {
+                let bit = Bit::from(d % 5 == 0);
+                s.seek_checked(geom.head_position_for(d), &mut ideal);
+                s.write_domain(d, bit).unwrap();
+            }
+            // Walk the head across its whole range and back: the
+            // overhead region absorbs the data pushed right.
+            assert_eq!(s.seek_checked(0, &mut ideal), Verdict::Clean);
+            assert_eq!(s.seek_checked(geom.max_shift(), &mut ideal), Verdict::Clean);
+            assert_eq!(s.seek_checked(0, &mut ideal), Verdict::Clean);
+            for d in 0..geom.data_len() {
+                s.seek_checked(geom.head_position_for(d), &mut ideal);
+                assert_eq!(
+                    s.read_domain(d).unwrap(),
+                    Bit::from(d % 5 == 0),
+                    "{kind} domain {d}"
+                );
+            }
         }
     }
 
@@ -549,11 +555,37 @@ mod tests {
     fn unprotected_stripe_is_blind() {
         let mut s =
             ProtectedStripe::new(StripeGeometry::paper_default(), ProtectionKind::None).unwrap();
+        let geom = s.layout().geometry;
+        // Domain 11 holds the only 1.
+        s.seek_checked(geom.head_position_for(11), &mut IdealFaultModel);
+        s.write_domain(11, Bit::One).unwrap();
+        s.seek_checked(0, &mut IdealFaultModel);
         let mut faults = ScriptedFaultModel::new([ShiftOutcome::Pinned { offset: 1 }]);
         s.shift(3, &mut faults);
         assert_eq!(s.check(), Verdict::Clean, "no code, no detection");
         assert!(!s.is_synchronised(), "...but the data is silently corrupt");
         assert!(s.read_taps().is_empty());
+        // A +1 slip on a 3-step shift: the head is believed at 3 but
+        // sits at 4, so reading domain 12 (served at head 3) silently
+        // returns its neighbour's bit.
+        assert_eq!(s.believed_head(), 3);
+        assert_eq!(s.actual_head(), 4);
+        assert_eq!(geom.head_position_for(12), 3);
+        assert_eq!(s.read_domain(12).unwrap(), Bit::One);
+    }
+
+    #[test]
+    fn wrong_head_accesses_and_out_of_range_seeks_are_refused() {
+        let mut s =
+            ProtectedStripe::new(StripeGeometry::paper_default(), ProtectionKind::None).unwrap();
+        // Domain 0 is served at head 7; the head is at 0.
+        let wrong_head = StripeError::HeadOutOfRange { head: 0, max: 7 };
+        assert_eq!(s.read_domain(0), Err(wrong_head));
+        assert_eq!(s.write_domain(0, Bit::One), Err(wrong_head));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.seek_checked(8, &mut IdealFaultModel)
+        }));
+        assert!(r.is_err(), "head 8 is past the last head position, 7");
     }
 
     #[test]

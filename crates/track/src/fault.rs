@@ -428,11 +428,10 @@ impl FaultModelChoice {
         }
     }
 
-    /// Parses a CLI name; `gaussian` and `alias` are accepted aliases
-    /// for `engine` (they name its two halves).
+    /// Parses a canonical CLI name ([`FaultModelChoice::name`]).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "engine" | "gaussian" | "alias" => Some(FaultModelChoice::Engine),
+            "engine" => Some(FaultModelChoice::Engine),
             "calibrated" => Some(FaultModelChoice::Calibrated),
             "pinning" => Some(FaultModelChoice::Pinning),
             _ => None,
@@ -621,6 +620,17 @@ mod tests {
             "gaussian {g_err} vs alias {a_err} (3sigma {:.1})",
             3.0 * sigma * trials as f64
         );
+    }
+
+    #[test]
+    fn fault_model_names_round_trip() {
+        for f in FaultModelChoice::ALL {
+            assert_eq!(FaultModelChoice::parse(f.name()), Some(f));
+        }
+        // `--engine` picks the engine model's sampler; no name may
+        // pretend to pick it instead.
+        assert_eq!(FaultModelChoice::parse("gaussian"), None);
+        assert_eq!(FaultModelChoice::parse("alias"), None);
     }
 
     #[test]

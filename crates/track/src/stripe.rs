@@ -1,7 +1,6 @@
 //! The physical tape: cells, alignment and shift application.
 
 use crate::bit::Bit;
-use crate::geometry::StripeGeometry;
 use rtm_model::shift::ShiftOutcome;
 use std::fmt;
 
@@ -54,7 +53,7 @@ impl std::error::Error for StripeError {}
 /// the wire, with domains falling off the ends replaced by [`Bit::Unknown`].
 ///
 /// `Stripe` knows nothing about segments or ports — that layer is
-/// [`SegmentedStripe`]. It *does* track ground truth for diagnostics:
+/// `rtm_pecc::ProtectedStripe`. It *does* track ground truth for diagnostics:
 /// the actual cumulative shift applied (including error offsets) and
 /// whether the walls are currently pinned in notches.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,196 +249,6 @@ impl Stripe {
     }
 }
 
-/// A geometry-aware data stripe: a [`Stripe`] plus segment layout and
-/// the *believed* head position a controller would track.
-///
-/// The believed head position advances by the **intended** distance of
-/// every shift; the underlying stripe moves by the **realised** distance.
-/// After an undetected position error the two disagree — which is
-/// exactly how silent data corruption manifests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentedStripe {
-    stripe: Stripe,
-    geometry: StripeGeometry,
-    believed_head: i64,
-}
-
-impl SegmentedStripe {
-    /// Creates a stripe with all data domains programmed to zero.
-    pub fn zeroed(geometry: StripeGeometry) -> Self {
-        let mut cells = vec![Bit::Unknown; geometry.total_len()];
-        for c in cells.iter_mut().take(geometry.data_len()) {
-            *c = Bit::Zero;
-        }
-        Self {
-            stripe: Stripe::with_cells(cells),
-            geometry,
-            believed_head: 0,
-        }
-    }
-
-    /// Reconstructs the exact state a [`SegmentedStripe::zeroed`] stripe
-    /// reaches after `commands` error-free shift commands whose head
-    /// trajectory stayed inside `[0, max_shift]` and ended at `head`.
-    ///
-    /// This is the materialisation path of the lazy "pristine" fast path:
-    /// as long as every shift of a zeroed stripe lands cleanly in range,
-    /// the cell image is history-independent — `head` unknown cells pushed
-    /// in on the left, the zeroed data window, and the remaining overhead —
-    /// so a group can defer allocating per-stripe state and rebuild it
-    /// bit-identically on first divergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head > geometry.max_shift()`.
-    pub fn pristine_at(geometry: StripeGeometry, head: usize, commands: u64) -> Self {
-        assert!(
-            head <= geometry.max_shift(),
-            "pristine head {head} outside [0, {}]",
-            geometry.max_shift()
-        );
-        let mut cells = vec![Bit::Unknown; geometry.total_len()];
-        for c in cells.iter_mut().skip(head).take(geometry.data_len()) {
-            *c = Bit::Zero;
-        }
-        let mut stripe = Stripe::with_cells(cells);
-        stripe.actual_offset = head as i64;
-        stripe.shifts_applied = commands;
-        Self {
-            stripe,
-            geometry,
-            believed_head: head as i64,
-        }
-    }
-
-    /// Creates a stripe with the given data-domain contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != geometry.data_len()`.
-    pub fn with_data(geometry: StripeGeometry, data: &[Bit]) -> Self {
-        assert_eq!(
-            data.len(),
-            geometry.data_len(),
-            "data length must match geometry"
-        );
-        let mut cells = vec![Bit::Unknown; geometry.total_len()];
-        cells[..data.len()].copy_from_slice(data);
-        Self {
-            stripe: Stripe::with_cells(cells),
-            geometry,
-            believed_head: 0,
-        }
-    }
-
-    /// The layout.
-    pub fn geometry(&self) -> &StripeGeometry {
-        &self.geometry
-    }
-
-    /// The believed head position (what the controller thinks).
-    pub fn believed_head(&self) -> i64 {
-        self.believed_head
-    }
-
-    /// The underlying physical stripe (diagnostic).
-    pub fn stripe(&self) -> &Stripe {
-        &self.stripe
-    }
-
-    /// Mutable access to the underlying stripe, for fault-model driven
-    /// shifting by a controller.
-    pub fn stripe_mut(&mut self) -> &mut Stripe {
-        &mut self.stripe
-    }
-
-    /// True when the believed head position is physically legal.
-    pub fn head_in_range(&self) -> bool {
-        self.believed_head >= 0 && self.believed_head <= self.geometry.max_shift() as i64
-    }
-
-    /// Issues an *error-free* shift moving the head to `target` and
-    /// updates the believed position (used for functional modelling and
-    /// p-ECC layout tests; fault-injected shifting goes through
-    /// [`SegmentedStripe::apply_shift`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StripeError::HeadOutOfRange`] if `target` exceeds the geometry.
-    pub fn seek(&mut self, target: usize) -> Result<(), StripeError> {
-        if target > self.geometry.max_shift() {
-            return Err(StripeError::HeadOutOfRange {
-                head: target as i64,
-                max: self.geometry.max_shift(),
-            });
-        }
-        let delta = target as i64 - self.believed_head;
-        if delta != 0 {
-            self.stripe
-                .apply_shift(delta, ShiftOutcome::Pinned { offset: 0 });
-            self.believed_head = target as i64;
-        }
-        Ok(())
-    }
-
-    /// Applies a shift of `intended` steps with a stochastic `outcome`,
-    /// advancing the believed head by the intended amount and the
-    /// physical stripe by the realised amount. Returns the realised
-    /// movement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intended == 0`.
-    pub fn apply_shift(&mut self, intended: i64, outcome: ShiftOutcome) -> i64 {
-        let moved = self.stripe.apply_shift(intended, outcome);
-        self.believed_head += intended;
-        moved
-    }
-
-    /// Reads data domain `d`, seeking error-free if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StripeError`] from the seek or the port read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is outside the data region.
-    pub fn read_domain(&mut self, d: usize) -> Result<Bit, StripeError> {
-        let target = self.geometry.head_position_for(d);
-        self.seek(target)?;
-        let port = self.geometry.port_of_domain(d);
-        self.stripe.read_slot(self.geometry.port_slot(port))
-    }
-
-    /// Writes data domain `d`, seeking error-free if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StripeError`] from the seek or the port write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is outside the data region.
-    pub fn write_domain(&mut self, d: usize, bit: Bit) -> Result<(), StripeError> {
-        let target = self.geometry.head_position_for(d);
-        self.seek(target)?;
-        let port = self.geometry.port_of_domain(d);
-        self.stripe.write_slot(self.geometry.port_slot(port), bit)
-    }
-
-    /// Reads back the whole data region (diagnostic, error-free seeks).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StripeError`] from the underlying accesses.
-    pub fn read_all(&mut self) -> Result<Vec<Bit>, StripeError> {
-        (0..self.geometry.data_len())
-            .map(|d| self.read_domain(d))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,83 +326,6 @@ mod tests {
         s.realign();
         assert!(s.is_aligned());
         assert!(s.read_slot(3).unwrap().is_known());
-    }
-
-    #[test]
-    fn segmented_round_trip_all_domains() {
-        let geom = StripeGeometry::paper_default();
-        let data: Vec<Bit> = (0..64).map(|i| Bit::from(i % 3 == 1)).collect();
-        let mut s = SegmentedStripe::with_data(geom, &data);
-        for (d, &want) in data.iter().enumerate() {
-            assert_eq!(s.read_domain(d).unwrap(), want, "domain {d}");
-        }
-        // And the bulk read agrees.
-        assert_eq!(s.read_all().unwrap(), data);
-    }
-
-    #[test]
-    fn segmented_write_then_read() {
-        let geom = StripeGeometry::new(16, 2).unwrap();
-        let mut s = SegmentedStripe::zeroed(geom);
-        s.write_domain(0, Bit::One).unwrap();
-        s.write_domain(15, Bit::One).unwrap();
-        assert_eq!(s.read_domain(0).unwrap(), Bit::One);
-        assert_eq!(s.read_domain(15).unwrap(), Bit::One);
-        assert_eq!(s.read_domain(8).unwrap(), Bit::Zero);
-    }
-
-    #[test]
-    fn pristine_at_matches_eager_trajectory() {
-        let geom = StripeGeometry::paper_default();
-        let mut eager = SegmentedStripe::zeroed(geom);
-        for &t in &[3usize, 7, 2, 5, 0, 4] {
-            eager.seek(t).unwrap();
-        }
-        assert_eq!(eager, SegmentedStripe::pristine_at(geom, 4, 6));
-        assert_eq!(
-            SegmentedStripe::zeroed(geom),
-            SegmentedStripe::pristine_at(geom, 0, 0)
-        );
-    }
-
-    #[test]
-    fn seek_rejects_out_of_range() {
-        let geom = StripeGeometry::paper_default();
-        let mut s = SegmentedStripe::zeroed(geom);
-        assert!(matches!(
-            s.seek(8),
-            Err(StripeError::HeadOutOfRange { head: 8, max: 7 })
-        ));
-    }
-
-    #[test]
-    fn undetected_error_desynchronises_believed_head() {
-        let geom = StripeGeometry::paper_default();
-        let data: Vec<Bit> = (0..64).map(|i| Bit::from(i == 10)).collect();
-        let mut s = SegmentedStripe::with_data(geom, &data);
-        // A +1 out-of-step error on a 3-step shift.
-        s.apply_shift(3, ShiftOutcome::Pinned { offset: 1 });
-        assert_eq!(s.believed_head(), 3);
-        assert_eq!(s.stripe().actual_offset(), 4);
-        // A subsequent "seek" that thinks it is at 3 reads wrong data:
-        // the domain under port 1 is off by one.
-        let port_slot = s.geometry().port_slot(1);
-        // Believed: domain at slot - believed_head = 12; actual: 11.
-        let seen = s.stripe().read_slot(port_slot).unwrap();
-        assert_eq!(seen, data[port_slot - 4]);
-        assert_ne!(port_slot - 4, port_slot - 3);
-    }
-
-    #[test]
-    fn overhead_region_absorbs_max_shift() {
-        let geom = StripeGeometry::paper_default();
-        let data: Vec<Bit> = (0..64).map(|i| Bit::from(i % 2 == 0)).collect();
-        let mut s = SegmentedStripe::with_data(geom, &data);
-        // Walk the head across its entire range and back; every domain
-        // must survive.
-        s.seek(7).unwrap();
-        s.seek(0).unwrap();
-        assert_eq!(s.read_all().unwrap(), data);
     }
 
     #[test]

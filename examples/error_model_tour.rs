@@ -9,6 +9,7 @@
 //! 500 000), prints the per-bin distributions with ASCII bars, and
 //! compares the regenerated rate table against the paper's calibration.
 
+use hifi_rtm::model::analytic::Engine;
 use hifi_rtm::model::montecarlo::{figure4, PositionBin};
 use hifi_rtm::model::params::DeviceParams;
 use hifi_rtm::model::rates::OutOfStepRates;
@@ -29,7 +30,7 @@ fn main() {
     );
 
     println!("Figure 4: position-error PDFs ({trials} raw shifts per panel)\n");
-    let panels = figure4(&params, trials, 2015);
+    let panels = figure4(&params, trials, 2015, Engine::MonteCarlo);
     for pdf in &panels {
         println!("  {}-step shift:", pdf.distance);
         for (i, bin) in PositionBin::FIG4.iter().enumerate() {

@@ -10,9 +10,8 @@ use hifi_rtm::pecc::code::{PeccCode, Verdict};
 use hifi_rtm::pecc::layout::ProtectionKind;
 use hifi_rtm::pecc::protected::ProtectedStripe;
 use hifi_rtm::track::bit::Bit;
-use hifi_rtm::track::fault::ScriptedFaultModel;
+use hifi_rtm::track::fault::{IdealFaultModel, ScriptedFaultModel};
 use hifi_rtm::track::geometry::StripeGeometry;
-use hifi_rtm::track::stripe::SegmentedStripe;
 use hifi_rtm::util::check::{run_cases, Gen};
 
 /// Error-free shifting is reversible for any data pattern and any
@@ -24,11 +23,19 @@ fn prop_error_free_seeks_preserve_data() {
         let seeks = g.vec_of(1, 19, |g| g.usize_in(0, 7));
         let geometry = StripeGeometry::paper_default();
         let bits: Vec<Bit> = data.iter().copied().map(Bit::from).collect();
-        let mut stripe = SegmentedStripe::with_data(geometry, &bits);
-        for &s in &seeks {
-            stripe.seek(s).unwrap();
+        let mut stripe = ProtectedStripe::new(geometry, ProtectionKind::None).unwrap();
+        let mut ideal = IdealFaultModel;
+        for (d, &bit) in bits.iter().enumerate() {
+            stripe.seek_checked(geometry.head_position_for(d), &mut ideal);
+            stripe.write_domain(d, bit).unwrap();
         }
-        assert_eq!(stripe.read_all().unwrap(), bits);
+        for &s in &seeks {
+            assert_eq!(stripe.seek_checked(s, &mut ideal), Verdict::Clean);
+        }
+        for (d, &bit) in bits.iter().enumerate() {
+            stripe.seek_checked(geometry.head_position_for(d), &mut ideal);
+            assert_eq!(stripe.read_domain(d).unwrap(), bit, "domain {d}");
+        }
     });
 }
 
