@@ -95,11 +95,15 @@ struct BankLayout {
 /// replacement.
 ///
 /// Line state is two parallel arrays: a u64 tag and one state byte per
-/// line. The state byte packs the dirty bit with the line's recency
-/// rank in its set, which is all exact LRU needs: a miss fills the
-/// lowest invalid way and only [`clear`](Self::clear) invalidates, so a
-/// set's valid ways are always a prefix whose ranks are a permutation
-/// of `1..=valid`, and a full set's LRU victim is the way ranked `ways`.
+/// line. A line's tag is its whole line address (`addr >> log2(line
+/// bytes)`): within a set it identifies the line exactly as the
+/// quotient by the set count would, it costs no division to form, and a
+/// dirty victim's address is its tag shifted back. The state byte packs
+/// the dirty bit with the line's recency rank in its set, which is all
+/// exact LRU needs: a miss fills the lowest invalid way and only
+/// [`clear`](Self::clear) invalidates, so a set's valid ways are always
+/// a prefix whose ranks are a permutation of `1..=valid`, and a full
+/// set's LRU victim is the way ranked `ways`.
 /// Three things follow:
 ///
 /// * **construction is O(1) in touched memory** — both arrays are
@@ -115,15 +119,15 @@ struct BankLayout {
 ///   lines of tags, and the victim scan 16 bytes.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// One tag per line, in a block of at least [`MIN_TAG_WORDS`] words
-    /// so that it always comes from fresh zeroed pages. The 128 MB LLC's
-    /// 16 MiB of tags sit below glibc's 32 MiB cap on its dynamic mmap
-    /// threshold: once the process has freed a directory, an unpadded
-    /// block would come from recycled heap memory, which `calloc` must
-    /// then memset. The serving benchmarks build per-worker caches in a
-    /// loop and would pay that memset on every build, and so would every
-    /// freshly built hierarchy's L1s and L2; the pad pages are never
-    /// touched.
+    /// One tag (line address) per line, in a block of at least
+    /// [`MIN_TAG_WORDS`] words so that it always comes from fresh
+    /// zeroed pages. The 128 MB LLC's 16 MiB of tags sit below glibc's
+    /// 32 MiB cap on its dynamic mmap threshold: once the process has
+    /// freed a directory, an unpadded block would come from recycled
+    /// heap memory, which `calloc` must then memset. The serving
+    /// benchmarks build per-worker caches in a loop and would pay that
+    /// memset on every build, and so would every freshly built
+    /// hierarchy's L1s and L2; the pad pages are never touched.
     tags: Vec<u64>,
     /// One state byte per line ([`DIRTY`] | rank).
     state: Vec<u8>,
@@ -195,8 +199,10 @@ impl Cache {
         self
     }
 
-    /// Index of `set`'s first way in the parallel arrays.
-    fn base(&self, set: u64) -> usize {
+    /// Index of `set`'s first way in the tag and state arrays: the
+    /// set's place in storage, bank-major when
+    /// [`with_bank_layout`](Self::with_bank_layout) relocated it.
+    pub fn set_base(&self, set: u64) -> usize {
         let storage_set = match self.layout {
             None => set,
             Some(l) => {
@@ -233,13 +239,13 @@ impl Cache {
         (addr >> self.line_shift) % self.sets
     }
 
-    /// The way of the set at `base` holding `tag`, if any.
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+    /// The way of the set at `base` holding the line `line`, if any.
+    fn find(&self, base: usize, line: u64) -> Option<usize> {
         let end = base + self.ways as usize;
         self.tags[base..end]
             .iter()
             .zip(&self.state[base..end])
-            .position(|(&t, &s)| s != 0 && t == tag)
+            .position(|(&t, &s)| s != 0 && t == line)
     }
 
     /// The way a miss on the set at `base` fills: the lowest invalid
@@ -276,8 +282,8 @@ impl Cache {
     /// Looks up `addr` without touching LRU state or counters.
     /// Returns the way holding the line, if present.
     pub fn probe(&self, addr: u64) -> Option<u32> {
-        let line_addr = addr >> self.line_shift;
-        self.find(self.base(line_addr % self.sets), line_addr / self.sets)
+        let line = addr >> self.line_shift;
+        self.find(self.set_base(line % self.sets), line)
             .map(|w| w as u32)
     }
 
@@ -285,7 +291,18 @@ impl Cache {
     /// way first, else LRU victim), without changing any state. This is
     /// exactly the way [`Cache::access`] would pick if called next.
     pub fn victim_way(&self, set: u64) -> u32 {
-        self.victim(self.base(set)) as u32
+        self.victim(self.set_base(set)) as u32
+    }
+
+    /// The way [`Cache::access`] would touch for `addr` if called next,
+    /// given the [`set_base`](Self::set_base) of `addr`'s set: the way
+    /// holding its line, else the miss's victim. Non-mutating, and free
+    /// of divisions: it is [`probe`](Self::probe) falling back to
+    /// [`victim_way`](Self::victim_way) for a caller that resolved the
+    /// set once and asks many times.
+    pub fn way_at(&self, base: usize, addr: u64) -> u32 {
+        self.find(base, addr >> self.line_shift)
+            .unwrap_or_else(|| self.victim(base)) as u32
     }
 
     /// Looks up `addr`, allocating on miss (write-allocate) and
@@ -301,12 +318,10 @@ impl Cache {
                 DIRTY
             }
         };
-        let line_addr = addr >> self.line_shift;
-        let tag = line_addr / self.sets;
-        let set = line_addr % self.sets;
-        let base = self.base(set);
+        let line = addr >> self.line_shift;
+        let base = self.set_base(line % self.sets);
 
-        if let Some(w) = self.find(base, tag) {
+        if let Some(w) = self.find(base, line) {
             self.touch(base, w);
             self.state[base + w] |= dirty;
             self.stats.hits += 1;
@@ -317,11 +332,11 @@ impl Cache {
         let i = base + w;
         let writeback = if self.state[i] & DIRTY != 0 {
             self.stats.writebacks += 1;
-            Some((self.tags[i] * self.sets + set) << self.line_shift)
+            Some(self.tags[i] << self.line_shift)
         } else {
             None
         };
-        self.tags[i] = tag;
+        self.tags[i] = line;
         self.touch(base, w);
         self.state[i] = dirty | 1;
         AccessResult::Miss {

@@ -21,7 +21,9 @@
 //! a workload together, and the scheme × fault-model matrix its cells.
 //!
 //! * [`cache`] — generic set-associative LRU cache bookkeeping;
-//! * [`llc`] — the three LLC backends behind one interface;
+//! * [`llc`] — the three LLC backends behind one interface, and the
+//!   racetrack LLC's resolver and group probes, which score queued
+//!   requests for a scheduler;
 //! * [`hierarchy`] — the full system: trace in, statistics out.
 //!
 //! # Examples

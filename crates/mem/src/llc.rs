@@ -206,6 +206,9 @@ pub(crate) struct LlcDirectory {
     /// fabrication state), so a GB-scale LLC only pays for the groups a
     /// trace actually visits.
     heads: PagedBytes,
+    /// The head position each domain of a group is accessed at
+    /// ([`StripeGeometry::head_position_for`], tabulated once).
+    head_for_domain: Box<[u8]>,
     /// Accesses that required no shift (head already aligned).
     zero_shift: u64,
     /// Zero-shift accesses served while the group's head register was
@@ -227,12 +230,52 @@ pub(crate) struct Placement {
     array_cycles: u64,
 }
 
+/// A set's place in the racetrack LLC directory's storage: the index of
+/// its first way in the tag and state arrays. [`RacetrackLlc::resolve`]
+/// makes one per address so that a [`GroupProbe`] can score the address
+/// any number of times without a division; nothing else makes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetSlot(u32);
+
+/// An address's coordinates in the racetrack LLC directory: its stripe
+/// group and its set's storage slot. No access moves either, so a
+/// scheduler resolves each request once, when it queues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineSite {
+    /// The stripe group the address's line lands in. Every way of a set
+    /// lies in the same group (four consecutive sets share one), so this
+    /// holds whichever way the line occupies.
+    pub group: usize,
+    /// The storage slot of the address's set.
+    pub set: SetSlot,
+}
+
 impl LlcDirectory {
     /// An empty directory for `design` (64 B lines, 16 ways, the
     /// paper's stripe geometry) whose stripe groups interleave over
     /// `banks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the capacity divides into whole stripe groups of
+    /// 64 lines, and into at most 2^32 lines (a [`SetSlot`] is a `u32`).
     pub(crate) fn new(design: LlcDesign, banks: u32) -> Self {
         let geometry = StripeGeometry::paper_default();
+        let group_lines = geometry.data_len() as u64;
+        let lines = design.capacity_bytes / 64;
+        assert!(
+            design.capacity_bytes.is_multiple_of(64 * group_lines) && lines > 0,
+            "LLC capacity {} B does not divide into whole {group_lines}-line stripe groups",
+            design.capacity_bytes
+        );
+        assert!(
+            lines <= 1 << 32,
+            "LLC capacity {} B exceeds the directory's 2^32 lines",
+            design.capacity_bytes
+        );
+        // A group's lines sit contiguously in storage (below), so a
+        // line's domain is its storage index masked to the group size.
+        assert!(group_lines.is_power_of_two(), "stripe groups of 2^n lines");
         // Bank-major directory storage: each bank's (4-set-per-group,
         // round-robin-interleaved) sets become one contiguous slice, so
         // a per-bank serving worker touches — and faults in — only its
@@ -240,12 +283,15 @@ impl LlcDirectory {
         let sets_per_group = geometry.data_len() as u32 / 16;
         let cache =
             Cache::new(design.capacity_bytes, 16, 64).with_bank_layout(banks, sets_per_group);
-        let groups = design.capacity_bytes / 64 / geometry.data_len() as u64;
+        let head_for_domain = (0..geometry.data_len())
+            .map(|d| geometry.head_position_for(d) as u8)
+            .collect();
         Self {
             cache,
             design,
             geometry,
-            heads: PagedBytes::new(groups as usize),
+            heads: PagedBytes::new((lines / group_lines) as usize),
+            head_for_domain,
             zero_shift: 0,
             pristine_hits: 0,
         }
@@ -281,10 +327,15 @@ impl LlcDirectory {
             ),
             group,
             distance: current.abs_diff(target) as u32,
-            array_cycles: match kind {
-                AccessKind::Read => self.design.read_cycles,
-                AccessKind::Write => self.design.write_cycles,
-            },
+            array_cycles: self.array_cycles(kind),
+        }
+    }
+
+    /// Array read or write cycles.
+    fn array_cycles(&self, kind: AccessKind) -> u64 {
+        match kind {
+            AccessKind::Read => self.design.read_cycles,
+            AccessKind::Write => self.design.write_cycles,
         }
     }
 
@@ -306,20 +357,24 @@ impl LlcDirectory {
         ((line_index / d) as usize, (line_index % d) as usize)
     }
 
-    fn group_of(&self, addr: u64) -> usize {
+    /// `addr`'s group and set slot: every division an address costs.
+    fn resolve(&self, addr: u64) -> LineSite {
         let set = self.cache.set_of(addr);
-        self.slot_to_group_domain(set, 0).0
+        LineSite {
+            group: self.slot_to_group_domain(set, 0).0,
+            set: SetSlot(self.cache.set_base(set) as u32),
+        }
     }
 
-    fn predicted_shift_distance(&self, addr: u64) -> u32 {
-        let set = self.cache.set_of(addr);
-        let way = self
-            .cache
-            .probe(addr)
-            .unwrap_or_else(|| self.cache.victim_way(set));
-        let (group, domain) = self.slot_to_group_domain(set, way);
-        let target = self.geometry.head_position_for(domain) as u8;
-        self.heads.get(group).abs_diff(target) as u32
+    /// The head position an access to `addr`, whose set sits at `set`,
+    /// needs right now: the way it would touch, mapped to its domain.
+    /// Storage keeps each group's lines contiguous and group-aligned
+    /// (the bank-major layout moves whole groups), so the domain is the
+    /// line's storage index modulo the group's line count.
+    fn target_head(&self, set: SetSlot, addr: u64) -> u8 {
+        let base = set.0 as usize;
+        let way = self.cache.way_at(base, addr) as usize;
+        self.head_for_domain[(base + way) & (self.head_for_domain.len() - 1)]
     }
 
     /// Occupancy of the sparse head store.
@@ -560,6 +615,11 @@ pub struct RacetrackLlc {
     back: ShiftBackEnd,
     /// Idle head management.
     head_policy: HeadPolicy,
+    /// Critical-path cycles of one shift of each distance, with its
+    /// p-ECC check when the scheme has one (`[0]` = no shift; all 0 on
+    /// the ideal back end): [`ShiftController::shift_latency`] tabulated
+    /// once from bank 0, whose timing and protection every bank shares.
+    shift_estimates: Box<[u64]>,
 }
 
 impl RacetrackLlc {
@@ -590,19 +650,32 @@ impl RacetrackLlc {
         // the tables on the heap, and every other build-and-drop (the
         // serving set-ups) pays a heap trim and ~1 ms of fresh page
         // faults.
-        Self {
-            dir: LlcDirectory::new(LlcDesign::racetrack(), banks),
-            back: ShiftBackEnd::new(kind, policy, banks),
-            head_policy: HeadPolicy::Stay,
-        }
+        let dir = LlcDirectory::new(LlcDesign::racetrack(), banks);
+        Self::assemble(dir, ShiftBackEnd::new(kind, policy, banks))
     }
 
     /// The 128 MB racetrack LLC served by `back`, with its bank count.
     pub(crate) fn with_back_end(back: ShiftBackEnd) -> Self {
+        Self::assemble(
+            LlcDirectory::new(LlcDesign::racetrack(), back.banks()),
+            back,
+        )
+    }
+
+    /// `dir` served by `back`, heads staying put between accesses.
+    fn assemble(dir: LlcDirectory, back: ShiftBackEnd) -> Self {
+        let shift_estimates = (0..=dir.geometry.max_shift() as u32)
+            .map(|d| match d {
+                0 => 0,
+                _ if back.ideal_shifts => 0,
+                d => back.controllers[0].shift_latency(d).count(),
+            })
+            .collect();
         Self {
-            dir: LlcDirectory::new(LlcDesign::racetrack(), back.banks()),
+            dir,
             back,
             head_policy: HeadPolicy::Stay,
+            shift_estimates,
         }
     }
 
@@ -611,10 +684,13 @@ impl RacetrackLlc {
     /// preset stays at 128 MB; GB-scale serving experiments override it
     /// here. Must be called before any traffic.
     ///
+    /// Groups that do not divide evenly over the banks are stored in
+    /// index order instead of bank-major; the model is the same.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity_bytes` does not divide into whole 64-line
-    /// stripe groups and banks, or if traffic has already been issued.
+    /// stripe groups, or if traffic has already been issued.
     pub fn with_capacity(mut self, capacity_bytes: u64) -> Self {
         let s = self.dir.cache.stats();
         assert!(
@@ -697,13 +773,31 @@ impl RacetrackLlc {
         &self.back.controllers[bank]
     }
 
-    /// The stripe group an access to `addr` lands in. With 16 ways and
-    /// 64 domains per group this depends only on the set (four
-    /// consecutive sets share a group), so it is exact regardless of
-    /// which way the line occupies — schedulers use it to route
-    /// requests to per-group queues.
+    /// The stripe group an access to `addr` lands in: the group of
+    /// [`Self::resolve`].
     pub fn group_of(&self, addr: u64) -> usize {
-        self.dir.group_of(addr)
+        self.resolve(addr).group
+    }
+
+    /// Resolves `addr`'s directory coordinates: its stripe group and its
+    /// set's storage slot. Neither depends on the directory's contents,
+    /// so a scheduler resolves each request once, when it queues, and
+    /// scores it through [`Self::group_probe`] from then on.
+    pub fn resolve(&self, addr: u64) -> LineSite {
+        self.dir.resolve(addr)
+    }
+
+    /// Shift estimates for accesses to `group` as it stands now (its
+    /// head is read once here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is out of range.
+    pub fn group_probe(&self, group: usize) -> GroupProbe<'_> {
+        GroupProbe {
+            llc: self,
+            head: self.dir.heads.get(group),
+        }
     }
 
     /// Number of stripe groups.
@@ -721,38 +815,11 @@ impl RacetrackLlc {
     }
 
     /// Predicts the shift distance an access to `addr` would need right
-    /// now, without touching any state: the way is resolved by a
-    /// non-mutating cache probe (falling back to the LRU victim the
-    /// allocation would pick on a miss), mapped to its domain, and
-    /// compared against the group's head position. Exact as long as no
-    /// other access intervenes — which is what a scheduler comparing
-    /// queued candidates wants.
+    /// now, without touching any state: [`GroupProbe::shift_distance`]
+    /// of the address's resolved coordinates.
     pub fn predicted_shift_distance(&self, addr: u64) -> u32 {
-        self.dir.predicted_shift_distance(addr)
-    }
-
-    /// Estimated service latency in cycles for an access to `addr`
-    /// (one shift of the predicted distance, with its p-ECC check when
-    /// the scheme has one, plus array access), using
-    /// [`RacetrackLlc::predicted_shift_distance`]. Non-mutating; costs
-    /// no plan.
-    pub fn estimated_latency(&self, addr: u64, kind: AccessKind) -> u64 {
-        let array = match kind {
-            AccessKind::Read => self.dir.design.read_cycles,
-            AccessKind::Write => self.dir.design.write_cycles,
-        };
-        let shift = if self.back.ideal_shifts {
-            0
-        } else {
-            match self.predicted_shift_distance(addr) {
-                0 => 0,
-                d => {
-                    let bank = self.group_of(addr) % self.back.controllers.len();
-                    self.back.controllers[bank].shift_latency(d).count()
-                }
-            }
-        };
-        shift + array
+        let site = self.resolve(addr);
+        self.group_probe(site.group).shift_distance(site.set, addr)
     }
 
     /// Drifts a group's head back to the centre of its range off the
@@ -794,6 +861,36 @@ impl RacetrackLlc {
             self.park_group(p.group, now + resp.latency_cycles - p.array_cycles);
         }
         resp
+    }
+}
+
+/// Non-mutating shift estimates for accesses to one stripe group, made
+/// by [`RacetrackLlc::group_probe`]. Each candidate costs one tag probe
+/// and two table reads, and no division: a scheduler scores every
+/// request queued on the group through one probe. The estimates are
+/// exact as long as no access intervenes.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupProbe<'a> {
+    llc: &'a RacetrackLlc,
+    /// The group's head position.
+    head: u8,
+}
+
+impl GroupProbe<'_> {
+    /// The steps the group's head would move for an access to `addr`,
+    /// whose set [`RacetrackLlc::resolve`] put in this group at `set`:
+    /// to the way a non-mutating probe finds the line in, else to the
+    /// LRU victim the allocation would pick.
+    pub fn shift_distance(&self, set: SetSlot, addr: u64) -> u32 {
+        self.head.abs_diff(self.llc.dir.target_head(set, addr)) as u32
+    }
+
+    /// Estimated service latency of that access in cycles: one shift of
+    /// [`Self::shift_distance`] steps, with its p-ECC check when the
+    /// scheme has one, plus the array access. Costs no plan.
+    pub fn estimated_cycles(&self, set: SetSlot, addr: u64, kind: AccessKind) -> u64 {
+        let distance = self.shift_distance(set, addr) as usize;
+        self.llc.shift_estimates[distance] + self.llc.dir.array_cycles(kind)
     }
 }
 
@@ -890,6 +987,121 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "LLC capacity 5120 B does not divide into whole 64-line stripe groups"
+    )]
+    fn with_capacity_rejects_partial_stripe_groups() {
+        // 80 lines: one whole group and a 16-line remainder (set 4).
+        let _ = RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, 1)
+            .with_capacity(80 * 64);
+    }
+
+    /// What an access to `addr` would resolve to, composed from the
+    /// address path's own parts: the cache's probe or victim way, the
+    /// slot's group and domain, the geometry's head position for it and
+    /// the bank controller's one-shift latency. Returns (group,
+    /// distance, estimated cycles).
+    fn address_path(
+        llc: &RacetrackLlc,
+        ideal: bool,
+        addr: u64,
+        kind: AccessKind,
+    ) -> (usize, u32, u64) {
+        let cache = &llc.dir.cache;
+        let set = cache.set_of(addr);
+        let way = cache.probe(addr).unwrap_or_else(|| cache.victim_way(set));
+        let line = set * u64::from(cache.ways()) + u64::from(way);
+        let lines_per_group = llc.geometry().data_len() as u64;
+        let group = (line / lines_per_group) as usize;
+        let domain = (line % lines_per_group) as usize;
+        let target = llc.geometry().head_position_for(domain) as u8;
+        let distance = u32::from(llc.head_position(group).abs_diff(target));
+        let shift = if ideal || distance == 0 {
+            0
+        } else {
+            let bank = group % llc.banks() as usize;
+            llc.controller_at(bank).shift_latency(distance).count()
+        };
+        let array = match kind {
+            AccessKind::Read => llc.design().read_cycles,
+            AccessKind::Write => llc.design().write_cycles,
+        };
+        (group, distance, shift + array)
+    }
+
+    #[test]
+    fn resolver_matches_the_address_path() {
+        use rtm_util::check::{run_cases, Gen};
+        let kinds = [
+            ProtectionKind::None,
+            ProtectionKind::Sed,
+            ProtectionKind::SECDED,
+            ProtectionKind::Correcting { m: 2 },
+            ProtectionKind::SECDED_O,
+            ProtectionKind::CHEE_KIAH,
+            ProtectionKind::VAHID_2DI,
+        ];
+        // (llc, ideal back end) for every scheme at 1 and 8 banks (the
+        // bank-major layout off and on), the ideal back end, and a 1 GiB
+        // capacity override.
+        let mut llcs: Vec<(RacetrackLlc, bool)> = Vec::new();
+        for kind in kinds {
+            for banks in [1, 8] {
+                llcs.push((
+                    RacetrackLlc::with_banks(kind, ShiftPolicy::Adaptive, banks),
+                    false,
+                ));
+            }
+        }
+        llcs.push((RacetrackLlc::ideal(), true));
+        for banks in [1, 8] {
+            let llc =
+                RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, banks)
+                    .with_capacity(1 << 30);
+            llcs.push((llc, false));
+        }
+        for (template, ideal) in llcs {
+            let stride = template.dir.cache.sets() * 64;
+            run_cases(2, |g: &mut Gen| {
+                let mut llc = template.clone();
+                // Mostly 24 lines over each of 40 sets (sets fill, and
+                // misses evict the LRU way), some anywhere in four times
+                // the capacity; the line offset is arbitrary.
+                let addr = |g: &mut Gen| {
+                    let line = if g.u32_in(0, 7) == 0 {
+                        g.u64_in(0, 4 * stride)
+                    } else {
+                        g.u64_in(0, 39) * 64 + g.u64_in(0, 23) * stride
+                    };
+                    (line & !63) | g.u64_in(0, 63)
+                };
+                let kind = |g: &mut Gen| {
+                    if g.bool() {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    }
+                };
+                for t in 0..1_500u64 {
+                    for _ in 0..3 {
+                        let (a, k) = (addr(g), kind(g));
+                        let (group, distance, estimate) = address_path(&llc, ideal, a, k);
+                        let site = llc.resolve(a);
+                        assert_eq!(site.group, group, "group of {a:#x}");
+                        assert_eq!(llc.group_of(a), group);
+                        let probe = llc.group_probe(group);
+                        assert_eq!(probe.shift_distance(site.set, a), distance, "{a:#x}");
+                        assert_eq!(llc.predicted_shift_distance(a), distance);
+                        assert_eq!(probe.estimated_cycles(site.set, a, k), estimate, "{a:#x}");
+                    }
+                    let (a, k) = (addr(g), kind(g));
+                    llc.access(a, k, t * 97);
+                }
+            });
+        }
+    }
+
+    #[test]
     fn different_domains_force_shifts() {
         let mut llc = rm(ProtectionKind::SECDED, ShiftPolicy::Adaptive);
         // Same group, different ways → different domains: line 0 then
@@ -952,7 +1164,10 @@ mod tests {
         llc.access(0, AccessKind::Read, 0);
         for i in 1..8u64 {
             let addr = i * stride;
-            let est = llc.estimated_latency(addr, AccessKind::Read);
+            let site = llc.resolve(addr);
+            let est =
+                llc.group_probe(site.group)
+                    .estimated_cycles(site.set, addr, AccessKind::Read);
             let r = llc.access(addr, AccessKind::Read, i * 1000);
             // Unconstrained plans are exactly one sub-shift, so the
             // one-shift estimate is exact.

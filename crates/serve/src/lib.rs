@@ -7,7 +7,10 @@
 //! generators and [`rtm_mem::RacetrackLlc`]:
 //!
 //! * **per-stripe-group request queues** with bounded depth and
-//!   admission backpressure;
+//!   admission backpressure, found by group in O(1) expected time;
+//!   each request's LLC directory coordinates
+//!   ([`rtm_mem::llc::RacetrackLlc::resolve`]) are resolved once, when
+//!   it queues;
 //! * **bank-level parallelism** — stripe groups are interleaved over
 //!   independent banks, each servicing one request at a time, so
 //!   requests to different banks overlap;
@@ -15,7 +18,9 @@
 //!   FR-FCFS-style row-hit-first (a zero-shift candidate bypasses
 //!   older work), and shift-aware shortest-shift-distance-first, which
 //!   consults per-group head positions and the p-ECC/STS latency model
-//!   from `rtm-controller`;
+//!   from `rtm-controller`, both through one
+//!   [`rtm_mem::llc::GroupProbe`] per group, at the cost of a tag probe
+//!   and two table reads per candidate;
 //! * **a closed-loop client model** with per-client think time and a
 //!   bounded outstanding-request budget;
 //! * **full queueing statistics** — exact p50/p95/p99 queue delay,

@@ -7,13 +7,13 @@
 //! complete → admit → dispatch before moving on, so the schedule is a
 //! pure function of the configuration and the trace.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::policy::SchedPolicy;
 use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::technology::{CacheTech, SystemConfig};
 use rtm_mem::cache::AccessKind;
-use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats};
+use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats, SetSlot};
 use rtm_obs::attrib::AttributionTable;
 use rtm_obs::metrics::nearest_rank;
 use rtm_obs::span::ParentScope;
@@ -480,11 +480,14 @@ impl<I: Iterator<Item = MemAccess>> RequestSource for I {
     }
 }
 
-/// A request waiting in a stripe-group queue.
+/// A request waiting in a stripe-group queue (40 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     id: u64,
     addr: u64,
+    /// Its set's storage slot, resolved at admission; the group is the
+    /// queue's.
+    set: SetSlot,
     is_write: bool,
     client: u8,
     arrival: u64,
@@ -500,6 +503,143 @@ impl Queued {
             AccessKind::Write
         } else {
             AccessKind::Read
+        }
+    }
+}
+
+/// The bounded per-group queues, each in request-id order (a dispatch
+/// may take any position, never reorder the rest), found by group in
+/// O(1) expected time.
+///
+/// A group with requests queued owns one slab entry, found through an
+/// open-addressed table that holds only such groups. When its queue
+/// drains, its buffer is freed, its bucket emptied and its slab entry
+/// put on a free list for the next group that queues. The store's
+/// memory therefore follows the requests queued at once, not the
+/// configured capacity: frontdoor-10k's ~880 queued groups fit a
+/// 2,048-bucket (16 KiB) table, where an index over the paper's 32,768
+/// groups took 128 KiB. Keys are group indices, so only a trace built
+/// to collide them could lengthen a probe, and never past the groups
+/// queued at once.
+#[derive(Debug)]
+struct GroupQueues {
+    /// Linear-probing buckets of (group + 1, slab index), key 0 marking
+    /// an empty bucket; a power of two in size, at most half full.
+    /// Groups fit a `u32`: the directory holds at most 2^32 lines.
+    table: Vec<(u32, u32)>,
+    /// log2 of the table size.
+    bits: u32,
+    slab: Vec<VecDeque<Queued>>,
+    /// Slab indices of drained queues, reused last in, first out.
+    free: Vec<u32>,
+}
+
+impl GroupQueues {
+    fn new() -> Self {
+        let bits = 6;
+        Self {
+            table: vec![(0, 0); 1 << bits],
+            bits,
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// The home bucket of `key` (Fibonacci hashing).
+    fn home(&self, key: u32) -> usize {
+        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
+    }
+
+    /// The bucket holding `group`, else the empty bucket it would take.
+    fn bucket(&self, group: usize) -> usize {
+        let key = group as u32 + 1;
+        let mask = self.table.len() - 1;
+        let mut i = self.home(key);
+        while self.table[i].0 != 0 && self.table[i].0 != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The queue of `group`, if it has requests queued.
+    fn get(&self, group: usize) -> Option<&VecDeque<Queued>> {
+        let (key, s) = self.table[self.bucket(group)];
+        (key != 0).then(|| &self.slab[s as usize])
+    }
+
+    /// The requests queued on `group`.
+    fn len(&self, group: usize) -> usize {
+        self.get(group).map_or(0, VecDeque::len)
+    }
+
+    /// Appends `req` to `group`'s queue, giving the group a slab entry
+    /// if it has none.
+    fn push(&mut self, group: usize, req: Queued) {
+        let mut i = self.bucket(group);
+        if self.table[i].0 == 0 {
+            let queues = self.slab.len() - self.free.len() + 1;
+            if 2 * queues > self.table.len() {
+                self.grow();
+                i = self.bucket(group);
+            }
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.slab.push(VecDeque::new());
+                self.slab.len() as u32 - 1
+            });
+            self.table[i] = (group as u32 + 1, s);
+        }
+        self.slab[self.table[i].1 as usize].push_back(req);
+    }
+
+    /// Removes and returns the request at `idx` of `group`'s queue with
+    /// the id of the queue's new front, if any. A drained queue frees
+    /// its buffer, its bucket and its slab entry.
+    fn remove(&mut self, group: usize, idx: usize) -> (Queued, Option<u64>) {
+        let i = self.bucket(group);
+        let s = self.table[i].1 as usize;
+        let q = &mut self.slab[s];
+        let req = q.remove(idx).expect("selected index exists");
+        let front = q.front().map(|r| r.id);
+        if q.is_empty() {
+            *q = VecDeque::new();
+            self.free.push(s as u32);
+            self.erase(i);
+        }
+        (req, front)
+    }
+
+    /// Empties bucket `i`, moving back each later entry of its probe run
+    /// whose home bucket does not lie after the hole, so every key stays
+    /// reachable from its home without tombstones.
+    fn erase(&mut self, mut i: usize) {
+        let mask = self.table.len() - 1;
+        let mut j = i;
+        loop {
+            self.table[i] = (0, 0);
+            loop {
+                j = (j + 1) & mask;
+                let key = self.table[j].0;
+                if key == 0 {
+                    return;
+                }
+                // Movable unless its home is cyclically in (i, j].
+                let home = self.home(key);
+                if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
+                    break;
+                }
+            }
+            self.table[i] = self.table[j];
+            i = j;
+        }
+    }
+
+    /// Doubles the table and re-inserts every entry.
+    fn grow(&mut self) {
+        self.bits += 1;
+        let old = std::mem::replace(&mut self.table, vec![(0, 0); 1 << self.bits]);
+        for (key, s) in old.into_iter().filter(|&(key, _)| key != 0) {
+            let i = self.bucket(key as usize - 1);
+            self.table[i] = (key, s);
         }
     }
 }
@@ -524,9 +664,8 @@ pub struct ServeSim {
     llc: RacetrackLlc,
     mem_cycles: u64,
     clock: u64,
-    /// Per-group bounded FIFO queues, each in request-id order (a
-    /// dispatch may take any position, never reorder the rest).
-    queues: BTreeMap<usize, VecDeque<Queued>>,
+    /// The per-group bounded queues.
+    queues: GroupQueues,
     /// Non-empty stripe groups of each bank keyed by (front request id,
     /// group): `first()` is the group holding the bank's oldest
     /// request, since each group queue is in id order.
@@ -585,7 +724,7 @@ impl ServeSim {
                 .memory
                 .access_cycles,
             clock: 0,
-            queues: BTreeMap::new(),
+            queues: GroupQueues::new(),
             bank_index: vec![BTreeSet::new(); cfg.banks as usize],
             bank_admitted: vec![0; cfg.banks as usize],
             bank_dispatched: vec![0; cfg.banks as usize],
@@ -755,9 +894,10 @@ impl ServeSim {
             if self.outstanding[c] >= self.cfg.budget || self.clock < self.ready_at[c] {
                 break;
             }
-            let group = self.llc.group_of(a.addr);
-            let q = self.queues.entry(group).or_default();
-            if q.len() >= self.cfg.queue_depth {
+            let site = self.llc.resolve(a.addr);
+            let group = site.group;
+            let queued = self.queues.len(group);
+            if queued >= self.cfg.queue_depth {
                 // Backpressure: the head-of-line request stalls until
                 // this group drains. Count one stall per instant.
                 if self.last_stall != Some((self.clock, group)) {
@@ -776,15 +916,19 @@ impl ServeSim {
             let id = self.next_id;
             self.next_id += 1;
             let bank = group % self.cfg.banks as usize;
-            q.push_back(Queued {
-                id,
-                addr: a.addr,
-                is_write: a.is_write,
-                client: c as u8,
-                arrival: self.clock,
-                turn: self.bank_admitted[bank],
-            });
-            if q.len() == 1 {
+            self.queues.push(
+                group,
+                Queued {
+                    id,
+                    addr: a.addr,
+                    set: site.set,
+                    is_write: a.is_write,
+                    client: c as u8,
+                    arrival: self.clock,
+                    turn: self.bank_admitted[bank],
+                },
+            );
+            if queued == 0 {
                 self.bank_index[bank].insert((id, group));
             }
             self.bank_admitted[bank] += 1;
@@ -815,16 +959,13 @@ impl ServeSim {
             let Some((group, idx)) = self.select(bank) else {
                 continue;
             };
-            let q = self.queues.get_mut(&group).expect("selected group exists");
-            let req = q.remove(idx).expect("selected index exists");
+            let (req, front) = self.queues.remove(group, idx);
             if idx == 0 {
                 // The group's front changed: re-key it in the index.
                 let index = &mut self.bank_index[bank];
                 index.remove(&(req.id, group));
-                if let Some(next) = q.front() {
-                    index.insert((next.id, group));
-                } else {
-                    self.queues.remove(&group);
+                if let Some(next) = front {
+                    index.insert((next, group));
                 }
             }
             self.queued_total -= 1;
@@ -931,11 +1072,18 @@ impl ServeSim {
     /// head is independent, so deferring one group for another saves no
     /// shift work and only starves. The shift-aware policy therefore
     /// reorders inside the oldest request's group alone. FR-FCFS takes
-    /// the bank's oldest zero-shift request, else its oldest.
+    /// the bank's oldest zero-shift request, else its oldest. Both score
+    /// a group's candidates through one [`GroupProbe`] from the set
+    /// slots resolved at admission.
+    ///
+    /// [`GroupProbe`]: rtm_mem::llc::GroupProbe
     fn select(&self, bank: usize) -> Option<(usize, usize)> {
         let index = &self.bank_index[bank];
         let &(_, oldest_group) = index.first()?;
-        let oldest_queue = &self.queues[&oldest_group];
+        let oldest_queue = self
+            .queues
+            .get(oldest_group)
+            .expect("indexed group has a queue");
         if self.bank_dispatched[bank] - oldest_queue[0].turn >= u64::from(self.cfg.starve_limit) {
             return Some((oldest_group, 0));
         }
@@ -951,11 +1099,12 @@ impl ServeSim {
                     if front > bound {
                         break;
                     }
-                    let q = &self.queues[&group];
+                    let q = self.queues.get(group).expect("indexed group has a queue");
+                    let probe = self.llc.group_probe(group);
                     if let Some(idx) = q
                         .iter()
                         .take_while(|r| r.id < bound)
-                        .position(|r| self.llc.predicted_shift_distance(r.addr) == 0)
+                        .position(|r| probe.shift_distance(r.set, r.addr) == 0)
                     {
                         best = Some((q[idx].id, group, idx));
                     }
@@ -964,10 +1113,11 @@ impl ServeSim {
             }
             SchedPolicy::ShiftAware => {
                 // `min_by_key` keeps the first minimum: the oldest on ties.
+                let probe = self.llc.group_probe(oldest_group);
                 oldest_queue
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, r)| self.llc.estimated_latency(r.addr, r.kind()))
+                    .min_by_key(|(_, r)| probe.estimated_cycles(r.set, r.addr, r.kind()))
                     .map(|(idx, _)| (oldest_group, idx))
             }
         }
@@ -1210,6 +1360,77 @@ mod tests {
         // The directory itself stays sparse: far fewer touched groups
         // than configured ones at GB scale.
         assert!(big.scale.materialised_groups < big.scale.configured_groups / 4);
+    }
+
+    #[test]
+    fn group_queues_match_an_ordered_map() {
+        // Random pushes and removals, checked op by op against an
+        // ordered map of queues: first mostly pushes, so the table grows
+        // to hundreds of groups and probe runs collide and wrap, then
+        // mostly removals, so erasure shifts entries back.
+        let set = RacetrackLlc::new(ProtectionKind::None, ShiftPolicy::Unconstrained)
+            .resolve(0)
+            .set;
+        let queued = |id| Queued {
+            id,
+            addr: 0,
+            set,
+            is_write: false,
+            client: 0,
+            arrival: 0,
+            turn: 0,
+        };
+        let mut rng = rtm_util::rng::SmallRng64::new(23);
+        let mut store = GroupQueues::new();
+        let mut reference: std::collections::BTreeMap<usize, VecDeque<u64>> = Default::default();
+        let mut live: Vec<usize> = Vec::new();
+        for step in 0..30_000u64 {
+            let push_share = if step < 15_000 { 7 } else { 3 };
+            if live.is_empty() || rng.next_below(10) < push_share {
+                let group = rng.next_below(2_000) as usize;
+                let q = reference.entry(group).or_default();
+                if q.is_empty() {
+                    live.push(group);
+                }
+                q.push_back(step);
+                store.push(group, queued(step));
+            } else {
+                let at = rng.next_below(live.len() as u64) as usize;
+                let group = live[at];
+                let q = reference.get_mut(&group).expect("live group");
+                let idx = rng.next_below(q.len() as u64) as usize;
+                let want = q.remove(idx).expect("index in range");
+                let (got, front) = store.remove(group, idx);
+                assert_eq!(got.id, want, "step {step}");
+                assert_eq!(front, q.front().copied(), "step {step}");
+                if q.is_empty() {
+                    reference.remove(&group);
+                    live.swap_remove(at);
+                }
+            }
+            if step % 1_000 == 0 {
+                for group in 0..2_000 {
+                    let ids: Vec<u64> = store
+                        .get(group)
+                        .map(|q| q.iter().map(|r| r.id).collect())
+                        .unwrap_or_default();
+                    let want: Vec<u64> = reference
+                        .get(&group)
+                        .map(|q| q.iter().copied().collect())
+                        .unwrap_or_default();
+                    assert_eq!(ids, want, "group {group} at step {step}");
+                    assert_eq!(store.len(group), want.len());
+                }
+            }
+        }
+        assert!(store.table.len() >= 512, "the table grew");
+    }
+
+    #[test]
+    fn queued_entry_stays_40_bytes() {
+        // The group is the queue's and the set slot is a u32, so a
+        // resolved request costs the queue no more than a raw one did.
+        assert_eq!(std::mem::size_of::<Queued>(), 40);
     }
 
     #[test]
