@@ -94,52 +94,53 @@ impl PeccCode {
     /// Finds the unique phase `r ∈ [0, P)` whose window matches
     /// `observed`, or `None` if no phase matches (garbled bits).
     ///
+    /// Every valid window is a run of `k ∈ [1, m + 1]` equal bits
+    /// followed by their complement, and the run alone names the phase:
+    /// a run of ones starts at `r = (m + 1) − k`, a run of zeros at
+    /// `r = 2(m + 1) − k`. So one pass over the taps finds it; an
+    /// unknown tap, or the run's value coming back after its
+    /// complement, matches no phase.
+    ///
     /// # Panics
     ///
     /// Panics if `observed.len() != self.window()`.
     pub fn match_phase(&self, observed: &[Bit]) -> Option<u32> {
-        assert_eq!(
-            observed.len(),
-            self.window() as usize,
-            "window width must be m + 1"
-        );
-        if observed.iter().any(|b| !b.is_known()) {
-            return None;
-        }
-        let p = self.period();
-        let mut found = None;
-        for r in 0..p {
-            if (r as i64..)
-                .zip(observed)
-                .all(|(i, &b)| self.bit_at(i) == b)
-            {
-                // Unique by construction; assert in debug builds.
-                debug_assert!(found.is_none(), "window phases must be unique");
-                found = Some(r);
-                #[cfg(not(debug_assertions))]
-                break;
+        let w = self.window();
+        assert_eq!(observed.len(), w as usize, "window width must be m + 1");
+        let lead = observed[0].to_bool()?;
+        let mut run = 0u32;
+        for (k, b) in (0u32..).zip(observed) {
+            if b.to_bool()? == lead {
+                if run != k {
+                    return None;
+                }
+                run += 1;
             }
         }
-        found
+        Some(if lead { w - run } else { 2 * w - run })
     }
 
     /// Decodes the observed window against the expected code index
     /// `expected_index` (where the leading tap *should* be reading).
     ///
     /// An over-shift by `e` makes the tap read index `expected − e`, so
-    /// the phase difference recovers `e mod P`.
+    /// the phase difference recovers `e mod P`. Both phases lie in
+    /// `[0, P)`, so their difference folds back with one conditional
+    /// add: the only division is the expected index's own phase.
     ///
     /// # Panics
     ///
     /// Panics if `observed.len() != self.window()`.
     pub fn decode(&self, expected_index: i64, observed: &[Bit]) -> Verdict {
         let p = self.period() as i64;
-        let expected_phase = expected_index.rem_euclid(p);
         let Some(observed_phase) = self.match_phase(observed) else {
             return Verdict::Uncorrectable;
         };
         // observed index = expected − e  ⇒  e = expected − observed (mod P).
-        let d = (expected_phase - observed_phase as i64).rem_euclid(p);
+        let mut d = expected_index.rem_euclid(p) - observed_phase as i64;
+        if d < 0 {
+            d += p;
+        }
         self.verdict_for_phase_difference(d as u32)
     }
 

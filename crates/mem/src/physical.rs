@@ -231,35 +231,24 @@ impl PhysicalCache {
                 let bits = data.expect("writes must carry data");
                 assert_eq!(bits.len(), self.bits_per_line, "one bit per stripe");
                 if !due {
-                    for (i, &b) in bits.iter().enumerate() {
-                        // Group stripes share a head; write each stripe's
-                        // domain at the current position.
-                        let stripe = group_stripe_mut(group, i);
-                        stripe.write_domain(domain, b).expect("head positioned");
-                    }
+                    // Group stripes share a head: one head check, then
+                    // each stripe's domain at the current position.
+                    group.write_domain(domain, bits).expect("head positioned");
                 }
                 None
             }
-            AccessKind::Read => {
-                if due {
-                    Some(vec![Bit::Unknown; self.bits_per_line])
-                } else {
-                    if group.is_pristine() {
-                        // Served straight from the group prototype: no
-                        // per-stripe state was ever allocated.
-                        self.pristine_reads += 1;
-                    }
-                    let mut out = Vec::with_capacity(self.bits_per_line);
-                    for i in 0..self.bits_per_line {
-                        out.push(
-                            group_stripe(group, i)
-                                .read_domain(domain)
-                                .unwrap_or(Bit::Unknown),
-                        );
-                    }
-                    Some(out)
+            AccessKind::Read => Some(if due {
+                vec![Bit::Unknown; self.bits_per_line]
+            } else {
+                if group.is_pristine() {
+                    // Served straight from the group prototype: no
+                    // per-stripe state was ever allocated.
+                    self.pristine_reads += 1;
                 }
-            }
+                group
+                    .read_domain(domain)
+                    .unwrap_or_else(|_| vec![Bit::Unknown; self.bits_per_line])
+            }),
         };
         (
             PhysicalResponse {
@@ -270,20 +259,6 @@ impl PhysicalCache {
             read_back,
         )
     }
-}
-
-// ProtectedGroup exposes stripes immutably; these helpers centralise the
-// index plumbing (kept as free functions so the borrow of `group` stays
-// narrow).
-fn group_stripe(group: &ProtectedGroup, i: usize) -> &rtm_pecc::protected::ProtectedStripe {
-    group.stripe(i)
-}
-
-fn group_stripe_mut(
-    group: &mut ProtectedGroup,
-    i: usize,
-) -> &mut rtm_pecc::protected::ProtectedStripe {
-    group.stripe_mut(i)
 }
 
 impl std::fmt::Debug for PhysicalCache {

@@ -13,8 +13,10 @@
 use crate::code::Verdict;
 use crate::layout::{LayoutError, ProtectionKind};
 use crate::protected::ProtectedStripe;
+use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
+use rtm_track::stripe::StripeError;
 
 /// Statistics of a group's protected operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,12 +32,12 @@ pub struct GroupStats {
 /// A lockstep group of protected stripes.
 ///
 /// Per-stripe state is materialised lazily: until the group is shifted
-/// or a stripe is mutably accessed, every member stripe is provably
-/// identical to the deterministic fabrication-state prototype (head 0,
-/// zeroed data, freshly derived code taps), so only the prototype is
-/// stored. Materialisation clones the prototype `count` times — it
-/// consumes no randomness, so fault-model sampling streams are
-/// unaffected by *when* it happens.
+/// or written, every member stripe is provably identical to the
+/// deterministic fabrication-state prototype (head 0, zeroed data,
+/// freshly derived code taps), so only the prototype is stored.
+/// Materialisation clones the prototype `count` times — it consumes no
+/// randomness, so fault-model sampling streams are unaffected by *when*
+/// it happens.
 #[derive(Debug, Clone)]
 pub struct ProtectedGroup {
     /// The fabrication-state stripe every member equals while pristine.
@@ -49,7 +51,7 @@ pub struct ProtectedGroup {
 impl ProtectedGroup {
     /// Creates a group of `count` stripes with the given geometry and
     /// protection. Only a single prototype stripe is allocated until the
-    /// group is first shifted or mutably accessed.
+    /// group is first shifted or written.
     ///
     /// # Errors
     ///
@@ -124,18 +126,6 @@ impl ProtectedGroup {
         }
     }
 
-    /// Mutable access to a member stripe, for port-level data reads and
-    /// writes at the group's current head position (materialises the
-    /// group).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn stripe_mut(&mut self, i: usize) -> &mut ProtectedStripe {
-        self.materialise();
-        &mut self.stripes[i]
-    }
-
     /// The shared believed head position.
     pub fn believed_head(&self) -> i64 {
         self.stripe(0).believed_head()
@@ -146,6 +136,46 @@ impl ProtectedGroup {
     pub fn is_synchronised(&self) -> bool {
         // A pristine group is synchronised by construction.
         self.stripes.iter().all(|s| s.is_synchronised())
+    }
+
+    /// Reads data domain `d` of every stripe at the group's head, one
+    /// bit per stripe in stripe order. The head is checked and the
+    /// domain's port slot found once for the whole line; a pristine
+    /// group is read from its prototype.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StripeError::HeadOutOfRange`] when the group's believed
+    /// head does not serve `d` (every stripe shares that head).
+    pub fn read_domain(&self, d: usize) -> Result<Vec<Bit>, StripeError> {
+        let slot = self.stripe(0).domain_slot(d)?;
+        if self.stripes.is_empty() {
+            return Ok(vec![self.prototype.read_slot(slot)?; self.count]);
+        }
+        self.stripes.iter().map(|s| s.read_slot(slot)).collect()
+    }
+
+    /// Writes `bits[i]` into data domain `d` of stripe `i` at the
+    /// group's head, checking the head and finding the port slot once
+    /// (materialises the group).
+    ///
+    /// # Errors
+    ///
+    /// Like [`ProtectedGroup::read_domain`], plus the first stripe's
+    /// [`StripeError::Misaligned`] if any stripe is in a stop-in-middle
+    /// state (the stripes before it are written).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` differs from the group's stripe count.
+    pub fn write_domain(&mut self, d: usize, bits: &[Bit]) -> Result<(), StripeError> {
+        assert_eq!(bits.len(), self.count, "one bit per stripe");
+        self.materialise();
+        let slot = self.stripes[0].domain_slot(d)?;
+        for (stripe, &bit) in self.stripes.iter_mut().zip(bits) {
+            stripe.write_slot(slot, bit)?;
+        }
+        Ok(())
     }
 
     /// One protected group transaction: shift every stripe by `delta`,

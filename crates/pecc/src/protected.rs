@@ -29,8 +29,13 @@ use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
 use rtm_track::stripe::{Stripe, StripeError};
 
+/// Taps a check can copy into its stack buffer: the widest marker
+/// window (strength 7, `2·7 + 9`). Every cyclic window the paper's
+/// geometry accepts is narrower.
+const TAP_BUFFER: usize = 23;
+
 /// A stripe with physical p-ECC protection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedStripe {
     layout: PeccLayout,
     checker: Option<StripeChecker>,
@@ -183,21 +188,19 @@ impl ProtectedStripe {
         let Some(checker) = self.checker else {
             return Vec::new();
         };
-        let window = checker.window() as usize;
-        self.tap_window(window)
-            .map_or_else(|| vec![Bit::Unknown; window], <[Bit]>::to_vec)
-    }
-
-    /// The `window` tap cells, borrowed from the stripe; `None` while
-    /// the walls are misaligned and every tap senses garbage.
-    fn tap_window(&self, window: usize) -> Option<&[Bit]> {
-        self.stripe
-            .read_slots(self.tap_base..self.tap_base + window)
+        let mut taps = vec![Bit::Unknown; checker.window() as usize];
+        let window = self.tap_base..self.tap_base + taps.len();
+        match self.stripe.read_slots(window, &mut taps) {
+            Some(read) => read.to_vec(),
+            None => taps,
+        }
     }
 
     /// Runs p-ECC detection: compares the observed tap window against
     /// the window expected at the believed head position. The taps are
-    /// read in place, so a check allocates nothing.
+    /// read in place, or copied into a stack buffer when the window
+    /// straddles the ring's wrap point, so a check allocates nothing
+    /// unless its window is wider than the widest marker window.
     ///
     /// Unprotected stripes always report [`Verdict::Clean`] (they cannot
     /// see anything).
@@ -206,7 +209,19 @@ impl ProtectedStripe {
             return Verdict::Clean;
         };
         let expected_index = (self.tap_base - self.code_start) as i64 - self.believed_head;
-        match self.tap_window(checker.window() as usize) {
+        let width = checker.window() as usize;
+        let mut stack = [Bit::Unknown; TAP_BUFFER];
+        let mut heap;
+        let buf: &mut [Bit] = if width <= TAP_BUFFER {
+            &mut stack
+        } else {
+            heap = vec![Bit::Unknown; width];
+            &mut heap
+        };
+        match self
+            .stripe
+            .read_slots(self.tap_base..self.tap_base + width, buf)
+        {
             Some(taps) => checker.decode(expected_index, taps),
             // Garbage taps match no phase.
             None => Verdict::Uncorrectable,
@@ -291,6 +306,34 @@ impl ProtectedStripe {
         }
     }
 
+    /// The physical slot under which data domain `d` sits when the
+    /// believed head serves it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StripeError::HeadOutOfRange`] when the believed head
+    /// does not match `d`'s required position.
+    pub(crate) fn domain_slot(&self, d: usize) -> Result<usize, StripeError> {
+        let geometry = &self.layout.geometry;
+        if self.believed_head != geometry.head_position_for(d) as i64 {
+            return Err(StripeError::HeadOutOfRange {
+                head: self.believed_head,
+                max: geometry.max_shift(),
+            });
+        }
+        Ok(self.data_start + geometry.port_slot(geometry.port_of_domain(d)))
+    }
+
+    /// Senses physical `slot` through its port.
+    pub(crate) fn read_slot(&self, slot: usize) -> Result<Bit, StripeError> {
+        self.stripe.read_slot(slot)
+    }
+
+    /// Programs physical `slot` through its port.
+    pub(crate) fn write_slot(&mut self, slot: usize, bit: Bit) -> Result<(), StripeError> {
+        self.stripe.write_slot(slot, bit)
+    }
+
     /// Reads data domain `d` at the current head position.
     ///
     /// # Errors
@@ -298,16 +341,7 @@ impl ProtectedStripe {
     /// Returns [`StripeError::HeadOutOfRange`] when the believed head
     /// does not match `d`'s required position.
     pub fn read_domain(&self, d: usize) -> Result<Bit, StripeError> {
-        let want = self.layout.geometry.head_position_for(d) as i64;
-        if self.believed_head != want {
-            return Err(StripeError::HeadOutOfRange {
-                head: self.believed_head,
-                max: self.layout.geometry.max_shift(),
-            });
-        }
-        let port = self.layout.geometry.port_of_domain(d);
-        let slot = self.data_start + self.layout.geometry.port_slot(port);
-        self.stripe.read_slot(slot)
+        self.read_slot(self.domain_slot(d)?)
     }
 
     /// Writes data domain `d` at the current head position.
@@ -317,16 +351,8 @@ impl ProtectedStripe {
     /// Like [`ProtectedStripe::read_domain`], plus
     /// [`StripeError::Misaligned`] in a stop-in-middle state.
     pub fn write_domain(&mut self, d: usize, bit: Bit) -> Result<(), StripeError> {
-        let want = self.layout.geometry.head_position_for(d) as i64;
-        if self.believed_head != want {
-            return Err(StripeError::HeadOutOfRange {
-                head: self.believed_head,
-                max: self.layout.geometry.max_shift(),
-            });
-        }
-        let port = self.layout.geometry.port_of_domain(d);
-        let slot = self.data_start + self.layout.geometry.port_slot(port);
-        self.stripe.write_slot(slot, bit)
+        let slot = self.domain_slot(d)?;
+        self.write_slot(slot, bit)
     }
 
     /// Moves the believed head to `target` via checked shifts bounded by
@@ -637,6 +663,23 @@ mod tests {
             s.seek_checked(geom.head_position_for(d), &mut ideal);
             assert_eq!(s.read_domain(d).unwrap(), Bit::One, "domain {d}");
         }
+    }
+
+    #[test]
+    fn wide_window_across_the_wrap_point_is_checked() {
+        // Strength 23 on 32-domain segments: 24 taps, more than the
+        // check's stack buffer holds. A 90-step under-shift turns the
+        // ring so that the tap window straddles its wrap point; the
+        // taps past it are cells that entered unknown, so the check
+        // reports a DUE instead of panicking on a short buffer.
+        let geom = StripeGeometry::new(128, 4).unwrap();
+        let mut s = ProtectedStripe::new(geom, ProtectionKind::Correcting { m: 23 }).unwrap();
+        let mut faults = ScriptedFaultModel::new([ShiftOutcome::Pinned { offset: -90 }]);
+        s.shift(1, &mut faults);
+        let taps = s.read_taps();
+        assert_eq!(taps.len(), 24);
+        assert!(taps.contains(&Bit::Unknown));
+        assert_eq!(s.check(), Verdict::Uncorrectable);
     }
 
     #[test]

@@ -56,9 +56,17 @@ impl std::error::Error for StripeError {}
 /// `rtm_pecc::ProtectedStripe`. It *does* track ground truth for diagnostics:
 /// the actual cumulative shift applied (including error offsets) and
 /// whether the walls are currently pinned in notches.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The cells are stored as a ring: physical slot `i` lives at storage
+/// index `(start + i) mod len`. A movement of `m` steps moves `start`
+/// and overwrites only the `|m|` cells that enter the wire, so a shift
+/// costs the steps moved, not the stripe's length. Equality compares
+/// the stripe slot by slot, whatever the two rings' starts.
+#[derive(Debug, Clone)]
 pub struct Stripe {
-    cells: Vec<Bit>,
+    cells: Box<[Bit]>,
+    /// Storage index of physical slot 0.
+    start: u32,
     aligned: bool,
     /// Ground-truth cumulative shift (right positive), including errors.
     actual_offset: i64,
@@ -70,26 +78,22 @@ impl Stripe {
     ///
     /// # Panics
     ///
-    /// Panics if `len == 0`.
+    /// Panics if `len == 0` or `len > u32::MAX`.
     pub fn new(len: usize) -> Self {
-        assert!(len > 0, "stripe must have at least one domain");
-        Self {
-            cells: vec![Bit::Unknown; len],
-            aligned: true,
-            actual_offset: 0,
-            shifts_applied: 0,
-        }
+        Self::with_cells(vec![Bit::Unknown; len])
     }
 
     /// Creates a stripe with the given initial cell contents.
     ///
     /// # Panics
     ///
-    /// Panics if `cells` is empty.
+    /// Panics if `cells` is empty or longer than `u32::MAX` domains.
     pub fn with_cells(cells: Vec<Bit>) -> Self {
         assert!(!cells.is_empty(), "stripe must have at least one domain");
+        assert!(u32::try_from(cells.len()).is_ok(), "stripe too long");
         Self {
-            cells,
+            cells: cells.into_boxed_slice(),
+            start: 0,
             aligned: true,
             actual_offset: 0,
             shifts_applied: 0,
@@ -122,9 +126,27 @@ impl Stripe {
         self.shifts_applied
     }
 
-    /// A view of the raw cells (diagnostic).
-    pub fn cells(&self) -> &[Bit] {
-        &self.cells
+    /// The raw cells in physical slot order (diagnostic; copies them
+    /// out of the ring).
+    pub fn cells(&self) -> Vec<Bit> {
+        self.slots().collect()
+    }
+
+    /// The cells in physical slot order.
+    fn slots(&self) -> impl Iterator<Item = Bit> + '_ {
+        let (tail, head) = self.cells.split_at(self.start as usize);
+        head.iter().chain(tail).copied()
+    }
+
+    /// Storage index of physical `slot` (`slot ≤ len`; slot `len`, the
+    /// end of an empty run at the stripe's end, maps to slot 0's).
+    fn index(&self, slot: usize) -> usize {
+        let i = self.start as usize + slot;
+        if i >= self.cells.len() {
+            i - self.cells.len()
+        } else {
+            i
+        }
     }
 
     /// Reads the domain at physical `slot` through a port.
@@ -136,31 +158,46 @@ impl Stripe {
     ///
     /// [`StripeError::SlotOutOfRange`] if `slot` is outside the stripe.
     pub fn read_slot(&self, slot: usize) -> Result<Bit, StripeError> {
-        let cell = self
-            .cells
-            .get(slot)
-            .copied()
-            .ok_or(StripeError::SlotOutOfRange {
-                slot,
-                len: self.cells.len(),
-            })?;
+        let len = self.cells.len();
+        if slot >= len {
+            return Err(StripeError::SlotOutOfRange { slot, len });
+        }
         if self.aligned {
-            Ok(cell)
+            Ok(self.cells[self.index(slot)])
         } else {
             Ok(Bit::Unknown)
         }
     }
 
     /// Reads the domains at the consecutive physical `slots` through
-    /// adjacent ports, borrowing the cells: `None` when the stripe is
-    /// misaligned (every port senses garbage, as in
-    /// [`Stripe::read_slot`]) or when `slots` runs off the stripe.
-    pub fn read_slots(&self, slots: std::ops::Range<usize>) -> Option<&[Bit]> {
-        if self.aligned {
-            self.cells.get(slots)
-        } else {
-            None
+    /// adjacent ports: `None` when the stripe is misaligned (every port
+    /// senses garbage, as in [`Stripe::read_slot`]) or when `slots` runs
+    /// off the stripe. A run that is contiguous in the ring's storage is
+    /// lent in place; one that straddles the wrap point is copied into
+    /// the front of `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run straddles the wrap point and `buf` is shorter
+    /// than `slots`.
+    pub fn read_slots<'a>(
+        &'a self,
+        slots: std::ops::Range<usize>,
+        buf: &'a mut [Bit],
+    ) -> Option<&'a [Bit]> {
+        let len = self.cells.len();
+        if !self.aligned || slots.start > slots.end || slots.end > len {
+            return None;
         }
+        let first = self.index(slots.start);
+        if let Some(run) = self.cells.get(first..first + slots.len()) {
+            return Some(run);
+        }
+        let out = &mut buf[..slots.len()];
+        let (near, far) = out.split_at_mut(len - first);
+        near.copy_from_slice(&self.cells[first..]);
+        far.copy_from_slice(&self.cells[..far.len()]);
+        Some(out)
     }
 
     /// Writes the domain at physical `slot` through a read/write port.
@@ -174,11 +211,11 @@ impl Stripe {
             return Err(StripeError::Misaligned);
         }
         let len = self.cells.len();
-        let cell = self
-            .cells
-            .get_mut(slot)
-            .ok_or(StripeError::SlotOutOfRange { slot, len })?;
-        *cell = bit;
+        if slot >= len {
+            return Err(StripeError::SlotOutOfRange { slot, len });
+        }
+        let i = self.index(slot);
+        self.cells[i] = bit;
         Ok(())
     }
 
@@ -186,27 +223,34 @@ impl Stripe {
     /// moves right) and records whether walls ended pinned.
     ///
     /// Domains pushed past either end are lost; domains entering are
-    /// [`Bit::Unknown`].
+    /// [`Bit::Unknown`]. Only the entering cells are touched: the ring
+    /// turns by `moved`, and the storage of the cells that fell off
+    /// holds the cells that enter.
     pub fn apply_movement(&mut self, moved: i64, aligned_after: bool) {
-        let len = self.cells.len() as i64;
-        let m = moved.clamp(-len, len);
-        if m > 0 {
-            let m = m as usize;
-            self.cells.rotate_right(m);
-            for c in &mut self.cells[..m] {
-                *c = Bit::Unknown;
-            }
-        } else if m < 0 {
-            let m = (-m) as usize;
-            self.cells.rotate_left(m);
-            let start = self.cells.len() - m;
-            for c in &mut self.cells[start..] {
-                *c = Bit::Unknown;
-            }
+        let len = self.cells.len();
+        let m = moved.unsigned_abs().min(len as u64) as usize;
+        if moved > 0 {
+            // Slot 0 moves to the storage of old slot len − m.
+            self.start = self.index(len - m) as u32;
+            self.fill_unknown(0, m);
+        } else if moved < 0 {
+            self.start = self.index(m % len) as u32;
+            self.fill_unknown(len - m, m);
         }
         self.actual_offset += moved;
         self.aligned = aligned_after;
         self.shifts_applied += 1;
+    }
+
+    /// Sets the `n` physical slots from `first` (in range, `n ≤ len`)
+    /// to [`Bit::Unknown`]. A shift moves a few steps, so the cells are
+    /// stored one at a time: two `fill` calls (each a `memset`) timed
+    /// slower in the stripe and group kernels.
+    fn fill_unknown(&mut self, first: usize, n: usize) {
+        for slot in first..first + n {
+            let i = self.index(slot);
+            self.cells[i] = Bit::Unknown;
+        }
     }
 
     /// Applies a shift *intended* to move `intended` steps (positive =
@@ -246,6 +290,16 @@ impl Stripe {
     /// data movement, if any, is applied separately).
     pub fn realign(&mut self) {
         self.aligned = true;
+    }
+}
+
+impl PartialEq for Stripe {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells.len() == other.cells.len()
+            && self.aligned == other.aligned
+            && self.actual_offset == other.actual_offset
+            && self.shifts_applied == other.shifts_applied
+            && self.slots().eq(other.slots())
     }
 }
 
