@@ -19,7 +19,9 @@
 //! `0, 1, 2, …` and the first with all-distinct windows wins. The
 //! search is re-run on construction (and memoised per strength), so
 //! the pattern is a pure function of the strength — no stored tables,
-//! no ambient randomness.
+//! no ambient randomness. Beside the pattern, each strength memoises its
+//! 64 windows sorted with their phases, so decoding a window costs a
+//! binary search (six compares), not a scan of the rotations.
 
 use crate::verdict::Verdict;
 use rtm_track::bit::Bit;
@@ -31,6 +33,30 @@ const PERIOD: usize = 64;
 
 /// Highest strength the memoised search supports.
 const MAX_STRENGTH: usize = 7;
+
+/// What a strength determines: its pattern, and the phase of each of
+/// the pattern's `PERIOD` windows as `(packed window, phase)` pairs
+/// sorted by window (bit `k` of a packed window is tap `k`).
+struct Memo {
+    pattern: u64,
+    phases: [(u32, u32); PERIOD],
+}
+
+/// The memoised pattern and phase lookup of `strength`.
+fn memo(strength: u32) -> &'static Memo {
+    static CACHE: [OnceLock<Memo>; MAX_STRENGTH + 1] =
+        [const { OnceLock::new() }; MAX_STRENGTH + 1];
+    CACHE[strength as usize].get_or_init(|| {
+        let pattern = search(strength);
+        let mask = (1u64 << (2 * strength + 9)) - 1;
+        let mut phases = [(0, 0); PERIOD];
+        for (phase, entry) in (0..).zip(phases.iter_mut()) {
+            *entry = ((pattern.rotate_right(phase) & mask) as u32, phase);
+        }
+        phases.sort_unstable();
+        Memo { pattern, phases }
+    })
+}
 
 /// A marker code of a given correction strength.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,9 +73,7 @@ impl MarkerCode {
             (strength as usize) <= MAX_STRENGTH,
             "marker search memoised up to strength {MAX_STRENGTH}"
         );
-        static CACHE: [OnceLock<u64>; MAX_STRENGTH + 1] =
-            [const { OnceLock::new() }; MAX_STRENGTH + 1];
-        let pattern = *CACHE[strength as usize].get_or_init(|| search(strength));
+        let pattern = memo(strength).pattern;
         Self { strength, pattern }
     }
 
@@ -98,14 +122,15 @@ impl MarkerCode {
             "window width must be 2s + 9"
         );
         // Pack the window (at most 2·MAX_STRENGTH + 9 = 23 bits, bit k
-        // in bit k) and compare it with each rotation of the pattern
-        // word; an unknown bit matches no phase.
-        let mut word = 0u64;
+        // in bit k) and look its phase up; an unknown bit matches no
+        // phase.
+        let mut word = 0u32;
         for (k, b) in observed.iter().enumerate() {
-            word |= u64::from(b.to_bool()?) << k;
+            word |= u32::from(b.to_bool()?) << k;
         }
-        let mask = (1u64 << self.window()) - 1;
-        (0..PERIOD as u32).find(|&r| self.pattern.rotate_right(r) & mask == word)
+        let phases = &memo(self.strength).phases;
+        let i = phases.binary_search_by_key(&word, |&(w, _)| w).ok()?;
+        Some(phases[i].1)
     }
 
     /// Decodes the observed window against the expected marker index

@@ -15,9 +15,13 @@ use crate::safety::SafetyBudget;
 use crate::sequence::{SequenceTable, PECC_CHECK_CYCLES};
 use rtm_model::rates::MAX_TABULATED_DISTANCE;
 use rtm_model::sts::StsTiming;
+use rtm_obs::metrics::{IntHistogram, RunCounts, DEFAULT_BUCKETS};
 use rtm_pecc::code::Verdict;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_util::units::Cycles;
+
+/// Bucket bounds of the `shift.distance` histogram.
+const DISTANCE_BUCKETS: [f64; 11] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 16.0, 32.0, 64.0];
 
 /// How the controller bounds shift distances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +133,37 @@ pub struct ShiftController {
     /// `table.options(d)` under `Adaptive`, and the policy's one
     /// sequence under the others.
     plans: Vec<Vec<ShiftPlan>>,
+    /// The plan of the last request longer than the table covers.
+    spill: Option<ShiftPlan>,
     stats: ControllerStats,
     /// Cycle timestamp of the previous shift request (for the adapter).
     last_shift_at: Option<u64>,
+    /// What the `shift.*` metrics need beyond `stats`, while the
+    /// registry is on.
+    counts: RunCounts<ShiftCounts>,
+}
+
+/// The `shift.*` metrics a controller's requests feed that its
+/// [`ControllerStats`] do not hold, counted per request; each request
+/// lands once in each histogram.
+#[derive(Debug)]
+struct ShiftCounts {
+    /// `stats` as last published.
+    published: ControllerStats,
+    splits: u64,
+    latency: IntHistogram,
+    distance: IntHistogram,
+}
+
+impl Default for ShiftCounts {
+    fn default() -> Self {
+        Self {
+            published: ControllerStats::default(),
+            splits: 0,
+            latency: IntHistogram::new(&DEFAULT_BUCKETS),
+            distance: IntHistogram::new(&DISTANCE_BUCKETS),
+        }
+    }
 }
 
 impl ShiftController {
@@ -178,8 +210,10 @@ impl ShiftController {
             table,
             safe_cap,
             plans: Vec::new(),
+            spill: None,
             stats: ControllerStats::default(),
             last_shift_at: None,
+            counts: RunCounts::new(),
         };
         ctl.plans = ctl.cost_plans();
         ctl
@@ -277,6 +311,29 @@ impl ShiftController {
     }
 
     fn plan_distance(&mut self, distance: u32, now_cycles: u64, fused: bool) -> ShiftPlan {
+        let (plan, latency) = self.charge_shift(distance, now_cycles, fused);
+        ShiftPlan {
+            latency,
+            ..plan.clone()
+        }
+    }
+
+    /// Serves a request like [`Self::plan_shift`] (or, when `fused`,
+    /// [`Self::plan_shift_continuation`]) and lends the costed plan it
+    /// picked together with the latency it charged: the plan's own
+    /// latency, less one stage-2 settle when `fused`. The plan is
+    /// borrowed from the table costed at construction, so a request
+    /// the table covers allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `distance == 0` or exceeds the planning table.
+    pub fn charge_shift(
+        &mut self,
+        distance: u32,
+        now_cycles: u64,
+        fused: bool,
+    ) -> (&ShiftPlan, Cycles) {
         assert!(distance > 0, "zero-distance shifts are no-ops");
         let interval = match self.last_shift_at {
             Some(prev) => now_cycles.saturating_sub(prev),
@@ -287,34 +344,42 @@ impl ShiftController {
         };
         self.last_shift_at = Some(now_cycles);
 
-        let mut plan = match self.plans.get(distance as usize - 1) {
-            Some(costed) => {
-                let option = match self.policy {
-                    ShiftPolicy::Adaptive => self.table.select_index(distance, interval),
-                    _ => 0,
-                };
-                costed[option].clone()
-            }
-            None => self.cost_sequence(&self.policy_sequence(distance, interval)),
+        let index = distance as usize - 1;
+        if index >= self.plans.len() {
+            self.spill = Some(self.cost_sequence(&self.policy_sequence(distance, interval)));
+        }
+        let plan = match self.plans.get(index) {
+            Some(costed) => match self.policy {
+                ShiftPolicy::Adaptive => &costed[self.table.select_index(distance, interval)],
+                _ => &costed[0],
+            },
+            None => self.spill.as_ref().expect("costed above"),
         };
-        if fused {
-            // The armed driver skips one stage-2 settle on the first
-            // sub-shift. Checks and risk stay as costed: batching
-            // shortens latency, never weakens the safety argument.
-            let saved = self.timing.setup_cycles().count();
-            plan.latency = Cycles(plan.latency.count() - saved);
+        // The armed driver skips one stage-2 settle on the first
+        // sub-shift. Checks and risk stay as costed: batching shortens
+        // latency, never weakens the safety argument.
+        let saved = fused.then(|| self.timing.setup_cycles().count());
+        let latency = plan.latency.count() - saved.unwrap_or(0);
+        if let Some(saved) = saved {
             self.stats.batched_requests += 1;
             self.stats.batch_saved_cycles += saved;
         }
         self.stats.requests += 1;
         self.stats.operations += plan.sequence.len() as u64;
         self.stats.steps += distance as u64;
-        self.stats.shift_cycles += plan.latency.count();
+        self.stats.shift_cycles += latency;
         self.stats.checks += plan.checks as u64;
         self.stats.expected_dues += plan.due_risk;
         self.stats.expected_sdcs += plan.sdc_risk;
-        self.record_observability(distance, &plan, now_cycles, fused);
-        plan
+        if let Some(counts) = self.counts.get() {
+            counts.splits += u64::from(plan.sequence.len() > 1);
+            counts.latency.record(latency);
+            counts.distance.record(u64::from(distance));
+        }
+        if rtm_obs::global().spans().enabled() {
+            record_spans(&self.timing, distance, plan, now_cycles, latency, fused);
+        }
+        (plan, Cycles(latency))
     }
 
     /// The sub-shift sequence the policy serves a `distance`-step
@@ -329,79 +394,42 @@ impl ShiftController {
         }
     }
 
-    /// Emits the transaction into the global observer. No-ops (one
-    /// relaxed atomic load each) when metrics/tracing are disabled.
-    /// `fused` marks a batch continuation, whose *first* pulse is the
-    /// stage-1-only continuation pulse — the span walk shortens that
-    /// pulse so children still tile the plan's latency exactly.
-    fn record_observability(&self, distance: u32, plan: &ShiftPlan, now_cycles: u64, fused: bool) {
-        let obs = rtm_obs::global();
-        let reg = obs.registry();
-        if reg.enabled() {
-            reg.counter_add("shift.count", 1);
-            reg.counter_add("shift.operations", plan.sequence.len() as u64);
-            reg.counter_add("shift.steps", distance as u64);
-            reg.counter_add("pecc.checks", plan.checks as u64);
-            if plan.sequence.len() > 1 {
-                reg.counter_add("shift.split.count", 1);
-            }
-            if fused {
-                reg.counter_add("shift.batch.continuations", 1);
-                reg.counter_add(
-                    "shift.batch.saved_cycles",
-                    self.timing.setup_cycles().count(),
-                );
-            }
-            reg.observe("shift.latency_cycles", plan.latency.count() as f64);
-            reg.observe_with(
-                "shift.distance",
-                distance as f64,
-                &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 16.0, 32.0, 64.0],
-            );
-        }
-        let spans = obs.spans();
-        if !spans.enabled() {
+    /// Publishes the `shift.*` and `pecc.checks` metrics of the requests
+    /// since the last publication into the global registry (nothing
+    /// while the registry was off when the controller was built). Runs
+    /// call this at their boundary; a dropped controller publishes
+    /// then.
+    pub fn flush_metrics(&mut self) {
+        let Some(counts) = self.counts.get() else {
             return;
+        };
+        let (now, was) = (self.stats, counts.published);
+        let reg = rtm_obs::global().registry();
+        if now.requests > was.requests {
+            // Every request recorded all four, `pecc.checks` at zero on
+            // an unprotected scheme.
+            reg.counter_add("shift.count", now.requests - was.requests);
+            reg.counter_add("shift.operations", now.operations - was.operations);
+            reg.counter_add("shift.steps", now.steps - was.steps);
+            reg.counter_add("pecc.checks", now.checks - was.checks);
         }
-        // The whole transaction nests under whatever span the caller
-        // entered (a serving-layer dispatch, or nothing for standalone
-        // runs), then unfolds into its pulse/check sequence.
-        let parts = plan.sequence.len() as u64;
-        let mut attrs = vec![("distance", u64::from(distance)), ("parts", parts)];
-        if parts > 1 {
-            let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
-            attrs.push(("cap", u64::from(cap)));
-        }
-        let plan_span = spans.record(
-            rtm_obs::span::current_parent(),
-            "plan_shift",
-            now_cycles,
-            now_cycles + plan.latency.count(),
-            &attrs,
-        );
-        // The statistical controller does not sample faults, so every
-        // planned check lands clean; sampled verdicts come from the
-        // bit-accurate stripe.
-        let mut t = now_cycles;
-        for (i, &d) in plan.sequence.iter().enumerate() {
-            let cycles = if fused && i == 0 {
-                self.timing.continuation_shift_cycles(d).count()
-            } else {
-                self.timing.shift_cycles(d).count()
-            };
-            spans.record(
-                plan_span,
-                "sts_pulse",
-                t,
-                t + cycles,
-                &[("distance", u64::from(d))],
+        reg.counters_add(&[("shift.split.count", counts.splits)]);
+        if now.batched_requests > was.batched_requests {
+            reg.counter_add(
+                "shift.batch.continuations",
+                now.batched_requests - was.batched_requests,
             );
-            t += cycles;
-            if plan.checks > 0 {
-                spans.record(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES, &[]);
-                t += PECC_CHECK_CYCLES;
-            }
+            reg.counter_add(
+                "shift.batch.saved_cycles",
+                now.batch_saved_cycles - was.batch_saved_cycles,
+            );
         }
+        reg.histogram_merge("shift.latency_cycles", &counts.latency);
+        reg.histogram_merge("shift.distance", &counts.distance);
+        *counts = ShiftCounts {
+            published: now,
+            ..ShiftCounts::default()
+        };
     }
 
     /// Computes latency and residual risk for an explicit sequence
@@ -498,10 +526,80 @@ impl ShiftController {
         &self.budget
     }
 
-    /// Resets run-time state (stats and interval tracking).
+    /// Resets run-time state (stats and interval tracking), publishing
+    /// the metrics of the requests so far first.
     pub fn reset(&mut self) {
+        self.flush_metrics();
         self.stats = ControllerStats::default();
+        if let Some(counts) = self.counts.get() {
+            counts.published = self.stats;
+        }
         self.last_shift_at = None;
+    }
+}
+
+impl Drop for ShiftController {
+    fn drop(&mut self) {
+        // A run unwinding from a panic publishes nothing: its results
+        // are lost anyway.
+        if !std::thread::panicking() {
+            self.flush_metrics();
+        }
+    }
+}
+
+/// Records a transaction's spans: it nests under whatever span the
+/// caller entered (a serving-layer dispatch, or nothing for standalone
+/// runs), then unfolds into its pulse/check sequence. A `fused` batch
+/// continuation's *first* pulse is the stage-1-only continuation pulse,
+/// so the children still tile the charged `latency` exactly.
+fn record_spans(
+    timing: &StsTiming,
+    distance: u32,
+    plan: &ShiftPlan,
+    now_cycles: u64,
+    latency: u64,
+    fused: bool,
+) {
+    let spans = rtm_obs::global().spans();
+    let parts = plan.sequence.len() as u64;
+    let cap = plan.sequence.iter().copied().max().unwrap_or(distance);
+    let attrs = [
+        ("distance", u64::from(distance)),
+        ("parts", parts),
+        ("cap", u64::from(cap)),
+    ];
+    // `cap` rides on the span only when the plan splits.
+    let attrs = if parts > 1 { &attrs[..] } else { &attrs[..2] };
+    let plan_span = spans.record(
+        rtm_obs::span::current_parent(),
+        "plan_shift",
+        now_cycles,
+        now_cycles + latency,
+        attrs,
+    );
+    // The statistical controller does not sample faults, so every
+    // planned check lands clean; sampled verdicts come from the
+    // bit-accurate stripe.
+    let mut t = now_cycles;
+    for (i, &d) in plan.sequence.iter().enumerate() {
+        let cycles = if fused && i == 0 {
+            timing.continuation_shift_cycles(d).count()
+        } else {
+            timing.shift_cycles(d).count()
+        };
+        spans.record(
+            plan_span,
+            "sts_pulse",
+            t,
+            t + cycles,
+            &[("distance", u64::from(d))],
+        );
+        t += cycles;
+        if plan.checks > 0 {
+            spans.record(plan_span, "pecc_verify", t, t + PECC_CHECK_CYCLES, &[]);
+            t += PECC_CHECK_CYCLES;
+        }
     }
 }
 
@@ -718,6 +816,42 @@ mod tests {
         assert_eq!(batched.stats().checks, serial.stats().checks);
         assert_eq!(batched.stats().expected_dues, serial.stats().expected_dues);
         assert_eq!(batched.stats().expected_sdcs, serial.stats().expected_sdcs);
+    }
+
+    #[test]
+    fn charged_plans_equal_owned_plans() {
+        // The lent plan with its charged latency is the owned plan, and
+        // both paths keep identical statistics.
+        let policies = [
+            (ProtectionKind::None, ShiftPolicy::Unconstrained),
+            (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
+            (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
+            (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
+        ];
+        for (kind, policy) in policies {
+            let mut owned = ShiftController::new(kind, policy);
+            let mut lent = ShiftController::new(kind, policy);
+            let mut t = 0u64;
+            for (i, d) in [7u32, 1, 3, 7, 2, 5, 4, 6, 7, 1].into_iter().enumerate() {
+                t += 37 * (i as u64 % 4) * (i as u64 % 4);
+                let fused = i % 3 == 2;
+                let want = if fused {
+                    owned.plan_shift_continuation(d, t)
+                } else {
+                    owned.plan_shift(d, t)
+                };
+                let (plan, latency) = lent.charge_shift(d, t, fused);
+                assert_eq!(latency, want.latency, "{policy:?} d={d}");
+                assert_eq!(
+                    ShiftPlan {
+                        latency,
+                        ..plan.clone()
+                    },
+                    want
+                );
+            }
+            assert_eq!(owned.stats(), lent.stats(), "{policy:?}");
+        }
     }
 
     #[test]

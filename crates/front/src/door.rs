@@ -147,7 +147,8 @@ impl FrontConfig {
     }
 }
 
-/// An arrival waiting for admission (possibly deferred).
+/// An arrival up for admission: the next one of the stream, or one
+/// deferred for a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DueItem {
     /// Next admission attempt.
@@ -171,6 +172,21 @@ impl Ord for DueItem {
 impl PartialOrd for DueItem {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+impl DueItem {
+    /// A fresh arrival, due when it arrives.
+    fn arriving(a: FrontArrival) -> Self {
+        Self {
+            due: a.cycle,
+            seq: a.seq,
+            arrival: a.cycle,
+            tenant: a.tenant,
+            class: a.class,
+            addr: a.addr,
+            is_write: a.is_write,
+        }
     }
 }
 
@@ -198,13 +214,21 @@ struct ClassAccum {
 }
 
 /// Admission control over an arrival stream.
+///
+/// Work is considered in `(due, seq)` order. The stream already comes
+/// in that order, so the door reads it one arrival ahead and keeps a
+/// heap only for the arrivals it deferred: an arrival waiting behind a
+/// full window stays in the stream.
 #[derive(Debug)]
 pub struct FrontDoor<A: Iterator<Item = FrontArrival>> {
     table: SessionTable,
     arrivals: A,
+    /// The next arrival of the stream, read but not yet admitted,
+    /// deferred or shed.
     lookahead: Option<FrontArrival>,
     arrivals_done: bool,
-    work: BinaryHeap<Reverse<DueItem>>,
+    /// Arrivals deferred for a token, by next attempt.
+    deferred: BinaryHeap<Reverse<DueItem>>,
     window: u32,
     conn_clients: u8,
     outstanding: u32,
@@ -228,14 +252,15 @@ impl FrontDoor<SessionArrivals> {
 
 impl<A: Iterator<Item = FrontArrival>> FrontDoor<A> {
     /// Builds the door over an arbitrary arrival stream (the wire
-    /// replay path feeds decoded frames through here).
+    /// replay path feeds decoded frames through here). The stream must
+    /// come in `(cycle, seq)` order.
     pub fn over(arrivals: A, table: SessionTable, window: u32, conn_clients: u8) -> Self {
         Self {
             table,
             arrivals,
             lookahead: None,
             arrivals_done: false,
-            work: BinaryHeap::new(),
+            deferred: BinaryHeap::new(),
             window,
             conn_clients: conn_clients.max(1),
             outstanding: 0,
@@ -251,29 +276,35 @@ impl<A: Iterator<Item = FrontArrival>> FrontDoor<A> {
         self
     }
 
-    /// Moves every arrival due by `now` into the work heap.
-    fn pull_arrivals(&mut self, now: u64) {
-        loop {
-            if self.lookahead.is_none() && !self.arrivals_done {
-                self.lookahead = self.arrivals.next();
-                self.arrivals_done = self.lookahead.is_none();
-            }
-            match self.lookahead {
-                Some(a) if a.cycle <= now => {
-                    self.work.push(Reverse(DueItem {
-                        due: a.cycle,
-                        seq: a.seq,
-                        arrival: a.cycle,
-                        tenant: a.tenant,
-                        class: a.class,
-                        addr: a.addr,
-                        is_write: a.is_write,
-                    }));
-                    self.lookahead = None;
-                }
-                _ => break,
-            }
+    /// The next arrival of the stream, read ahead once.
+    fn peek_arrival(&mut self) -> Option<FrontArrival> {
+        if self.lookahead.is_none() && !self.arrivals_done {
+            self.lookahead = self.arrivals.next();
+            self.arrivals_done = self.lookahead.is_none();
         }
+        self.lookahead
+    }
+
+    /// Takes the earliest work item by `(due, seq)` if it is due by
+    /// `now`; otherwise returns the cycle the earliest one falls due
+    /// (`None` when the stream and the deferred heap are both empty).
+    fn take_due(&mut self, now: u64) -> Result<DueItem, Option<u64>> {
+        let arrival = self.peek_arrival().map(DueItem::arriving);
+        let deferred = self.deferred.peek().map(|Reverse(d)| *d);
+        let head = match (arrival, deferred) {
+            (Some(a), Some(d)) => a.min(d),
+            (Some(head), None) | (None, Some(head)) => head,
+            (None, None) => return Err(None),
+        };
+        if head.due > now {
+            return Err(Some(head.due));
+        }
+        if arrival == Some(head) {
+            self.lookahead = None;
+        } else {
+            self.deferred.pop();
+        }
+        Ok(head)
     }
 
     fn shed(&mut self, item: &DueItem, now: u64) {
@@ -326,51 +357,38 @@ impl<A: Iterator<Item = FrontArrival>> FrontDoor<A> {
 impl<A: Iterator<Item = FrontArrival>> RequestSource for FrontDoor<A> {
     fn poll(&mut self, now: u64) -> SourcePoll {
         loop {
-            self.pull_arrivals(now);
             if self.outstanding >= self.window {
                 // Admission window full: progress requires a
                 // completion, which re-polls the door.
                 return SourcePoll::NotBefore(u64::MAX);
             }
-            match self.work.peek() {
-                Some(Reverse(head)) if head.due <= now => {
-                    let Reverse(item) = self.work.pop().expect("peeked head exists");
-                    if self.table.bucket_mut(item.tenant).try_take(now) {
-                        let acc = &mut self.accum[item.class.index()];
-                        acc.admitted += 1;
-                        self.outstanding += 1;
-                        self.admitted_of.push((item.seq, item.class));
-                        return SourcePoll::Ready(MemAccess {
-                            addr: item.addr,
-                            is_write: item.is_write,
-                            core: (item.tenant % self.conn_clients as u32) as u8,
-                            gap_instructions: 0,
-                        });
-                    }
-                    let avail = self.table.bucket(item.tenant).next_available(now);
-                    let patience = self.table.max_defer(item.class);
-                    if avail != u64::MAX && avail.saturating_sub(item.arrival) <= patience {
-                        // Defer: retry when the token accrues. Other
-                        // tenants' due work is still considered now.
-                        self.accum[item.class.index()].deferred += 1;
-                        let mut item = item;
-                        item.due = avail.max(now + 1);
-                        self.work.push(Reverse(item));
-                    } else {
-                        self.shed(&item, now);
-                    }
-                }
-                Some(Reverse(head)) => {
-                    let mut wake = head.due;
-                    if let Some(a) = self.lookahead {
-                        wake = wake.min(a.cycle);
-                    }
-                    return SourcePoll::NotBefore(wake.max(now + 1));
-                }
-                None => match self.lookahead {
-                    Some(a) => return SourcePoll::NotBefore(a.cycle.max(now + 1)),
-                    None => return SourcePoll::Exhausted,
-                },
+            let mut item = match self.take_due(now) {
+                Ok(item) => item,
+                Err(Some(due)) => return SourcePoll::NotBefore(due.max(now + 1)),
+                Err(None) => return SourcePoll::Exhausted,
+            };
+            if self.table.bucket_mut(item.tenant).try_take(now) {
+                let acc = &mut self.accum[item.class.index()];
+                acc.admitted += 1;
+                self.outstanding += 1;
+                self.admitted_of.push((item.seq, item.class));
+                return SourcePoll::Ready(MemAccess {
+                    addr: item.addr,
+                    is_write: item.is_write,
+                    core: (item.tenant % self.conn_clients as u32) as u8,
+                    gap_instructions: 0,
+                });
+            }
+            let avail = self.table.bucket(item.tenant).next_available(now);
+            let patience = self.table.max_defer(item.class);
+            if avail != u64::MAX && avail.saturating_sub(item.arrival) <= patience {
+                // Defer: retry when the token accrues. Other tenants'
+                // due work is still considered now.
+                self.accum[item.class.index()].deferred += 1;
+                item.due = avail.max(now + 1);
+                self.deferred.push(Reverse(item));
+            } else {
+                self.shed(&item, now);
             }
         }
     }

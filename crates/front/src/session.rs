@@ -185,12 +185,16 @@ impl Iterator for SessionArrivals {
         if self.emitted >= self.offered {
             return None;
         }
-        let Reverse((cycle, tenant)) = self.heap.pop()?;
+        // The tenant's next arrival replaces its current one at the
+        // top of the heap: one sift instead of a pop and a push.
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((cycle, tenant)) = *top;
         let a = self.streams[tenant as usize].next_access();
         let gap = (a.gap_instructions as u64)
             .saturating_mul(self.think_scale)
             .max(1);
-        self.heap.push(Reverse((cycle + gap, tenant)));
+        *top = Reverse((cycle + gap, tenant));
+        drop(top);
         let seq = self.emitted;
         self.emitted += 1;
         Some(FrontArrival {

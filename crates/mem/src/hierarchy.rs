@@ -22,6 +22,7 @@ use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::energy::{LlcActivity, LlcEnergyModel};
 use rtm_cost::overhead::Scheme;
 use rtm_cost::technology::{CacheTech, LlcDesign, SystemConfig};
+use rtm_obs::metrics::{IntHistogram, RunCounts, DEFAULT_BUCKETS};
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{MemAccess, TraceGenerator};
 use rtm_util::units::{Picojoules, Seconds};
@@ -292,12 +293,38 @@ impl UpperCaches {
 
 /// The in-order core's clock and retired work: one per simulated
 /// platform.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct Core {
     cycles: u64,
     instructions: u64,
     accesses: u64,
     dram_accesses: u64,
+    /// What the `hier.*` metrics need beyond the fields above, while
+    /// the registry is on.
+    counts: RunCounts<HierCounts>,
+}
+
+/// The `hier.*` metrics a platform's accesses feed that [`Core`] does
+/// not hold, counted per access; each access lands once in the latency
+/// histogram, whose count is the accesses.
+#[derive(Debug)]
+struct HierCounts {
+    /// `Core::dram_accesses` as last published.
+    published_dram: u64,
+    l1_misses: u64,
+    l2_misses: u64,
+    latency: IntHistogram,
+}
+
+impl Default for HierCounts {
+    fn default() -> Self {
+        Self {
+            published_dram: 0,
+            l1_misses: 0,
+            l2_misses: 0,
+            latency: IntHistogram::new(&DEFAULT_BUCKETS),
+        }
+    }
 }
 
 impl Core {
@@ -328,21 +355,32 @@ impl Core {
         }
         self.dram_accesses += dram;
         self.cycles += latency;
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
-            if level != Level::L1 {
-                reg.counter_add("hier.l1_misses", 1);
-            }
-            if level == Level::Llc {
-                reg.counter_add("hier.l2_misses", 1);
-            }
-            if dram > 0 {
-                reg.counter_add("hier.dram_accesses", dram);
-            }
-            reg.counter_add("hier.accesses", 1);
-            reg.observe("hier.access_latency_cycles", latency as f64);
+        if let Some(counts) = self.counts.get() {
+            counts.l1_misses += u64::from(level != Level::L1);
+            counts.l2_misses += u64::from(level == Level::Llc);
+            counts.latency.record(latency);
         }
         latency
+    }
+
+    /// Publishes the `hier.*` metrics of the accesses since the last
+    /// publication into the global registry.
+    fn flush_metrics(&mut self) {
+        if let Some(counts) = self.counts.get() {
+            let dram = self.dram_accesses - counts.published_dram;
+            let reg = rtm_obs::global().registry();
+            reg.counters_add(&[
+                ("hier.l1_misses", counts.l1_misses),
+                ("hier.l2_misses", counts.l2_misses),
+                ("hier.dram_accesses", dram),
+                ("hier.accesses", counts.latency.count()),
+            ]);
+            reg.histogram_merge("hier.access_latency_cycles", &counts.latency);
+            *counts = HierCounts {
+                published_dram: self.dram_accesses,
+                ..HierCounts::default()
+            };
+        }
     }
 
     /// This platform's result, given its LLC's counters.
@@ -373,6 +411,16 @@ impl Core {
             dram_accesses: self.dram_accesses,
             shift_cycles: llc.shift_cycles,
             scale,
+        }
+    }
+}
+
+impl Drop for Core {
+    fn drop(&mut self) {
+        // A run unwinding from a panic publishes nothing: its results
+        // are lost anyway.
+        if !std::thread::panicking() {
+            self.flush_metrics();
         }
     }
 }
@@ -465,22 +513,35 @@ impl Hierarchy {
         self.core.complete(&self.upper.config, level, llc)
     }
 
-    /// Runs `n` accesses from the generator and summarises.
+    /// Runs `n` accesses from the generator and summarises, publishing
+    /// the run's per-access metrics.
     pub fn run(&mut self, gen: &mut TraceGenerator, n: u64) -> SimResult {
         for _ in 0..n {
             let a = gen.next_access();
             self.access(&a);
         }
+        self.flush_metrics();
         self.result()
     }
 
     /// Replays a pre-recorded access stream (see
-    /// [`rtm_trace::replay`]) and summarises.
+    /// [`rtm_trace::replay`]) and summarises, publishing the run's
+    /// per-access metrics.
     pub fn run_trace(&mut self, accesses: &[MemAccess]) -> SimResult {
         for a in accesses {
             self.access(a);
         }
+        self.flush_metrics();
         self.result()
+    }
+
+    /// Publishes the `hier.*` metrics and the LLC's per-access metrics
+    /// counted so far into the global registry. [`Self::run`] and
+    /// [`Self::run_trace`] call it; a hierarchy driven access by access
+    /// publishes when it is flushed or dropped.
+    pub fn flush_metrics(&mut self) {
+        self.core.flush_metrics();
+        self.llc.flush_metrics();
     }
 
     /// Snapshot of the current state as a result record.
@@ -510,10 +571,10 @@ impl Hierarchy {
 /// same address stream under every lane, so each access's L1/L2 outcome
 /// is the same for all of them, and so are its racetrack hits,
 /// writebacks and shift distance. Only LLC latencies differ, and each
-/// lane keeps its own clock. Every lane makes the same per-access
-/// observability calls as its own [`Hierarchy`] would; counters and
-/// integer-valued histograms do not depend on their order, while the
-/// event and span rings interleave the lanes access by access.
+/// lane keeps its own clock. Every lane counts the same per-access
+/// metrics its own [`Hierarchy`] would and publishes them when the pass
+/// ends; counters and integer-valued histograms do not depend on their
+/// order, while the span ring interleaves the lanes access by access.
 ///
 /// # Panics
 ///
@@ -562,6 +623,12 @@ pub fn run_shared(
                 }
             });
             core.complete(&upper.config, level, response);
+        }
+    }
+    for (_, core, llc) in &mut lanes {
+        core.flush_metrics();
+        if let LaneLlc::Racetrack(back) = llc {
+            back.flush_metrics();
         }
     }
     lanes

@@ -8,6 +8,7 @@ use rtm_cost::energy::LlcActivity;
 use rtm_cost::technology::LlcDesign;
 use rtm_model::analytic::Engine;
 use rtm_model::params::DeviceParams;
+use rtm_obs::metrics::{IntHistogram, RunCounts, DEFAULT_BUCKETS};
 use rtm_pecc::layout::ProtectionKind;
 use rtm_track::fault::{FaultModel, FaultModelChoice, SelectedFaultModel};
 use rtm_track::geometry::StripeGeometry;
@@ -103,6 +104,11 @@ pub trait LlcModel {
     fn scale_stats(&self) -> ScaleStats {
         ScaleStats::default()
     }
+
+    /// Publishes the metrics this backend counted into the global
+    /// registry; the hierarchy calls it where its run ends. Backends
+    /// that count nothing keep the default no-op.
+    fn flush_metrics(&mut self) {}
 }
 
 /// A flat-latency LLC (SRAM or STT-RAM).
@@ -417,6 +423,50 @@ pub struct ShiftBackEnd {
     idle_steps: u64,
     sampled_shifts: u64,
     observed_errors: u64,
+    /// What the `llc.*` metrics need beyond the back end's own
+    /// statistics, while the registry is on.
+    counts: RunCounts<LlcCounts>,
+}
+
+/// The `llc.*` metrics a back end's accesses feed that its statistics
+/// do not hold, counted per access; each access lands once in the
+/// latency histogram, whose count is the accesses.
+#[derive(Debug)]
+struct LlcCounts {
+    /// `idle_steps`, `sampled_shifts` and `observed_errors` as last
+    /// published.
+    published: [u64; 3],
+    zero_shift: u64,
+    misses: u64,
+    writebacks: u64,
+    latency: IntHistogram,
+}
+
+impl Default for LlcCounts {
+    fn default() -> Self {
+        Self {
+            published: [0; 3],
+            zero_shift: 0,
+            misses: 0,
+            writebacks: 0,
+            latency: IntHistogram::new(&DEFAULT_BUCKETS),
+        }
+    }
+}
+
+/// Draws one outcome per sub-shift of `sequence` when sampling is on;
+/// returns the outcomes drawn and how many were position errors.
+fn sample_sequence(sampler: &mut Option<SelectedFaultModel>, sequence: &[u32]) -> (u64, u64) {
+    match sampler {
+        Some(model) => {
+            let errors = sequence
+                .iter()
+                .filter(|&&d| !model.sample(d).is_success())
+                .count();
+            (sequence.len() as u64, errors as u64)
+        }
+        None => (0, 0),
+    }
 }
 
 impl ShiftBackEnd {
@@ -439,6 +489,7 @@ impl ShiftBackEnd {
             idle_steps: 0,
             sampled_shifts: 0,
             observed_errors: 0,
+            counts: RunCounts::new(),
         }
     }
 
@@ -452,10 +503,9 @@ impl ShiftBackEnd {
     ///
     /// Panics if `banks == 0`.
     pub fn ideal(banks: u32) -> Self {
-        Self {
-            ideal_shifts: true,
-            ..Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained, banks)
-        }
+        let mut back = Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained, banks);
+        back.ideal_shifts = true;
+        back
     }
 
     /// Enables per-shift outcome sampling through an explicit
@@ -474,17 +524,14 @@ impl ShiftBackEnd {
     /// Serves one placed access at absolute time `now`: plans the shift
     /// its head move needs (as a batched-stream continuation when
     /// `fused`), samples the plan's outcomes, and answers with the shift
-    /// plus array latency.
+    /// plus array latency. The plan is the controller's own costed plan,
+    /// lent for the call, so serving allocates nothing.
     pub(crate) fn serve(&mut self, p: &Placement, now: u64, fused: bool) -> LlcResponse {
         let shift = if p.distance == 0 {
             0
         } else {
             let bank = p.group % self.controllers.len();
-            let plan = if fused {
-                self.controllers[bank].plan_shift_continuation(p.distance, now)
-            } else {
-                self.controllers[bank].plan_shift(p.distance, now)
-            };
+            let (plan, latency) = self.controllers[bank].charge_shift(p.distance, now, fused);
             self.shift_ops += plan.sequence.len() as u64;
             self.shift_steps += p.distance as u64;
             let latency = if self.ideal_shifts {
@@ -492,10 +539,12 @@ impl ShiftBackEnd {
             } else {
                 self.verify_cycles +=
                     plan.checks as u64 * rtm_controller::sequence::PECC_CHECK_CYCLES;
-                plan.latency.count()
+                latency.count()
             };
             self.shift_cycles += latency;
-            self.sample_sequence(&plan.sequence);
+            let (sampled, errors) = sample_sequence(&mut self.sampler, &plan.sequence);
+            self.sampled_shifts += sampled;
+            self.observed_errors += errors;
             latency
         };
         let resp = LlcResponse {
@@ -503,19 +552,11 @@ impl ShiftBackEnd {
             latency_cycles: shift + p.array_cycles,
             writeback: p.writeback,
         };
-        let reg = rtm_obs::global().registry();
-        if reg.enabled() {
-            if p.distance == 0 {
-                reg.counter_add("llc.zero_shift_accesses", 1);
-            }
-            reg.counter_add("llc.accesses", 1);
-            if !resp.hit {
-                reg.counter_add("llc.misses", 1);
-            }
-            if resp.writeback {
-                reg.counter_add("llc.writebacks", 1);
-            }
-            reg.observe("llc.access_latency_cycles", resp.latency_cycles as f64);
+        if let Some(counts) = self.counts.get() {
+            counts.zero_shift += u64::from(p.distance == 0);
+            counts.misses += u64::from(!resp.hit);
+            counts.writebacks += u64::from(resp.writeback);
+            counts.latency.record(resp.latency_cycles);
         }
         resp
     }
@@ -524,29 +565,42 @@ impl ShiftBackEnd {
     /// bank: steps, risk and sampled outcomes count, latency does not.
     fn park(&mut self, group: usize, distance: u32, now: u64) {
         let bank = group % self.controllers.len();
-        let plan = self.controllers[bank].plan_shift(distance, now);
+        let (plan, _) = self.controllers[bank].charge_shift(distance, now, false);
         self.shift_ops += plan.sequence.len() as u64;
         self.shift_steps += distance as u64;
         self.idle_steps += distance as u64;
-        rtm_obs::counter_add("llc.idle_steps", distance as u64);
-        self.sample_sequence(&plan.sequence);
+        let (sampled, errors) = sample_sequence(&mut self.sampler, &plan.sequence);
+        self.sampled_shifts += sampled;
+        self.observed_errors += errors;
     }
 
-    /// Draws one outcome per planned sub-shift when sampling is on.
-    fn sample_sequence(&mut self, sequence: &[u32]) {
-        if let Some(model) = &mut self.sampler {
-            let mut errors = 0u64;
-            for &d in sequence {
-                if !model.sample(d).is_success() {
-                    errors += 1;
-                }
-            }
-            self.sampled_shifts += sequence.len() as u64;
-            self.observed_errors += errors;
-            rtm_obs::counter_add("engine.sample.shifts", sequence.len() as u64);
-            if errors > 0 {
-                rtm_obs::counter_add("engine.sample.errors", errors);
-            }
+    /// Publishes the `llc.*`, `engine.sample.*`, `shift.*` and
+    /// `pecc.checks` metrics of this back end's and its bank
+    /// controllers' accesses since the last publication into the global
+    /// registry; a run calls it where it builds its result, and a
+    /// dropped back end publishes then.
+    pub(crate) fn flush_metrics(&mut self) {
+        if let Some(counts) = self.counts.get() {
+            let now = [self.idle_steps, self.sampled_shifts, self.observed_errors];
+            let was = counts.published;
+            let reg = rtm_obs::global().registry();
+            reg.counters_add(&[
+                ("llc.zero_shift_accesses", counts.zero_shift),
+                ("llc.accesses", counts.latency.count()),
+                ("llc.misses", counts.misses),
+                ("llc.writebacks", counts.writebacks),
+                ("llc.idle_steps", now[0] - was[0]),
+                ("engine.sample.shifts", now[1] - was[1]),
+                ("engine.sample.errors", now[2] - was[2]),
+            ]);
+            reg.histogram_merge("llc.access_latency_cycles", &counts.latency);
+            *counts = LlcCounts {
+                published: now,
+                ..LlcCounts::default()
+            };
+        }
+        for c in &mut self.controllers {
+            c.flush_metrics();
         }
     }
 
@@ -599,6 +653,16 @@ impl ShiftBackEnd {
             pecc_checks: self.controller_totals().checks,
             pecc_corrections: 0,
             duration,
+        }
+    }
+}
+
+impl Drop for ShiftBackEnd {
+    fn drop(&mut self) {
+        // A run unwinding from a panic publishes nothing: its results
+        // are lost anyway.
+        if !std::thread::panicking() {
+            self.flush_metrics();
         }
     }
 }
@@ -730,6 +794,13 @@ impl RacetrackLlc {
     pub fn with_fault_model(mut self, choice: FaultModelChoice, engine: Engine, seed: u64) -> Self {
         self.back = self.back.with_fault_model(choice, engine, seed);
         self
+    }
+
+    /// Publishes the per-access metrics of the back end and its bank
+    /// controllers counted so far into the global registry; a run calls
+    /// it where it builds its result, and a dropped LLC publishes then.
+    pub fn flush_metrics(&mut self) {
+        self.back.flush_metrics();
     }
 
     /// Steps spent repositioning heads off the critical path.
@@ -913,6 +984,10 @@ impl LlcModel for RacetrackLlc {
 
     fn activity(&self, duration: Seconds) -> LlcActivity {
         self.back.activity(&self.dir, duration)
+    }
+
+    fn flush_metrics(&mut self) {
+        RacetrackLlc::flush_metrics(self);
     }
 }
 

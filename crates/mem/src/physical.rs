@@ -11,9 +11,11 @@
 //! the cross-check in `tests/`).
 
 use crate::cache::{AccessKind, AccessResult, Cache};
+use rtm_obs::metrics::RunCounts;
 use rtm_pecc::code::Verdict;
-use rtm_pecc::group::ProtectedGroup;
+use rtm_pecc::group::{GroupStats, ProtectedGroup};
 use rtm_pecc::layout::ProtectionKind;
+use rtm_pecc::PeccTally;
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
@@ -53,6 +55,9 @@ pub struct PhysicalCache {
     shift_steps: u64,
     dues: u64,
     pristine_reads: u64,
+    /// The `pecc.*` metrics of every access's seek, while the registry
+    /// is on; published by [`Self::flush_metrics`] or on drop.
+    pecc: RunCounts<PeccTally>,
 }
 
 impl PhysicalCache {
@@ -97,6 +102,7 @@ impl PhysicalCache {
             shift_steps: 0,
             dues: 0,
             pristine_reads: 0,
+            pecc: RunCounts::new(),
         }
     }
 
@@ -113,6 +119,28 @@ impl PhysicalCache {
     /// The stripe-group geometry.
     pub fn geometry(&self) -> &StripeGeometry {
         &self.geometry
+    }
+
+    /// The live groups' transaction statistics, summed.
+    pub fn group_stats(&self) -> GroupStats {
+        let mut total = GroupStats::default();
+        for &h in self.handles.iter().filter(|&&h| h != NO_HANDLE) {
+            let s = self.arena.get(h).stats();
+            total.transactions += s.transactions;
+            total.corrections += s.corrections;
+            total.dues += s.dues;
+        }
+        total
+    }
+
+    /// Publishes the `pecc.*` verdict and back-shift counts of the
+    /// accesses so far into the global registry (nothing while the
+    /// registry was off when the cache was built). A cache dropped
+    /// first publishes then.
+    pub fn flush_metrics(&mut self) {
+        if let Some(tally) = self.pecc.get() {
+            std::mem::take(tally).publish(rtm_obs::global().registry());
+        }
     }
 
     /// Number of stripe groups the configured capacity spans.
@@ -218,7 +246,7 @@ impl PhysicalCache {
         let handle = self.ensure_group(group_idx);
         let group = self.arena.get_mut(handle);
         let before = group.believed_head();
-        let verdict = group.seek_checked(target, self.faults.as_mut(), 3);
+        let verdict = group.seek_checked_into(target, self.faults.as_mut(), 3, self.pecc.get());
         let moved = (target as i64 - before).unsigned_abs();
         self.shift_steps += moved;
         let due = verdict == Verdict::Uncorrectable;
@@ -258,6 +286,16 @@ impl PhysicalCache {
             },
             read_back,
         )
+    }
+}
+
+impl Drop for PhysicalCache {
+    fn drop(&mut self) {
+        // A run unwinding from a panic publishes nothing: its results
+        // are lost anyway.
+        if !std::thread::panicking() {
+            self.flush_metrics();
+        }
     }
 }
 

@@ -20,8 +20,11 @@
 //! cycle) — and [`timer::Progress`] for sweep heartbeats.
 //!
 //! Everything is **off by default**: a disabled recording call is a
-//! single relaxed atomic load, so instrumentation costs nothing in
-//! uninstrumented runs. The `repro` binary switches recording on when
+//! single relaxed atomic load of the static observer, inlined at the
+//! call site, so instrumentation costs nothing in uninstrumented runs.
+//! Hot simulation loops do not call the registry at all: each run
+//! counts in plain state of its own ([`metrics::RunCounts`]) and
+//! publishes once, at its boundary. The `repro` binary switches recording on when
 //! `--metrics` / `--labels` / `--events` / `--progress` flags are
 //! present and writes machine-readable reports via [`json::Json`] and
 //! [`export::to_csv`] — both implemented here because offline builds
@@ -61,40 +64,53 @@ pub mod span;
 pub mod timer;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 use metrics::MetricsRegistry;
 use span::SpanTrace;
 
 /// The process-wide metric store and span trace.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Observer {
     registry: MetricsRegistry,
     spans: SpanTrace,
 }
 
+impl Default for Observer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Observer {
     /// Creates a fresh, disabled observer (tests use private
     /// observers; production code shares [`global`]).
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            registry: MetricsRegistry::new(),
+            spans: SpanTrace::new(),
+        }
     }
 
     /// The metric store (unlabeled and labeled metrics alike).
+    #[inline]
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// The span trace.
+    #[inline]
     pub fn spans(&self) -> &SpanTrace {
         &self.spans
     }
 }
 
-/// The process-wide observer instrumented code emits into.
+static GLOBAL: Observer = Observer::new();
+
+/// The process-wide observer instrumented code emits into: a static,
+/// so reading one of its gates is one inlined relaxed load.
+#[inline]
 pub fn global() -> &'static Observer {
-    static GLOBAL: OnceLock<Observer> = OnceLock::new();
-    GLOBAL.get_or_init(Observer::new)
+    &GLOBAL
 }
 
 static PROGRESS: AtomicBool = AtomicBool::new(false);

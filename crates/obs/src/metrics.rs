@@ -3,47 +3,36 @@
 //!
 //! A label set is a sorted, deduplicated list of `(key, value)` pairs —
 //! `tenant`, `bank`, `scheme`, `policy`, `workload` — and an unlabeled
-//! metric is simply the entry with the empty label set. Hot simulation
-//! loops record unlabeled metrics (`shift.*` sub-shifts, `pecc.*`
-//! checks); per-cell summaries written after a sweep add labels through
-//! the `*_with` / [`MetricsRegistry::observe_labeled`] calls, which sort
-//! their pairs on every call and are meant for cold paths only.
+//! metric is simply the entry with the empty label set. The `*_with` /
+//! [`MetricsRegistry::observe_labeled`] calls sort their pairs on every
+//! call.
 //!
-//! The registry is designed for those hot loops: when disabled (the
-//! default) every recording call is a single relaxed atomic load, so
-//! instrumented code pays essentially nothing in uninstrumented runs.
-//! When enabled, the *read* path is lock-free: the index is an
-//! [`RcuCell`] snapshot (a `Vec` of `(name, labels, Arc<cell>)` entries
-//! sorted by key, binary-searched per call) and every metric cell is
-//! plain atomics, so recording an existing metric takes one atomic
-//! pointer load, a short binary search, and one atomic RMW — no mutex,
-//! no allocation. Only a metric that is not yet in the published index
-//! takes a mutex: it is created in a pending list, and the pending
-//! metrics are copied into a new index, swapped in atomically, when one
-//! of them is recorded again or a snapshot is taken.
+//! Hot simulation loops never record here. Each run counts what it
+//! observes in plain state it owns — its own statistics, plus what they
+//! lack (such as [`IntHistogram`]s) in a [`RunCounts`] — and publishes
+//! that state at the run's boundary (and what is left when the run is
+//! dropped). The registry is therefore written a handful of times per
+//! run, and one mutex guards the whole store. Disabled (the default),
+//! every recording call is one relaxed atomic load, and a
+//! [`RunCounts`] built while the registry is off holds nothing, so its
+//! run pays one branch per event.
 //!
-//! # Orderings audit (multi-worker case)
+//! # Determinism
 //!
-//! `enabled` is loaded and stored with `Relaxed` ordering on purpose:
-//! it is a sampling gate, not a synchronization edge. A worker that
-//! reads a stale `false` skips one recording near the moment the flag
-//! flipped — acceptable, because callers enable recording before
-//! spawning workers and snapshot after joining them.
+//! Counters add, and the hot paths observe integer cycle and step
+//! counts, whose `f64` histogram sums are exact in any order below
+//! 2^53. Publishing per run instead of per event, from any worker in
+//! any order, therefore yields the same snapshot as recording every
+//! event as it happened. Gauges are last-writer-wins: callers set them
+//! after joining their workers, in cell order.
 //!
-//! The index is published with `Release` and read with `Acquire` (the
-//! `RcuCell` contract), so a reader that finds a cell always sees its
-//! fully initialised state. Cell *updates* are `Relaxed` atomic RMWs:
-//! RMWs cannot lose increments regardless of ordering, and snapshot
-//! visibility is provided by the caller's join edge (the sweep drivers
-//! snapshot after joining their workers). Histogram `f64` moments are
-//! stored as bit patterns in `AtomicU64` and combined with
-//! compare-exchange loops, so concurrent `observe` calls are lossless
-//! too.
+//! `enabled` is loaded and stored with `Relaxed` ordering: it is a
+//! sampling gate, not a synchronization edge. Callers enable recording
+//! before building and running their simulations and snapshot after
+//! joining them; the store's mutex orders the writes themselves.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use rtm_par::rcu::RcuCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json::Json;
 
@@ -72,68 +61,29 @@ fn canonical(pairs: &[(&str, &str)]) -> Labels {
     labels
 }
 
-/// Adds `delta` to an `f64` stored as bits in an `AtomicU64`, losslessly
-/// under concurrency via a compare-exchange loop.
-fn atomic_f64_add(cell: &AtomicU64, delta: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + delta).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
+/// The index of the bucket `value` falls in: the first bound it does
+/// not exceed, or the overflow bucket past the last bound.
+fn bucket_of(bounds: &[f64], value: f64) -> usize {
+    bounds
+        .iter()
+        .position(|&b| value <= b)
+        .unwrap_or(bounds.len())
 }
 
-/// Folds `value` into an `f64` min-or-max cell (bits in an `AtomicU64`)
-/// with a compare-exchange loop that only writes when `value` improves
-/// on the current extreme.
-fn atomic_f64_extreme(cell: &AtomicU64, value: f64, take: impl Fn(f64, f64) -> bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while take(value, f64::from_bits(cur)) {
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// One live metric cell: plain atomics, shared across index snapshots
-/// through an `Arc` so every snapshot generation observes the same
-/// state.
-#[derive(Debug)]
-enum AtomicMetric {
-    Counter(AtomicU64),
-    /// `f64` bits.
-    Gauge(AtomicU64),
-    Histogram(AtomicHist),
-}
-
-impl AtomicMetric {
-    fn value(&self) -> MetricValue {
-        match self {
-            AtomicMetric::Counter(v) => MetricValue::Counter(v.load(Ordering::Relaxed)),
-            AtomicMetric::Gauge(v) => MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
-            AtomicMetric::Histogram(h) => MetricValue::Histogram(h.summary()),
-        }
-    }
-}
-
-/// Lock-free fixed-bucket histogram: `counts[i]` tallies observations
-/// with `value <= bounds[i]`, the final slot is the overflow bucket,
-/// and the `f64` moments are bit patterns.
-#[derive(Debug)]
-struct AtomicHist {
+/// A fixed-bucket histogram in the store: `counts[i]` tallies
+/// observations with `value <= bounds[i]`, the final slot is the
+/// overflow bucket.
+#[derive(Debug, Clone)]
+struct Hist {
     bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
-impl AtomicHist {
+impl Hist {
     fn new(bounds: &[f64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -141,46 +91,59 @@ impl AtomicHist {
         );
         Self {
             bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0.0f64.to_bits()),
-            min: AtomicU64::new(f64::INFINITY.to_bits()),
-            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            counts: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 
-    fn observe(&self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum, value);
-        atomic_f64_extreme(&self.min, value, |v, cur| v < cur);
-        atomic_f64_extreme(&self.max, value, |v, cur| v > cur);
+    fn observe(&mut self, value: f64) {
+        self.counts[bucket_of(&self.bounds, value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Folds a run's integer histogram in; its layout must match.
+    fn merge(&mut self, run: &IntHistogram) {
+        debug_assert_eq!(self.bounds, run.bounds, "histogram layouts differ");
+        for (value, &n) in run.exact.iter().enumerate().filter(|(_, &n)| n > 0) {
+            self.counts[bucket_of(&self.bounds, value as f64)] += n;
+            self.count += n;
+            self.min = self.min.min(value as f64);
+            self.max = self.max.max(value as f64);
+        }
+        if run.large_count > 0 {
+            for (total, n) in self.counts.iter_mut().zip(run.large.iter()) {
+                *total += n;
+            }
+            self.count += run.large_count;
+            self.min = self.min.min(run.large_min as f64);
+            self.max = self.max.max(run.large_max as f64);
+        }
+        self.sum += run.sum() as f64;
     }
 
     fn summary(&self) -> HistogramSummary {
-        let load = |cell: &AtomicU64| f64::from_bits(cell.load(Ordering::Relaxed));
-        let count = self.count.load(Ordering::Relaxed);
-        let (min, max) = if count == 0 {
+        let (min, max) = if self.count == 0 {
             (0.0, 0.0)
         } else {
-            (load(&self.min), load(&self.max))
+            (self.min, self.max)
         };
         let buckets: Vec<(f64, u64)> = self
             .bounds
             .iter()
             .copied()
             .chain(std::iter::once(f64::INFINITY))
-            .zip(self.counts.iter().map(|c| c.load(Ordering::Relaxed)))
+            .zip(self.counts.iter().copied())
             .collect();
-        let quantile = |q| bucket_quantile(&buckets, count, min, max, q);
+        let quantile = |q| bucket_quantile(&buckets, self.count, min, max, q);
         HistogramSummary {
-            count,
-            sum: load(&self.sum),
+            count: self.count,
+            sum: self.sum,
             min,
             max,
             p50: quantile(0.50),
@@ -191,15 +154,99 @@ impl AtomicHist {
     }
 }
 
-/// The registry's index: `(name, labels, cell)` entries sorted by
-/// `(name, labels)`, so lookups are a binary search and snapshots need
-/// no extra sort. An unlabeled entry sorts first among its name's.
-/// Every part is shared, so publishing a grown copy clones pointers,
-/// not strings.
-type MetricIndex = Vec<(Arc<str>, Arc<[(String, String)]>, Arc<AtomicMetric>)>;
+/// Observations below this are counted exactly, one slot per value.
+const EXACT: usize = 256;
 
-fn search(index: &MetricIndex, name: &str, labels: &[(String, String)]) -> Result<usize, usize> {
-    index.binary_search_by(|(n, l, _)| (**n).cmp(name).then_with(|| (**l).cmp(labels)))
+/// A fixed-bucket histogram of integer observations that one run owns
+/// outright: no lock and no atomic. The small values that dominate
+/// cycle and step counts are counted exactly, one slot per value, so
+/// recording one is a single increment; larger values are bucketed as
+/// they come. [`MetricsRegistry::histogram_merge`] folds it into the
+/// store's histogram of the same name at the run's boundary; since the
+/// observations are integers, the merged histogram equals the one
+/// built by observing every value in turn.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntHistogram {
+    bounds: &'static [f64],
+    /// `exact[v]` observations of each value `v` below [`EXACT`].
+    exact: Box<[u64; EXACT]>,
+    /// Bucket counts, count, sum and extremes of the observations at
+    /// or above [`EXACT`].
+    large: Box<[u64]>,
+    large_count: u64,
+    large_sum: u64,
+    large_min: u64,
+    large_max: u64,
+}
+
+impl IntHistogram {
+    /// An empty histogram over the given strictly increasing bucket
+    /// upper bounds (plus the overflow bucket).
+    pub fn new(bounds: &'static [f64]) -> Self {
+        Self {
+            bounds,
+            exact: Box::new([0; EXACT]),
+            large: vec![0; bounds.len() + 1].into_boxed_slice(),
+            large_count: 0,
+            large_sum: 0,
+            large_min: u64::MAX,
+            large_max: 0,
+        }
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        match self.exact.get_mut(value as usize) {
+            Some(n) => *n += 1,
+            None => self.record_large(value),
+        }
+    }
+
+    fn record_large(&mut self, value: u64) {
+        self.large[bucket_of(self.bounds, value as f64)] += 1;
+        self.large_count += 1;
+        self.large_sum += value;
+        self.large_min = self.large_min.min(value);
+        self.large_max = self.large_max.max(value);
+    }
+
+    /// Observations recorded.
+    pub fn count(&self) -> u64 {
+        self.exact.iter().sum::<u64>() + self.large_count
+    }
+
+    /// Sum of the observations.
+    pub fn sum(&self) -> u64 {
+        let exact: u64 = (0..).zip(self.exact.iter()).map(|(v, &n)| v * n).sum();
+        exact + self.large_sum
+    }
+}
+
+/// One stored metric; its kind is fixed by its first recording.
+#[derive(Debug, Clone)]
+enum Metric {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(Hist),
+}
+
+impl Metric {
+    fn value(&self) -> MetricValue {
+        match self {
+            Metric::Counter(v) => MetricValue::Counter(*v),
+            Metric::Gauge(v) => MetricValue::Gauge(*v),
+            Metric::Histogram(h) => MetricValue::Histogram(h.summary()),
+        }
+    }
+}
+
+/// One `(name, labels)` key and its metric.
+#[derive(Debug)]
+struct Entry {
+    name: String,
+    labels: Labels,
+    metric: Metric,
 }
 
 /// The metric store.
@@ -213,137 +260,128 @@ fn search(index: &MetricIndex, name: &str, labels: &[(String, String)]) -> Resul
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: AtomicBool,
-    /// The published index; recording threads search it lock-free.
-    index: RcuCell<MetricIndex>,
-    /// Metrics created since the index was last published, in key
-    /// order. Its mutex serialises creation, publication and `reset`
-    /// and is never held on the recording fast path.
-    pending: Mutex<MetricIndex>,
+    /// Every metric, sorted by `(name, labels)`: lookups are a binary
+    /// search and snapshots need no sort.
+    store: Mutex<Vec<Entry>>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        Self {
-            enabled: AtomicBool::new(false),
-            index: RcuCell::new(Vec::new()),
-            pending: Mutex::new(Vec::new()),
-        }
+        Self::new()
     }
 }
 
 impl MetricsRegistry {
     /// Creates an empty, disabled registry.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            enabled: AtomicBool::new(false),
+            store: Mutex::new(Vec::new()),
+        }
     }
 
     /// Turns recording on or off. Off is the default; disabled
     /// recording calls cost one relaxed atomic load.
     pub fn set_enabled(&self, on: bool) {
         // Relaxed: a sampling gate, not a synchronization edge (see the
-        // module-level orderings audit).
+        // module-level notes).
         self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether recording is currently enabled.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Runs `op` on the cell registered under `(name, labels)`,
-    /// creating it with `make` first if absent. The hit path is
-    /// lock-free: one index load plus a binary search. A miss takes the
-    /// `pending` mutex, where a new metric waits until one of the
-    /// pending metrics is recorded again (or a snapshot is taken);
-    /// then the index is republished with all of them at once. A hot
-    /// metric is therefore lock-free from its third recording on, and a
-    /// burst of one-off labeled summaries costs one index copy rather
-    /// than one per entry (retired copies live as long as the
-    /// registry).
-    fn with_cell(
-        &self,
+    fn store(&self) -> MutexGuard<'_, Vec<Entry>> {
+        self.store.lock().expect("metrics registry poisoned")
+    }
+
+    /// Runs `op` on the metric stored under `(name, labels)` in the
+    /// locked `store`, creating it with `make` first if absent.
+    fn with_metric(
+        store: &mut Vec<Entry>,
         name: &str,
         labels: &[(String, String)],
-        make: impl FnOnce() -> AtomicMetric,
-        op: impl Fn(&AtomicMetric),
+        make: impl FnOnce() -> Metric,
+        op: impl FnOnce(&mut Metric),
     ) {
-        let index = self.index.read();
-        if let Ok(i) = search(index, name, labels) {
-            return op(&index[i].2);
-        }
-        let mut pending = self.pending.lock().expect("metrics registry poisoned");
-        // Re-check: another thread may have published it meanwhile.
-        let index = self.index.read();
-        if let Ok(i) = search(index, name, labels) {
-            return op(&index[i].2);
-        }
-        match search(&pending, name, labels) {
-            Ok(i) => {
-                op(&pending[i].2);
-                self.publish(&mut pending);
-            }
-            Err(pos) => {
-                let cell = Arc::new(make());
-                op(&cell);
-                pending.insert(pos, (name.into(), labels.into(), cell));
-            }
-        }
+        let found = store.binary_search_by(|e| {
+            e.name
+                .as_str()
+                .cmp(name)
+                .then_with(|| e.labels.as_slice().cmp(labels))
+        });
+        let i = found.unwrap_or_else(|pos| {
+            let entry = Entry {
+                name: name.to_string(),
+                labels: labels.to_vec(),
+                metric: make(),
+            };
+            store.insert(pos, entry);
+            pos
+        });
+        op(&mut store[i].metric);
     }
 
-    /// Moves every pending metric into a republished index; the caller
-    /// holds the `pending` lock.
-    fn publish(&self, pending: &mut MetricIndex) {
-        if pending.is_empty() {
-            return;
-        }
-        let mut next = self.index.read().clone();
-        next.append(pending);
-        next.sort_unstable_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        self.index.replace(next);
-    }
-
-    fn add(&self, name: &str, labels: &[(String, String)], delta: u64) {
-        self.with_cell(
+    fn add(store: &mut Vec<Entry>, name: &str, labels: &[(String, String)], delta: u64) {
+        Self::with_metric(
+            store,
             name,
             labels,
-            || AtomicMetric::Counter(AtomicU64::new(0)),
-            |cell| match cell {
-                AtomicMetric::Counter(v) => {
-                    v.fetch_add(delta, Ordering::Relaxed);
-                }
+            || Metric::Counter(0),
+            |metric| match metric {
+                Metric::Counter(v) => *v += delta,
                 _ => debug_assert!(false, "metric {name} is not a counter"),
             },
         );
     }
 
     fn set(&self, name: &str, labels: &[(String, String)], value: f64) {
-        self.with_cell(
+        Self::with_metric(
+            &mut self.store(),
             name,
             labels,
-            || AtomicMetric::Gauge(AtomicU64::new(0.0f64.to_bits())),
-            |cell| match cell {
-                AtomicMetric::Gauge(v) => v.store(value.to_bits(), Ordering::Relaxed),
+            || Metric::Gauge(0.0),
+            |metric| match metric {
+                Metric::Gauge(v) => *v = value,
                 _ => debug_assert!(false, "metric {name} is not a gauge"),
             },
         );
     }
 
     fn record(&self, name: &str, labels: &[(String, String)], value: f64, bounds: &[f64]) {
-        self.with_cell(
+        Self::with_metric(
+            &mut self.store(),
             name,
             labels,
-            || AtomicMetric::Histogram(AtomicHist::new(bounds)),
-            |cell| match cell {
-                AtomicMetric::Histogram(h) => h.observe(value),
+            || Metric::Histogram(Hist::new(bounds)),
+            |metric| match metric {
+                Metric::Histogram(h) => h.observe(value),
                 _ => debug_assert!(false, "metric {name} is not a histogram"),
             },
         );
     }
 
-    /// Adds `delta` to the counter `name`, creating it at zero first.
+    /// Adds `delta` to the counter `name`, creating it at zero first
+    /// (a zero `delta` still creates the key).
     pub fn counter_add(&self, name: &str, delta: u64) {
         if self.enabled() {
-            self.add(name, &[], delta);
+            Self::add(&mut self.store(), name, &[], delta);
+        }
+    }
+
+    /// Adds each `(name, delta)` pair whose `delta` is nonzero, under
+    /// one lock. A zero total creates no key: this is how a run
+    /// publishes counts whose per-event recording call was conditional,
+    /// so that a run that never made the call leaves no entry.
+    pub fn counters_add(&self, counts: &[(&str, u64)]) {
+        if self.enabled() {
+            let mut store = self.store();
+            for &(name, delta) in counts.iter().filter(|(_, d)| *d > 0) {
+                Self::add(&mut store, name, &[], delta);
+            }
         }
     }
 
@@ -357,34 +395,46 @@ impl MetricsRegistry {
     /// Records `value` into the histogram `name` with the
     /// [`DEFAULT_BUCKETS`] layout.
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_BUCKETS);
-    }
-
-    /// Records `value` into the histogram `name`, creating it with the
-    /// given strictly increasing bucket upper bounds on first use.
-    /// Later calls reuse the existing layout.
-    pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
         if self.enabled() {
-            self.record(name, &[], value, bounds);
+            self.record(name, &[], value, &DEFAULT_BUCKETS);
         }
     }
 
-    /// [`Self::counter_add`] under a label set (cold path: sorts the
-    /// pairs on every call).
+    /// Folds a run's integer histogram into the histogram `name`,
+    /// creating it with the run's layout on first use; an empty run
+    /// histogram creates nothing. The result equals observing each of
+    /// the run's values in turn.
+    pub fn histogram_merge(&self, name: &str, run: &IntHistogram) {
+        if self.enabled() && run.count() > 0 {
+            Self::with_metric(
+                &mut self.store(),
+                name,
+                &[],
+                || Metric::Histogram(Hist::new(run.bounds)),
+                |metric| match metric {
+                    Metric::Histogram(h) => h.merge(run),
+                    _ => debug_assert!(false, "metric {name} is not a histogram"),
+                },
+            );
+        }
+    }
+
+    /// [`Self::counter_add`] under a label set (sorts the pairs on
+    /// every call).
     pub fn counter_add_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         if self.enabled() {
-            self.add(name, &canonical(labels), delta);
+            Self::add(&mut self.store(), name, &canonical(labels), delta);
         }
     }
 
-    /// [`Self::gauge_set`] under a label set (cold path).
+    /// [`Self::gauge_set`] under a label set.
     pub fn gauge_set_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         if self.enabled() {
             self.set(name, &canonical(labels), value);
         }
     }
 
-    /// [`Self::observe`] under a label set (cold path).
+    /// [`Self::observe`] under a label set.
     pub fn observe_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         if self.enabled() {
             self.record(name, &canonical(labels), value, &DEFAULT_BUCKETS);
@@ -393,29 +443,66 @@ impl MetricsRegistry {
 
     /// Removes every metric (the enabled flag is untouched).
     pub fn reset(&self) {
-        let mut pending = self.pending.lock().expect("metrics registry poisoned");
-        pending.clear();
-        self.index.replace(Vec::new());
+        self.store().clear();
     }
 
-    /// A copy of every metric, sorted by `(name, labels)`. The index
-    /// snapshot is a consistent set of *cells*, but cell values are
-    /// read with relaxed loads — take snapshots when no workers are
-    /// recording (the sweep drivers snapshot after joining) if the copy
-    /// must be a single consistent cut across all metrics.
+    /// A copy of every metric, sorted by `(name, labels)`: one
+    /// consistent cut, taken under the store's lock.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        self.publish(&mut self.pending.lock().expect("metrics registry poisoned"));
         let metrics = self
-            .index
-            .read()
+            .store()
             .iter()
-            .map(|(name, labels, cell)| MetricSnapshot {
-                name: name.to_string(),
-                labels: labels.to_vec(),
-                value: cell.value(),
+            .map(|e| MetricSnapshot {
+                name: e.name.clone(),
+                labels: e.labels.clone(),
+                value: e.metric.value(),
             })
             .collect();
         RegistrySnapshot { metrics }
+    }
+}
+
+/// The plain counts a run keeps, beside its own statistics, of the
+/// metrics its hot path feeds: `None` unless the global registry was on
+/// when the run was built, so every recording site costs one branch on
+/// [`Self::get`] and a run built while the registry is off holds
+/// nothing.
+///
+/// The run publishes the counts at its boundary, together with what its
+/// statistics gained since it last published, and publishes the rest
+/// when it is dropped. A clone starts from zero, so clone a run before
+/// it serves anything, as a template is.
+pub struct RunCounts<T>(Option<Box<T>>);
+
+impl<T: Default> RunCounts<T> {
+    /// Empty counts if the global registry is on, none otherwise.
+    pub fn new() -> Self {
+        Self(crate::global().registry().enabled().then(Box::default))
+    }
+
+    /// The counts to record into, or `None` when this run does not
+    /// count.
+    #[inline]
+    pub fn get(&mut self) -> Option<&mut T> {
+        self.0.as_deref_mut()
+    }
+}
+
+impl<T: Default> Default for RunCounts<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Default> Clone for RunCounts<T> {
+    fn clone(&self) -> Self {
+        Self(self.0.as_ref().map(|_| Box::default()))
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for RunCounts<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("RunCounts").field(&self.0).finish()
     }
 }
 
@@ -846,7 +933,7 @@ mod tests {
     fn quantiles_of_empty_histogram_are_zero() {
         // Pinned edge case: an empty histogram reports 0.0 for every
         // summary field rather than NaN or an interpolation artefact.
-        let h = AtomicHist::new(&DEFAULT_BUCKETS).summary();
+        let h = Hist::new(&DEFAULT_BUCKETS).summary();
         assert_eq!(h.count, 0);
         assert_eq!((h.min, h.max), (0.0, 0.0));
         assert_eq!((h.p50, h.p95, h.p99), (0.0, 0.0, 0.0));
@@ -859,7 +946,7 @@ mod tests {
         // that observation — the [min, max] clamp collapses the
         // in-bucket interpolation to the exact value.
         for v in [0.0, 1.0, 3.7, 42.0, 1.5e8, 9.9e9] {
-            let hist = AtomicHist::new(&DEFAULT_BUCKETS);
+            let mut hist = Hist::new(&DEFAULT_BUCKETS);
             hist.observe(v);
             let h = hist.summary();
             assert_eq!(h.count, 1);
@@ -891,9 +978,13 @@ mod tests {
 
     #[test]
     fn custom_buckets_are_kept() {
+        const BOUNDS: [f64; 3] = [1.0, 4.0, 9.0];
         let r = enabled();
-        r.observe_with("d", 3.0, &[1.0, 4.0, 9.0]);
-        r.observe_with("d", 100.0, &[1.0, 4.0, 9.0]);
+        for v in [3, 100] {
+            let mut run = IntHistogram::new(&BOUNDS);
+            run.record(v);
+            r.histogram_merge("d", &run);
+        }
         let snap = r.snapshot();
         let h = snap.histogram("d").expect("histogram");
         assert_eq!(h.buckets.len(), 4);
@@ -945,24 +1036,42 @@ mod tests {
     }
 
     #[test]
-    fn new_metrics_are_published_in_batches() {
-        let r = enabled();
-        let published = |r: &MetricsRegistry| r.index.read().len();
-        // One-off summaries wait in the pending list...
-        for t in 0..1_000 {
-            r.counter_add_with("once", &[("tenant", &t.to_string())], 1);
+    fn merged_run_histograms_equal_per_value_observation() {
+        // Integer observations merged per run, in any run order, give
+        // the histogram that observing every value in turn gives.
+        let values: Vec<u64> = (0..5_000u64).map(|i| (i * 7_919) % 3_000).collect();
+        let per_value = enabled();
+        for &v in &values {
+            per_value.observe("lat", v as f64);
         }
-        assert_eq!(published(&r), 0);
-        // ...until a pending metric is recorded again, which publishes
-        // them all in one index copy.
-        r.counter_add("hot", 1);
-        r.counter_add("hot", 1);
-        assert_eq!(published(&r), 1_001);
-        r.counter_add("late", 1);
-        assert_eq!(published(&r), 1_001);
-        assert_eq!(r.snapshot().metrics.len(), 1_002);
-        assert_eq!(published(&r), 1_002);
-        assert_eq!(r.snapshot().counter("hot"), Some(2));
+        let per_run = enabled();
+        for chunk in values.chunks(333).rev() {
+            let mut run = IntHistogram::new(&DEFAULT_BUCKETS);
+            for &v in chunk {
+                run.record(v);
+            }
+            per_run.histogram_merge("lat", &run);
+        }
+        per_run.histogram_merge("lat", &IntHistogram::new(&DEFAULT_BUCKETS));
+        assert_eq!(per_run.snapshot(), per_value.snapshot());
+        // An empty run histogram creates nothing.
+        let r = enabled();
+        r.histogram_merge("empty", &IntHistogram::new(&DEFAULT_BUCKETS));
+        assert!(r.snapshot().metrics.is_empty());
+    }
+
+    #[test]
+    fn counters_add_creates_only_nonzero_keys() {
+        let r = enabled();
+        r.counters_add(&[("a", 3), ("b", 0), ("c", 1)]);
+        r.counters_add(&[("a", 1)]);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("a"), Some(4));
+        assert_eq!(snap.counter("b"), None);
+        assert_eq!(snap.counter("c"), Some(1));
+        // counter_add itself creates the key even at zero.
+        r.counter_add("b", 0);
+        assert_eq!(r.snapshot().counter("b"), Some(0));
     }
 
     #[test]

@@ -177,23 +177,23 @@ pub struct SpanTrace {
 
 impl Default for SpanTrace {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
+        Self::new()
     }
 }
 
 impl SpanTrace {
     /// Creates a disabled trace with the default capacity.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
     /// Creates a disabled trace holding at most `capacity` spans (at
     /// least one).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub const fn with_capacity(capacity: usize) -> Self {
         Self {
             enabled: AtomicBool::new(false),
             ring: Mutex::new(Ring {
-                capacity: capacity.max(1),
+                capacity: if capacity == 0 { 1 } else { capacity },
                 spans: VecDeque::new(),
                 issued: 0,
                 dropped: 0,
@@ -212,6 +212,7 @@ impl SpanTrace {
     }
 
     /// Whether recording is currently enabled.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }

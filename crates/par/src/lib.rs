@@ -34,15 +34,13 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed back in exactly two leaf
-// modules: the SPSC ring (`spsc`) and the RCU cell (`rcu`), whose
-// soundness arguments live next to the code. Everything else in the
-// workspace keeps `forbid(unsafe_code)` and reuses these primitives.
+// `unsafe` is denied crate-wide and allowed back in exactly one leaf
+// module, the SPSC ring (`spsc`), whose soundness argument lives next
+// to the code. Everything else in the workspace keeps
+// `forbid(unsafe_code)` and reuses this primitive.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-#[allow(unsafe_code)]
-pub mod rcu;
 #[allow(unsafe_code)]
 pub mod spsc;
 

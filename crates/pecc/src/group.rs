@@ -12,7 +12,7 @@
 
 use crate::code::Verdict;
 use crate::layout::{LayoutError, ProtectionKind};
-use crate::protected::ProtectedStripe;
+use crate::protected::{PeccTally, ProtectedStripe};
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
@@ -192,6 +192,16 @@ impl ProtectedGroup {
         faults: &mut dyn FaultModel,
         max_retries: u32,
     ) -> Verdict {
+        self.transaction(delta, faults, max_retries, None)
+    }
+
+    fn transaction(
+        &mut self,
+        delta: i64,
+        faults: &mut dyn FaultModel,
+        max_retries: u32,
+        mut tally: Option<&mut PeccTally>,
+    ) -> Verdict {
         self.materialise();
         self.stats.transactions += 1;
         let mut worst = Verdict::Clean;
@@ -200,7 +210,7 @@ impl ProtectedGroup {
             // The per-stripe transaction repairs correctable slips
             // internally, so its final verdict is Clean or
             // Uncorrectable.
-            let v = stripe.shift_checked(delta, faults, max_retries);
+            let v = stripe.shift_checked_into(delta, faults, max_retries, tally.as_deref_mut());
             self.stats.corrections += stripe.corrections() - before;
             if v == Verdict::Uncorrectable {
                 worst = Verdict::Uncorrectable;
@@ -224,6 +234,22 @@ impl ProtectedGroup {
         faults: &mut dyn FaultModel,
         max_retries: u32,
     ) -> Verdict {
+        self.seek_checked_into(target, faults, max_retries, None)
+    }
+
+    /// [`Self::seek_checked`], counting its verdicts and back-shifts
+    /// into `tally` (nothing when `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is outside the head range.
+    pub fn seek_checked_into(
+        &mut self,
+        target: usize,
+        faults: &mut dyn FaultModel,
+        max_retries: u32,
+        mut tally: Option<&mut PeccTally>,
+    ) -> Verdict {
         let geometry = self.prototype.layout().geometry;
         assert!(
             target <= geometry.max_shift(),
@@ -233,7 +259,7 @@ impl ProtectedGroup {
         let mut worst = Verdict::Clean;
         while self.believed_head() != target as i64 {
             let delta = (target as i64 - self.believed_head()).clamp(-max_step, max_step);
-            let v = self.shift_checked(delta, faults, max_retries);
+            let v = self.transaction(delta, faults, max_retries, tally.as_deref_mut());
             if v == Verdict::Uncorrectable {
                 return v;
             }

@@ -42,4 +42,4 @@ pub mod protected;
 
 pub use code::{PeccCode, Verdict};
 pub use layout::{PeccLayout, ProtectionKind};
-pub use protected::ProtectedStripe;
+pub use protected::{PeccTally, ProtectedStripe};

@@ -24,6 +24,7 @@
 
 use crate::code::{StripeChecker, Verdict};
 use crate::layout::{LayoutError, PeccLayout, ProtectionKind};
+use rtm_obs::metrics::MetricsRegistry;
 use rtm_track::bit::Bit;
 use rtm_track::fault::FaultModel;
 use rtm_track::geometry::StripeGeometry;
@@ -33,6 +34,49 @@ use rtm_track::stripe::{Stripe, StripeError};
 /// window (strength 7, `2·7 + 9`). Every cyclic window the paper's
 /// geometry accepts is narrower.
 const TAP_BUFFER: usize = 23;
+
+/// The `pecc.*` metrics of bit-accurate stripe transactions: verdicts
+/// and corrective back-shifts, counted in plain state by the code that
+/// drives the accesses
+/// ([`ProtectedGroup::seek_checked_into`](crate::group::ProtectedGroup::seek_checked_into))
+/// and published at the end of its run. Standalone transactions count
+/// nothing.
+#[derive(Debug, Default)]
+pub struct PeccTally {
+    /// Checks that read the expected window.
+    clean: u64,
+    /// Checks that found a correctable slip (including one left
+    /// uncorrected because the retry budget ran out).
+    corrected: u64,
+    /// Stripe transactions that ended uncorrectable.
+    due: u64,
+    /// Corrective back-shifts issued.
+    back_shifts: u64,
+    /// Steps those back-shifts moved.
+    back_shift_steps: u64,
+}
+
+impl PeccTally {
+    fn verdict(&mut self, verdict: Verdict) {
+        match verdict {
+            Verdict::Clean => self.clean += 1,
+            Verdict::Correctable(_) => self.corrected += 1,
+            Verdict::Uncorrectable => self.due += 1,
+        }
+    }
+
+    /// Adds the tally to `reg`; a key whose count is zero is left
+    /// absent.
+    pub fn publish(&self, reg: &MetricsRegistry) {
+        reg.counters_add(&[
+            ("pecc.back_shifts", self.back_shifts),
+            ("pecc.back_shift_steps", self.back_shift_steps),
+            ("pecc.verdict.clean", self.clean),
+            ("pecc.verdict.corrected", self.corrected),
+            ("pecc.verdict.due", self.due),
+        ]);
+    }
+}
 
 /// A stripe with physical p-ECC protection.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,8 +286,6 @@ impl ProtectedStripe {
         self.stripe.apply_shift(-(k as i64), outcome);
         self.shift_ops += 1;
         self.corrections += 1;
-        rtm_obs::counter_add("pecc.back_shifts", 1);
-        rtm_obs::counter_add("pecc.back_shift_steps", k.unsigned_abs() as u64);
         self.record_instant("back_shift", &[("steps", u64::from(k.unsigned_abs()))]);
     }
 
@@ -258,40 +300,51 @@ impl ProtectedStripe {
         faults: &mut dyn FaultModel,
         max_retries: u32,
     ) -> Verdict {
+        self.shift_checked_into(delta, faults, max_retries, None)
+    }
+
+    /// [`Self::shift_checked`], counting its verdicts and back-shifts
+    /// into `tally` (nothing when `None`).
+    pub(crate) fn shift_checked_into(
+        &mut self,
+        delta: i64,
+        faults: &mut dyn FaultModel,
+        max_retries: u32,
+        mut tally: Option<&mut PeccTally>,
+    ) -> Verdict {
         self.shift(delta, faults);
         let mut verdict = self.check();
-        self.record_verdict(verdict);
+        self.record_verdict(verdict, tally.as_deref_mut());
         let mut rounds = 0;
         while let Verdict::Correctable(k) = verdict {
             if rounds >= max_retries {
-                self.record_verdict(Verdict::Uncorrectable);
+                self.record_verdict(Verdict::Uncorrectable, tally.as_deref_mut());
                 return Verdict::Uncorrectable;
             }
             self.correct(k, faults);
+            if let Some(tally) = tally.as_deref_mut() {
+                tally.back_shifts += 1;
+                tally.back_shift_steps += u64::from(k.unsigned_abs());
+            }
             verdict = self.check();
-            self.record_verdict(verdict);
+            self.record_verdict(verdict, tally.as_deref_mut());
             rounds += 1;
         }
         verdict
     }
 
-    /// Emits a sampled (bit-accurate) p-ECC verdict into the global
-    /// observer: a counter, and an instant named after the verdict.
-    /// No-op when observability is off.
-    fn record_verdict(&self, verdict: Verdict) {
+    /// Counts a sampled (bit-accurate) p-ECC verdict into `tally` and
+    /// records an instant named after it.
+    fn record_verdict(&self, verdict: Verdict, tally: Option<&mut PeccTally>) {
+        if let Some(tally) = tally {
+            tally.verdict(verdict);
+        }
         match verdict {
-            Verdict::Clean => {
-                rtm_obs::counter_add("pecc.verdict.clean", 1);
-                self.record_instant("pecc_clean", &[]);
-            }
+            Verdict::Clean => self.record_instant("pecc_clean", &[]),
             Verdict::Correctable(k) => {
-                rtm_obs::counter_add("pecc.verdict.corrected", 1);
-                self.record_instant("pecc_corrected", &[("k", u64::from(k.unsigned_abs()))]);
+                self.record_instant("pecc_corrected", &[("k", u64::from(k.unsigned_abs()))])
             }
-            Verdict::Uncorrectable => {
-                rtm_obs::counter_add("pecc.verdict.due", 1);
-                self.record_instant("pecc_due", &[]);
-            }
+            Verdict::Uncorrectable => self.record_instant("pecc_due", &[]),
         }
     }
 

@@ -308,8 +308,11 @@ struct Shard {
 /// counters are read per *bank* in ascending bank order so the
 /// summation order — and therefore every result bit — matches the
 /// serial oracle's single-LLC accounting.
-fn merge(cfg: &ThroughputConfig, shards: Vec<Shard>) -> ServeStats {
+fn merge(cfg: &ThroughputConfig, mut shards: Vec<Shard>) -> ServeStats {
     let banks = cfg.banks as usize;
+    for shard in &mut shards {
+        shard.llc.flush_metrics();
+    }
     let mut owner = vec![usize::MAX; banks];
     for (s, shard) in shards.iter().enumerate() {
         for lane in &shard.lanes {

@@ -1134,6 +1134,7 @@ impl ServeSim {
     ///
     /// [`HeadPolicy::Stay`]: rtm_mem::llc::HeadPolicy::Stay
     fn finish(mut self) -> ServeResult {
+        self.llc.flush_metrics();
         let mut tenants = AttributionTable::new(["tenant"], ATTRIBUTION_COMPONENTS);
         for c in 0..self.cfg.clients as usize {
             let service = self.tenant_service[c];
