@@ -40,6 +40,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses a command-line value; a malformed one prints usage.
+fn parse_or_usage<T: std::str::FromStr>(s: &str) -> T {
+    s.parse().unwrap_or_else(|_| usage())
+}
+
 fn llc_by_name(name: &str) -> Option<LlcChoice> {
     Some(match name {
         "sram" => LlcChoice::SramBaseline,
@@ -90,8 +95,8 @@ fn main() {
                 eprintln!("unknown workload {}", args[1]);
                 usage();
             };
-            let n: usize = args[2].parse().unwrap_or_else(|_| usage());
-            let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(2015);
+            let n: usize = parse_or_usage(&args[2]);
+            let seed: u64 = args.get(4).map_or(2015, |s| parse_or_usage(s));
             let accesses = TraceGenerator::new(profile, seed).take_vec(n);
             let file = std::fs::File::create(&args[3]).unwrap_or_else(|e| {
                 eprintln!("cannot create {}: {e}", args[3]);
@@ -170,6 +175,7 @@ fn main() {
                 eprintln!("unknown policy {}", args[2]);
                 usage();
             };
+            let requests: Option<u64> = args.get(3).map(|s| parse_or_usage(s));
             let file = std::fs::File::open(&args[1]).unwrap_or_else(|e| {
                 eprintln!("cannot open {}: {e}", args[1]);
                 std::process::exit(2);
@@ -178,10 +184,7 @@ fn main() {
                 eprintln!("read failed: {e}");
                 std::process::exit(2);
             });
-            let n: u64 = args
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(accesses.len() as u64);
+            let n = requests.unwrap_or(accesses.len() as u64);
             let cfg = ServeConfig::new(policy).with_requests(n.min(accesses.len() as u64));
             let r = ServeSim::new(cfg).run(&mut accesses.into_iter());
             println!("policy:        {policy}");

@@ -90,6 +90,17 @@ fn parse_args() -> Options {
             }
         }
     }
+    // A zero count would only fail later, inside the door or the server.
+    for (flag, count) in [
+        ("--tenants", u64::from(opts.cfg.tenants)),
+        ("--offered", opts.cfg.offered),
+        ("--window", u64::from(opts.cfg.window)),
+    ] {
+        if count == 0 {
+            eprintln!("front-driver: {flag} must be positive");
+            usage();
+        }
+    }
     opts
 }
 

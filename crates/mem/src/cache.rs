@@ -1,5 +1,7 @@
 //! Generic set-associative LRU cache bookkeeping.
 
+use rtm_util::div::Divisor;
+
 /// Read or write access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -39,6 +41,28 @@ impl AccessResult {
         match self {
             AccessResult::Hit { way } | AccessResult::Miss { way, .. } => *way,
         }
+    }
+}
+
+/// Where an access to a line lands in its set: the way holding the line
+/// (a hit), else the way a miss fills. [`Cache::way_at`] finds it
+/// without changing anything, and [`Cache::access_way`] applies an
+/// access there; it stays valid until the set is next accessed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Way {
+    index: u8,
+    hit: bool,
+}
+
+impl Way {
+    /// The way within the set.
+    pub fn index(self) -> u32 {
+        u32::from(self.index)
+    }
+
+    /// Whether the line is present in this way.
+    pub fn is_hit(self) -> bool {
+        self.hit
     }
 }
 
@@ -86,8 +110,8 @@ const MIN_TAG_WORDS: usize = (32 << 20) / 8 + 64 * 1024;
 /// Bank-major storage permutation (see [`Cache::with_bank_layout`]).
 #[derive(Debug, Clone, Copy)]
 struct BankLayout {
-    banks: u64,
-    group_sets: u64,
+    banks: Divisor,
+    group_sets: Divisor,
     groups_per_bank: u64,
 }
 
@@ -131,7 +155,8 @@ pub struct Cache {
     tags: Vec<u64>,
     /// One state byte per line ([`DIRTY`] | rank).
     state: Vec<u8>,
-    sets: u64,
+    /// The set count, dividing line addresses.
+    sets: Divisor,
     ways: u32,
     line_shift: u32,
     stats: CacheStats,
@@ -161,7 +186,7 @@ impl Cache {
         Self {
             tags: vec![0; lines.max(MIN_TAG_WORDS)],
             state: vec![0; lines],
-            sets: total_lines / ways as u64,
+            sets: Divisor::new(total_lines / ways as u64),
             ways,
             line_shift: line_bytes.trailing_zeros(),
             stats: CacheStats::default(),
@@ -186,12 +211,13 @@ impl Cache {
     /// No-op when the geometry does not divide evenly (or `banks < 2`).
     pub fn with_bank_layout(mut self, banks: u32, group_sets: u32) -> Self {
         let (banks, group_sets) = (banks as u64, group_sets as u64);
-        if banks >= 2 && group_sets >= 1 && self.sets.is_multiple_of(group_sets) {
-            let groups = self.sets / group_sets;
+        let sets = self.sets.get();
+        if banks >= 2 && group_sets >= 1 && sets.is_multiple_of(group_sets) {
+            let groups = sets / group_sets;
             if groups.is_multiple_of(banks) {
                 self.layout = Some(BankLayout {
-                    banks,
-                    group_sets,
+                    banks: Divisor::new(banks),
+                    group_sets: Divisor::new(group_sets),
                     groups_per_bank: groups / banks,
                 });
             }
@@ -206,9 +232,10 @@ impl Cache {
         let storage_set = match self.layout {
             None => set,
             Some(l) => {
-                let group = set / l.group_sets;
-                let storage_group = (group % l.banks) * l.groups_per_bank + group / l.banks;
-                storage_group * l.group_sets + set % l.group_sets
+                let group = l.group_sets.quotient(set);
+                let storage_group =
+                    l.banks.remainder(group) * l.groups_per_bank + l.banks.quotient(group);
+                storage_group * l.group_sets.get() + l.group_sets.remainder(set)
             }
         };
         storage_set as usize * self.ways as usize
@@ -216,7 +243,7 @@ impl Cache {
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.get()
     }
 
     /// Associativity.
@@ -236,29 +263,41 @@ impl Cache {
 
     /// The set index of `addr`.
     pub fn set_of(&self, addr: u64) -> u64 {
-        (addr >> self.line_shift) % self.sets
+        self.sets.remainder(addr >> self.line_shift)
     }
 
-    /// The way of the set at `base` holding the line `line`, if any.
-    fn find(&self, base: usize, line: u64) -> Option<usize> {
-        let end = base + self.ways as usize;
-        self.tags[base..end]
+    /// The valid ways of the set at `base`. They are a prefix of the
+    /// set: a miss fills the lowest invalid way, and only
+    /// [`clear`](Self::clear) invalidates.
+    fn valid(&self, base: usize) -> usize {
+        let ways = self.ways as usize;
+        self.state[base..base + ways]
             .iter()
-            .zip(&self.state[base..end])
-            .position(|(&t, &s)| s != 0 && t == line)
+            .position(|&s| s == 0)
+            .unwrap_or(ways)
     }
 
-    /// The way a miss on the set at `base` fills: the lowest invalid
-    /// way, else the least recent.
-    fn victim(&self, base: usize) -> usize {
+    /// The way of the set at `base` holding the line `line`, if any,
+    /// among its `valid` ways. Only valid ways' tags are read, so a set
+    /// no access has filled reads no tag, and a fresh page of tags is
+    /// first touched by the write of a fill, not by a read before it.
+    fn find(&self, base: usize, valid: usize, line: u64) -> Option<usize> {
+        self.tags[base..base + valid]
+            .iter()
+            .position(|&t| t == line)
+    }
+
+    /// The way a miss on the set at `base`, with `valid` valid ways,
+    /// fills: the lowest invalid way, else the least recent.
+    fn victim(&self, base: usize, valid: usize) -> usize {
+        if valid < self.ways as usize {
+            return valid;
+        }
         let lru = self.ways as u8;
         self.state[base..base + self.ways as usize]
             .iter()
-            .position(|&s| {
-                let rank = s & RANK;
-                rank == 0 || rank == lru
-            })
-            .expect("a set has an invalid or a least-recent way")
+            .position(|&s| s & RANK == lru)
+            .expect("a full set has a least-recent way")
     }
 
     /// Makes way `w` of the set at `base` the most recent, keeping its
@@ -283,15 +322,16 @@ impl Cache {
     /// Returns the way holding the line, if present.
     pub fn probe(&self, addr: u64) -> Option<u32> {
         let line = addr >> self.line_shift;
-        self.find(self.set_base(line % self.sets), line)
-            .map(|w| w as u32)
+        let base = self.set_base(self.sets.remainder(line));
+        self.find(base, self.valid(base), line).map(|w| w as u32)
     }
 
     /// The way a miss on `set` would allocate into right now (invalid
     /// way first, else LRU victim), without changing any state. This is
     /// exactly the way [`Cache::access`] would pick if called next.
     pub fn victim_way(&self, set: u64) -> u32 {
-        self.victim(self.set_base(set)) as u32
+        let base = self.set_base(set);
+        self.victim(base, self.valid(base)) as u32
     }
 
     /// The way [`Cache::access`] would touch for `addr` if called next,
@@ -300,14 +340,33 @@ impl Cache {
     /// of divisions: it is [`probe`](Self::probe) falling back to
     /// [`victim_way`](Self::victim_way) for a caller that resolved the
     /// set once and asks many times.
-    pub fn way_at(&self, base: usize, addr: u64) -> u32 {
-        self.find(base, addr >> self.line_shift)
-            .unwrap_or_else(|| self.victim(base)) as u32
+    #[inline]
+    pub fn way_at(&self, base: usize, addr: u64) -> Way {
+        let valid = self.valid(base);
+        match self.find(base, valid, addr >> self.line_shift) {
+            Some(w) => Way {
+                index: w as u8,
+                hit: true,
+            },
+            None => Way {
+                index: self.victim(base, valid) as u8,
+                hit: false,
+            },
+        }
     }
 
-    /// Looks up `addr`, allocating on miss (write-allocate) and
-    /// evicting LRU. Returns what happened.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+    /// Applies an access to `addr` on `way` of the set at `base`, which
+    /// [`way_at`](Self::way_at) found with no access to the set since:
+    /// a hit refreshes the line, a miss fills the way (write-allocate)
+    /// and reports a dirty victim. Returns what happened.
+    #[inline]
+    pub fn access_way(
+        &mut self,
+        base: usize,
+        addr: u64,
+        way: Way,
+        kind: AccessKind,
+    ) -> AccessResult {
         let dirty = match kind {
             AccessKind::Read => {
                 self.stats.reads += 1;
@@ -318,31 +377,36 @@ impl Cache {
                 DIRTY
             }
         };
-        let line = addr >> self.line_shift;
-        let base = self.set_base(line % self.sets);
-
-        if let Some(w) = self.find(base, line) {
+        let w = way.index as usize;
+        let i = base + w;
+        if way.hit {
             self.touch(base, w);
-            self.state[base + w] |= dirty;
+            self.state[i] |= dirty;
             self.stats.hits += 1;
-            return AccessResult::Hit { way: w as u32 };
+            return AccessResult::Hit { way: way.index() };
         }
         self.stats.misses += 1;
-        let w = self.victim(base);
-        let i = base + w;
         let writeback = if self.state[i] & DIRTY != 0 {
             self.stats.writebacks += 1;
             Some(self.tags[i] << self.line_shift)
         } else {
             None
         };
-        self.tags[i] = line;
+        self.tags[i] = addr >> self.line_shift;
         self.touch(base, w);
         self.state[i] = dirty | 1;
         AccessResult::Miss {
-            way: w as u32,
+            way: way.index(),
             writeback,
         }
+    }
+
+    /// Looks up `addr`, allocating on miss (write-allocate) and
+    /// evicting LRU: the way [`way_at`](Self::way_at) finds, accessed
+    /// through [`access_way`](Self::access_way). Returns what happened.
+    pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+        let base = self.set_base(self.set_of(addr));
+        self.access_way(base, addr, self.way_at(base, addr), kind)
     }
 
     /// Invalidates everything (e.g. between workload runs).

@@ -2,7 +2,7 @@
 //! the racetrack model with head-position tracking and the error-aware
 //! shift controller.
 
-use crate::cache::{AccessKind, AccessResult, Cache, CacheStats};
+use crate::cache::{AccessKind, AccessResult, Cache, CacheStats, Way};
 use rtm_controller::controller::{ShiftController, ShiftPolicy};
 use rtm_cost::energy::LlcActivity;
 use rtm_cost::technology::LlcDesign;
@@ -13,6 +13,7 @@ use rtm_pecc::layout::ProtectionKind;
 use rtm_track::fault::{FaultModel, FaultModelChoice, SelectedFaultModel};
 use rtm_track::geometry::StripeGeometry;
 use rtm_util::arena::PagedBytes;
+use rtm_util::div::Divisor;
 use rtm_util::units::Seconds;
 
 /// Counters common to all LLC backends.
@@ -207,6 +208,10 @@ pub(crate) struct LlcDirectory {
     cache: Cache,
     design: LlcDesign,
     geometry: StripeGeometry,
+    /// Lines per stripe group.
+    group_lines: Divisor,
+    /// Banks the stripe groups interleave over (`group % banks`).
+    banks: Divisor,
     /// Current head position of each stripe group, stored sparsely:
     /// untouched groups cost nothing and read as head 0 (the
     /// fabrication state), so a GB-scale LLC only pays for the groups a
@@ -230,6 +235,8 @@ pub(crate) struct Placement {
     writeback: bool,
     /// The stripe group the line lives in.
     group: usize,
+    /// The bank serving that group.
+    bank: usize,
     /// Steps the group's head moved onto the line (0 when aligned).
     distance: u32,
     /// Array read or write cycles.
@@ -244,8 +251,10 @@ pub(crate) struct Placement {
 pub struct SetSlot(u32);
 
 /// An address's coordinates in the racetrack LLC directory: its stripe
-/// group and its set's storage slot. No access moves either, so a
-/// scheduler resolves each request once, when it queues.
+/// group, its set's storage slot and the bank serving the group. No
+/// access moves any of them, so a scheduler resolves each request once,
+/// when it queues, and serves it from these coordinates
+/// ([`RacetrackLlc::access_at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineSite {
     /// The stripe group the address's line lands in. Every way of a set
@@ -254,6 +263,8 @@ pub struct LineSite {
     pub group: usize,
     /// The storage slot of the address's set.
     pub set: SetSlot,
+    /// The bank whose controller serves the group: `group % banks`.
+    pub bank: u32,
 }
 
 impl LlcDirectory {
@@ -296,6 +307,8 @@ impl LlcDirectory {
             cache,
             design,
             geometry,
+            group_lines: Divisor::new(group_lines),
+            banks: Divisor::new(u64::from(banks)),
             heads: PagedBytes::new((lines / group_lines) as usize),
             head_for_domain,
             zero_shift: 0,
@@ -304,12 +317,28 @@ impl LlcDirectory {
     }
 
     /// Looks `addr` up (allocating on a miss) and moves its group's
-    /// head onto the line's domain.
+    /// head onto the line's domain: [`Self::place_at`] of its resolved
+    /// site and the way it would touch.
     pub(crate) fn place(&mut self, addr: u64, kind: AccessKind) -> Placement {
-        let set = self.cache.set_of(addr);
-        let r = self.cache.access(addr, kind);
-        let (group, domain) = self.slot_to_group_domain(set, r.way());
-        let target = self.geometry.head_position_for(domain) as u8;
+        let site = self.resolve(addr);
+        let way = self.way(site.set, addr);
+        self.place_at(site, way, addr, kind)
+    }
+
+    /// Accesses `addr` on `way` of its resolved `site`, the way
+    /// [`Self::way`] found with no access to the set since, and moves
+    /// the group's head onto the line's domain. Divides nothing and
+    /// searches no tags.
+    pub(crate) fn place_at(
+        &mut self,
+        site: LineSite,
+        way: Way,
+        addr: u64,
+        kind: AccessKind,
+    ) -> Placement {
+        let group = site.group;
+        let r = self.cache.access_way(site.set.0 as usize, addr, way, kind);
+        let target = self.head_at(site.set, way);
         let current = self.heads.get(group);
         if target == current {
             self.zero_shift += 1;
@@ -332,6 +361,7 @@ impl LlcDirectory {
                 }
             ),
             group,
+            bank: site.bank as usize,
             distance: current.abs_diff(target) as u32,
             array_cycles: self.array_cycles(kind),
         }
@@ -359,28 +389,38 @@ impl LlcDirectory {
     /// Maps a (set, way) slot to its stripe group and domain index.
     fn slot_to_group_domain(&self, set: u64, way: u32) -> (usize, usize) {
         let line_index = set * self.cache.ways() as u64 + way as u64;
-        let d = self.geometry.data_len() as u64;
-        ((line_index / d) as usize, (line_index % d) as usize)
+        (
+            self.group_lines.quotient(line_index) as usize,
+            self.group_lines.remainder(line_index) as usize,
+        )
     }
 
-    /// `addr`'s group and set slot: every division an address costs.
+    /// `addr`'s group, set slot and bank: every division an address
+    /// costs.
     fn resolve(&self, addr: u64) -> LineSite {
         let set = self.cache.set_of(addr);
+        let group = self.slot_to_group_domain(set, 0).0;
         LineSite {
-            group: self.slot_to_group_domain(set, 0).0,
+            group,
             set: SetSlot(self.cache.set_base(set) as u32),
+            bank: self.banks.remainder(group as u64) as u32,
         }
     }
 
-    /// The head position an access to `addr`, whose set sits at `set`,
-    /// needs right now: the way it would touch, mapped to its domain.
-    /// Storage keeps each group's lines contiguous and group-aligned
-    /// (the bank-major layout moves whole groups), so the domain is the
-    /// line's storage index modulo the group's line count.
-    fn target_head(&self, set: SetSlot, addr: u64) -> u8 {
-        let base = set.0 as usize;
-        let way = self.cache.way_at(base, addr) as usize;
-        self.head_for_domain[(base + way) & (self.head_for_domain.len() - 1)]
+    /// The way an access to `addr`, whose set sits at `set`, would touch
+    /// right now: the one tag search an access costs.
+    fn way(&self, set: SetSlot, addr: u64) -> Way {
+        self.cache.way_at(set.0 as usize, addr)
+    }
+
+    /// The head position an access on `way` of the set at `set` needs:
+    /// the way's domain, tabulated. Storage keeps each group's lines
+    /// contiguous and group-aligned (the bank-major layout moves whole
+    /// groups), so the domain is the line's storage index modulo the
+    /// group's line count.
+    fn head_at(&self, set: SetSlot, way: Way) -> u8 {
+        let line = set.0 as usize + way.index() as usize;
+        self.head_for_domain[line & (self.head_for_domain.len() - 1)]
     }
 
     /// Occupancy of the sparse head store.
@@ -530,8 +570,7 @@ impl ShiftBackEnd {
         let shift = if p.distance == 0 {
             0
         } else {
-            let bank = p.group % self.controllers.len();
-            let (plan, latency) = self.controllers[bank].charge_shift(p.distance, now, fused);
+            let (plan, latency) = self.controllers[p.bank].charge_shift(p.distance, now, fused);
             self.shift_ops += plan.sequence.len() as u64;
             self.shift_steps += p.distance as u64;
             let latency = if self.ideal_shifts {
@@ -561,10 +600,9 @@ impl ShiftBackEnd {
         resp
     }
 
-    /// Charges an idle-time head move of `distance` steps on `group`'s
-    /// bank: steps, risk and sampled outcomes count, latency does not.
-    fn park(&mut self, group: usize, distance: u32, now: u64) {
-        let bank = group % self.controllers.len();
+    /// Charges an idle-time head move of `distance` steps on `bank`:
+    /// steps, risk and sampled outcomes count, latency does not.
+    fn park(&mut self, bank: usize, distance: u32, now: u64) {
         let (plan, _) = self.controllers[bank].charge_shift(distance, now, false);
         self.shift_ops += plan.sequence.len() as u64;
         self.shift_steps += distance as u64;
@@ -850,12 +888,20 @@ impl RacetrackLlc {
         self.resolve(addr).group
     }
 
-    /// Resolves `addr`'s directory coordinates: its stripe group and its
-    /// set's storage slot. Neither depends on the directory's contents,
-    /// so a scheduler resolves each request once, when it queues, and
-    /// scores it through [`Self::group_probe`] from then on.
+    /// Resolves `addr`'s directory coordinates: its stripe group, its
+    /// set's storage slot and its bank. None depends on the directory's
+    /// contents, so a scheduler resolves each request once, when it
+    /// queues, scores it through [`Self::group_probe`] and serves it
+    /// through [`Self::access_at`] from then on.
     pub fn resolve(&self, addr: u64) -> LineSite {
         self.dir.resolve(addr)
+    }
+
+    /// The way an access to `addr`, whose set [`Self::resolve`] put at
+    /// `set`, would touch right now (the way a [`GroupProbe`] estimate
+    /// reports): one tag search, no division.
+    pub fn way(&self, set: SetSlot, addr: u64) -> Way {
+        self.dir.way(set, addr)
     }
 
     /// Shift estimates for accesses to `group` as it stands now (its
@@ -886,11 +932,13 @@ impl RacetrackLlc {
     }
 
     /// Predicts the shift distance an access to `addr` would need right
-    /// now, without touching any state: [`GroupProbe::shift_distance`]
-    /// of the address's resolved coordinates.
+    /// now, without touching any state: the distance of the
+    /// [`GroupProbe::estimate`] of the address's resolved coordinates.
     pub fn predicted_shift_distance(&self, addr: u64) -> u32 {
         let site = self.resolve(addr);
-        self.group_probe(site.group).shift_distance(site.set, addr)
+        self.group_probe(site.group)
+            .estimate(site.set, addr, AccessKind::Read)
+            .distance
     }
 
     /// Drifts a group's head back to the centre of its range off the
@@ -905,9 +953,14 @@ impl RacetrackLlc {
     ///
     /// Panics if `group` is out of range.
     pub fn park_group(&mut self, group: usize, now: u64) {
+        self.park_at(group, group % self.banks() as usize, now);
+    }
+
+    /// [`Self::park_group`] of `group`, served by `bank`.
+    fn park_at(&mut self, group: usize, bank: usize, now: u64) {
         let distance = self.dir.park(group);
         if distance > 0 {
-            self.back.park(group, distance, now);
+            self.back.park(bank, distance, now);
         }
     }
 
@@ -916,7 +969,8 @@ impl RacetrackLlc {
     /// stream on its bank (the directly preceding access kept the STS
     /// driver armed), so a required shift skips its stage-2 settle.
     /// `access_fused(addr, kind, now, false)` is exactly
-    /// [`LlcModel::access`].
+    /// [`LlcModel::access`]: [`Self::access_at`] of the address's
+    /// [`Self::resolve`]d site and the [`Self::way`] it would touch.
     pub fn access_fused(
         &mut self,
         addr: u64,
@@ -924,12 +978,33 @@ impl RacetrackLlc {
         now: u64,
         fused: bool,
     ) -> LlcResponse {
-        let p = self.dir.place(addr, kind);
+        let site = self.resolve(addr);
+        let way = self.way(site.set, addr);
+        self.access_at(site, way, addr, kind, now, fused)
+    }
+
+    /// Serves an access to `addr` from its resolved `site` on `way`, the
+    /// way a [`GroupProbe`] estimate (or [`Self::way`]) reported with no
+    /// access to the group since: the one access path, which divides
+    /// nothing and searches no tags. `fused` is as in
+    /// [`Self::access_fused`].
+    pub fn access_at(
+        &mut self,
+        site: LineSite,
+        way: Way,
+        addr: u64,
+        kind: AccessKind,
+        now: u64,
+        fused: bool,
+    ) -> LlcResponse {
+        debug_assert_eq!(site, self.resolve(addr), "a site of another address");
+        debug_assert_eq!(way, self.way(site.set, addr), "a stale way");
+        let p = self.dir.place_at(site, way, addr, kind);
         let resp = self.back.serve(&p, now, fused);
         // Idle management: after servicing, drift the head back to the
         // centre of its range off the critical path.
         if self.head_policy == HeadPolicy::ReturnToCentre {
-            self.park_group(p.group, now + resp.latency_cycles - p.array_cycles);
+            self.park_at(p.group, p.bank, now + resp.latency_cycles - p.array_cycles);
         }
         resp
     }
@@ -947,21 +1022,35 @@ pub struct GroupProbe<'a> {
     head: u8,
 }
 
-impl GroupProbe<'_> {
-    /// The steps the group's head would move for an access to `addr`,
-    /// whose set [`RacetrackLlc::resolve`] put in this group at `set`:
-    /// to the way a non-mutating probe finds the line in, else to the
-    /// LRU victim the allocation would pick.
-    pub fn shift_distance(&self, set: SetSlot, addr: u64) -> u32 {
-        self.head.abs_diff(self.llc.dir.target_head(set, addr)) as u32
-    }
+/// What a [`GroupProbe`] found for one candidate access: where it would
+/// land and what getting there would cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Estimate {
+    /// The way the access would touch: the way holding the line, else
+    /// the LRU victim the allocation would pick. Serving the access
+    /// through [`RacetrackLlc::access_at`] on this way, with no access
+    /// to the group in between, costs no second tag search.
+    pub way: Way,
+    /// The steps the group's head would move onto that way's domain.
+    pub distance: u32,
+    /// Estimated service latency in cycles: one shift of `distance`
+    /// steps, with its p-ECC check when the scheme has one, plus the
+    /// array access. Costs no plan.
+    pub cycles: u64,
+}
 
-    /// Estimated service latency of that access in cycles: one shift of
-    /// [`Self::shift_distance`] steps, with its p-ECC check when the
-    /// scheme has one, plus the array access. Costs no plan.
-    pub fn estimated_cycles(&self, set: SetSlot, addr: u64, kind: AccessKind) -> u64 {
-        let distance = self.shift_distance(set, addr) as usize;
-        self.llc.shift_estimates[distance] + self.llc.dir.array_cycles(kind)
+impl GroupProbe<'_> {
+    /// Estimates an access of `kind` to `addr`, whose set
+    /// [`RacetrackLlc::resolve`] put in this group at `set`.
+    pub fn estimate(&self, set: SetSlot, addr: u64, kind: AccessKind) -> Estimate {
+        let dir = &self.llc.dir;
+        let way = dir.way(set, addr);
+        let distance = u32::from(self.head.abs_diff(dir.head_at(set, way)));
+        Estimate {
+            way,
+            distance,
+            cycles: self.llc.shift_estimates[distance as usize] + dir.array_cycles(kind),
+        }
     }
 }
 
@@ -1164,14 +1253,95 @@ mod tests {
                         let site = llc.resolve(a);
                         assert_eq!(site.group, group, "group of {a:#x}");
                         assert_eq!(llc.group_of(a), group);
-                        let probe = llc.group_probe(group);
-                        assert_eq!(probe.shift_distance(site.set, a), distance, "{a:#x}");
+                        assert_eq!(site.bank as usize, group % llc.banks() as usize);
+                        let e = llc.group_probe(group).estimate(site.set, a, k);
+                        assert_eq!(e.distance, distance, "{a:#x}");
                         assert_eq!(llc.predicted_shift_distance(a), distance);
-                        assert_eq!(probe.estimated_cycles(site.set, a, k), estimate, "{a:#x}");
+                        assert_eq!(e.cycles, estimate, "{a:#x}");
+                        assert_eq!(e.way, llc.way(site.set, a), "{a:#x}");
                     }
                     let (a, k) = (addr(g), kind(g));
                     llc.access(a, k, t * 97);
                 }
+            });
+        }
+    }
+
+    #[test]
+    fn resolved_access_matches_the_address_access() {
+        use rtm_util::check::{run_cases, Gen};
+        // Every scheme at 1 and 8 banks, the ideal back end, both head
+        // policies and a 1 GiB override at 1 and 8 banks. Each case
+        // builds two identical LLCs (a fresh directory costs only the
+        // pages it touches, a clone copies all of them).
+        let mut builds: Vec<Box<dyn Fn() -> RacetrackLlc>> = Vec::new();
+        for kind in [
+            ProtectionKind::None,
+            ProtectionKind::Sed,
+            ProtectionKind::SECDED,
+            ProtectionKind::Correcting { m: 2 },
+            ProtectionKind::SECDED_O,
+            ProtectionKind::CHEE_KIAH,
+            ProtectionKind::VAHID_2DI,
+        ] {
+            for banks in [1, 8] {
+                builds.push(Box::new(move || {
+                    RacetrackLlc::with_banks(kind, ShiftPolicy::Adaptive, banks)
+                }));
+            }
+        }
+        builds.push(Box::new(RacetrackLlc::ideal));
+        builds.push(Box::new(|| {
+            RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, 8)
+                .with_head_policy(HeadPolicy::ReturnToCentre)
+        }));
+        for banks in [1, 8] {
+            builds.push(Box::new(move || {
+                RacetrackLlc::with_banks(ProtectionKind::SECDED, ShiftPolicy::Adaptive, banks)
+                    .with_capacity(1 << 30)
+            }));
+        }
+        for build in &builds {
+            run_cases(2, |g: &mut Gen| {
+                let mut resolved = build();
+                let mut plain = build();
+                let stride = plain.dir.cache.sets() * 64;
+                let mut hits = 0;
+                for t in 0..2_000u64 {
+                    // Mostly 24 lines over each of 40 sets, so sets fill
+                    // and misses evict; some anywhere in four capacities.
+                    let line = if g.u32_in(0, 7) == 0 {
+                        g.u64_in(0, 4 * stride)
+                    } else {
+                        g.u64_in(0, 39) * 64 + g.u64_in(0, 23) * stride
+                    };
+                    let a = (line & !63) | g.u64_in(0, 63);
+                    let k = if g.bool() {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let fused = g.u32_in(0, 3) == 0;
+                    let now = t * 61;
+                    let site = resolved.resolve(a);
+                    let way = resolved
+                        .group_probe(site.group)
+                        .estimate(site.set, a, k)
+                        .way;
+                    let got = resolved.access_at(site, way, a, k, now, fused);
+                    let want = plain.access_fused(a, k, now, fused);
+                    assert_eq!(got, want, "access {t} to {a:#x}");
+                    hits += u64::from(got.hit);
+                    assert_eq!(resolved.stats(), plain.stats(), "access {t}");
+                    assert_eq!(
+                        resolved.head_position(site.group),
+                        plain.head_position(site.group),
+                        "access {t}"
+                    );
+                    assert_eq!(resolved.scale_stats(), plain.scale_stats(), "access {t}");
+                    assert_eq!(resolved.idle_steps(), plain.idle_steps(), "access {t}");
+                }
+                assert!(hits > 0 && hits < 2_000, "{hits} hits");
             });
         }
     }
@@ -1240,9 +1410,10 @@ mod tests {
         for i in 1..8u64 {
             let addr = i * stride;
             let site = llc.resolve(addr);
-            let est =
-                llc.group_probe(site.group)
-                    .estimated_cycles(site.set, addr, AccessKind::Read);
+            let est = llc
+                .group_probe(site.group)
+                .estimate(site.set, addr, AccessKind::Read)
+                .cycles;
             let r = llc.access(addr, AccessKind::Read, i * 1000);
             // Unconstrained plans are exactly one sub-shift, so the
             // one-shift estimate is exact.

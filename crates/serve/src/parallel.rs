@@ -50,6 +50,7 @@ use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc};
 use rtm_par::spsc::{self, Producer, Recv};
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::MemAccess;
+use rtm_util::div::Divisor;
 
 /// One request on a bank's command ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,13 +71,14 @@ pub struct ShiftCommand {
 /// The racetrack LLC maps a 64-byte line to `set = (addr / 64) % sets`,
 /// interleaves 16 ways over 64-domain stripe groups (so four
 /// consecutive sets share one group), and spreads groups over banks
-/// round-robin. The front end only needs that arithmetic — two divides
-/// — to route; [`GroupRouter::group_of`] is checked against
+/// round-robin. The front end only needs that arithmetic — a shift and
+/// a mask for the paper's power-of-two geometry — to route;
+/// [`GroupRouter::group_of`] is checked against
 /// [`RacetrackLlc::group_of`] by the test-suite.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupRouter {
-    sets: u64,
-    banks: u32,
+    sets: Divisor,
+    banks: Divisor,
 }
 
 impl GroupRouter {
@@ -89,19 +91,19 @@ impl GroupRouter {
         assert!(banks > 0, "at least one bank required");
         let design = LlcDesign::racetrack();
         Self {
-            sets: design.capacity_bytes / (16 * 64),
-            banks,
+            sets: Divisor::new(design.capacity_bytes / (16 * 64)),
+            banks: Divisor::new(u64::from(banks)),
         }
     }
 
     /// The stripe group an access to `addr` lands in.
     pub fn group_of(&self, addr: u64) -> usize {
-        (((addr >> 6) % self.sets) / 4) as usize
+        (self.sets.remainder(addr >> 6) / 4) as usize
     }
 
     /// The bank serving `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        self.group_of(addr) % self.banks as usize
+        self.banks.remainder(self.group_of(addr) as u64) as usize
     }
 }
 
@@ -390,7 +392,7 @@ pub fn run_oracle(cfg: ThroughputConfig, trace: &[MemAccess]) -> ServeStats {
     let mut lanes: Vec<Lane> = (0..banks).map(Lane::new).collect();
     for a in trace {
         let group = router.group_of(a.addr);
-        let bank = group % banks;
+        let bank = router.bank_of(a.addr);
         let cmd = fuser.command(bank, group, a);
         lanes[bank].execute(&mut llc, cmd);
     }
@@ -471,7 +473,7 @@ pub fn run_parallel(cfg: ThroughputConfig, trace: &[MemAccess]) -> ServeStats {
         let mut fuser = Fuser::new(banks, cfg.batch_limit);
         for a in trace {
             let group = router.group_of(a.addr);
-            let bank = group % banks;
+            let bank = router.bank_of(a.addr);
             let mut cmd = fuser.command(bank, group, a);
             while let Err(back) = producers[bank].push(cmd) {
                 cmd = back;

@@ -7,18 +7,20 @@
 //! complete → admit → dispatch before moving on, so the schedule is a
 //! pure function of the configuration and the trace.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::policy::SchedPolicy;
 use rtm_controller::controller::ShiftPolicy;
 use rtm_cost::technology::{CacheTech, SystemConfig};
-use rtm_mem::cache::AccessKind;
-use rtm_mem::llc::{LlcModel, LlcStats, RacetrackLlc, ScaleStats, SetSlot};
+use rtm_mem::cache::{AccessKind, Way};
+use rtm_mem::llc::{LineSite, LlcModel, LlcStats, RacetrackLlc, ScaleStats, SetSlot};
 use rtm_obs::attrib::AttributionTable;
 use rtm_obs::metrics::nearest_rank;
 use rtm_obs::span::ParentScope;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::MemAccess;
+use rtm_util::div::Divisor;
 
 /// Component names of the serving layer's cycle-attribution tables,
 /// in column order: where every attributed cycle of a dispatched
@@ -507,20 +509,25 @@ impl Queued {
     }
 }
 
+/// The capacity of a queue's first buffer (`VecDeque`'s smallest
+/// allocation for entries of this size).
+const MIN_QUEUE_CAPACITY: usize = 4;
+
 /// The bounded per-group queues, each in request-id order (a dispatch
 /// may take any position, never reorder the rest), found by group in
 /// O(1) expected time.
 ///
 /// A group with requests queued owns one slab entry, found through an
 /// open-addressed table that holds only such groups. When its queue
-/// drains, its buffer is freed, its bucket emptied and its slab entry
-/// put on a free list for the next group that queues. The store's
-/// memory therefore follows the requests queued at once, not the
-/// configured capacity: frontdoor-10k's ~880 queued groups fit a
-/// 2,048-bucket (16 KiB) table, where an index over the paper's 32,768
-/// groups took 128 KiB. Keys are group indices, so only a trace built
-/// to collide them could lengthen a probe, and never past the groups
-/// queued at once.
+/// drains, its bucket is emptied and its slab entry put on a free list
+/// for the next group that queues, keeping a buffer of the smallest
+/// capacity (a grown one is freed), so a group that queues again mostly
+/// allocates nothing. The store's memory therefore follows the requests
+/// queued at once, not the configured capacity: frontdoor-10k's ~880
+/// queued groups fit a 2,048-bucket (16 KiB) table, where an index over
+/// the paper's 32,768 groups took 128 KiB. Keys are group indices, so
+/// only a trace built to collide them could lengthen a probe, and never
+/// past the groups queued at once.
 #[derive(Debug)]
 struct GroupQueues {
     /// Linear-probing buckets of (group + 1, slab index), key 0 marking
@@ -601,7 +608,11 @@ impl GroupQueues {
         let req = q.remove(idx).expect("selected index exists");
         let front = q.front().map(|r| r.id);
         if q.is_empty() {
-            *q = VecDeque::new();
+            // The smallest buffer stays with the slab entry for the next
+            // group that queues; a grown one is freed.
+            if q.capacity() > MIN_QUEUE_CAPACITY {
+                *q = VecDeque::new();
+            }
             self.free.push(s as u32);
             self.erase(i);
         }
@@ -644,6 +655,60 @@ impl GroupQueues {
     }
 }
 
+/// The stripe groups of one bank that hold queued requests, as (front
+/// request id, group) in front-id order: the first holds the bank's
+/// oldest request, since each group queue is in id order.
+///
+/// A group that starts queuing does so with the bank's newest request,
+/// so it joins at the back. A group whose front is dispatched is
+/// re-keyed by two binary searches and a shift of the entries between
+/// its old and new places, none when it stays first.
+#[derive(Debug, Clone, Default)]
+struct BankIndex(VecDeque<(u64, usize)>);
+
+impl BankIndex {
+    /// The entry of the group holding the bank's oldest request.
+    fn first(&self) -> Option<&(u64, usize)> {
+        self.0.front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Entries in front-id order.
+    fn iter(&self) -> impl Iterator<Item = &(u64, usize)> {
+        self.0.iter()
+    }
+
+    /// `group` starts queuing with request `id`, the bank's newest.
+    fn push(&mut self, id: u64, group: usize) {
+        debug_assert!(self.0.back().is_none_or(|&(back, _)| back < id));
+        self.0.push_back((id, group));
+    }
+
+    /// `group`'s front request `id` left its queue; `next` is the
+    /// queue's new front, if it has one.
+    fn rekey(&mut self, id: u64, group: usize, next: Option<u64>) {
+        let at = self.0.partition_point(|&(front, _)| front < id);
+        debug_assert_eq!(self.0.get(at), Some(&(id, group)));
+        match next {
+            None => {
+                self.0.remove(at);
+            }
+            Some(next) => {
+                // Every entry before `to` keys below `next`; `next`
+                // follows `id` in its queue, so `to` lies past `at`.
+                let to = self.0.partition_point(|&(front, _)| front < next);
+                for i in at..to - 1 {
+                    self.0[i] = self.0[i + 1];
+                }
+                self.0[to - 1] = (next, group);
+            }
+        }
+    }
+}
+
 /// A dispatched request awaiting completion.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -657,25 +722,101 @@ struct InFlight {
     is_write: bool,
 }
 
+/// The dispatched requests awaiting completion, retired in completion
+/// order and, within a cycle, in dispatch order.
+///
+/// A min-heap of 24-byte keys (completion cycle, dispatch number, slab
+/// slot) orders them; the payloads stay put in a slab whose slots are
+/// reused. So the next completion is the heap's top, and retiring the
+/// requests due at an instant touches only those requests.
+#[derive(Debug, Default)]
+struct InFlightSet {
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slab: Vec<InFlight>,
+    /// Slots of retired requests, reused last in, first out.
+    free: Vec<u32>,
+    /// Requests dispatched so far: the next dispatch number.
+    dispatched: u64,
+}
+
+impl InFlightSet {
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn push(&mut self, f: InFlight) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = f;
+                slot
+            }
+            None => {
+                self.slab.push(f);
+                self.slab.len() as u32 - 1
+            }
+        };
+        self.heap
+            .push(Reverse((f.complete_at, self.dispatched, slot)));
+        self.dispatched += 1;
+    }
+
+    /// The earliest completion cycle, if any request is in flight.
+    fn next_completion(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
+    }
+
+    /// Removes and returns the next request to retire if it is due by
+    /// `now`.
+    fn pop_due(&mut self, now: u64) -> Option<InFlight> {
+        let &Reverse((at, _, slot)) = self.heap.peek()?;
+        if at > now {
+            return None;
+        }
+        self.heap.pop();
+        self.free.push(slot);
+        Some(self.slab[slot as usize])
+    }
+}
+
+/// One bit per bank: the banks that hold queued work.
+#[derive(Debug)]
+struct BankMask(Vec<u64>);
+
+impl BankMask {
+    fn new(banks: usize) -> Self {
+        Self(vec![0; banks.div_ceil(64)])
+    }
+
+    fn set(&mut self, bank: usize) {
+        self.0[bank / 64] |= 1 << (bank % 64);
+    }
+
+    fn clear(&mut self, bank: usize) {
+        self.0[bank / 64] &= !(1 << (bank % 64));
+    }
+}
+
 /// The discrete-event serving simulator.
 #[derive(Debug)]
 pub struct ServeSim {
     cfg: ServeConfig,
+    /// The client count, mapping trace cores onto clients.
+    clients: Divisor,
     llc: RacetrackLlc,
     mem_cycles: u64,
     clock: u64,
     /// The per-group bounded queues.
     queues: GroupQueues,
-    /// Non-empty stripe groups of each bank keyed by (front request id,
-    /// group): `first()` is the group holding the bank's oldest
-    /// request, since each group queue is in id order.
-    bank_index: Vec<BTreeSet<(u64, usize)>>,
+    /// The stripe groups of each bank that hold queued requests.
+    bank_index: Vec<BankIndex>,
+    /// The banks whose index is not empty.
+    banks_with_work: BankMask,
     /// Requests admitted to, and dispatched from, each bank.
     bank_admitted: Vec<u64>,
     bank_dispatched: Vec<u64>,
     queued_total: usize,
     bank_free_at: Vec<u64>,
-    in_flight: Vec<InFlight>,
+    in_flight: InFlightSet,
     outstanding: Vec<usize>,
     ready_at: Vec<u64>,
     pending: Option<MemAccess>,
@@ -720,17 +861,19 @@ impl ServeSim {
             llc = llc.with_capacity(bytes);
         }
         Self {
+            clients: Divisor::new(u64::from(cfg.clients)),
             mem_cycles: SystemConfig::paper(CacheTech::Racetrack)
                 .memory
                 .access_cycles,
             clock: 0,
             queues: GroupQueues::new(),
-            bank_index: vec![BTreeSet::new(); cfg.banks as usize],
+            bank_index: vec![BankIndex::default(); cfg.banks as usize],
+            banks_with_work: BankMask::new(cfg.banks as usize),
             bank_admitted: vec![0; cfg.banks as usize],
             bank_dispatched: vec![0; cfg.banks as usize],
             queued_total: 0,
             bank_free_at: vec![0; cfg.banks as usize],
-            in_flight: Vec::new(),
+            in_flight: InFlightSet::default(),
             outstanding: vec![0; cfg.clients as usize],
             ready_at: vec![0; cfg.clients as usize],
             pending: None,
@@ -802,10 +945,7 @@ impl ServeSim {
 
     /// The earliest future instant at which anything can change.
     fn next_event_time(&self) -> Option<u64> {
-        let mut next = u64::MAX;
-        for f in &self.in_flight {
-            next = next.min(f.complete_at);
-        }
+        let mut next = self.in_flight.next_completion().unwrap_or(u64::MAX);
         if self.queued_total > 0 {
             // After the fixpoint, any still-queued request's bank is
             // busy; its free time is the next chance to dispatch.
@@ -835,33 +975,27 @@ impl ServeSim {
 
     fn pending_client(&self) -> usize {
         let a = self.pending.as_ref().expect("caller checked pending");
-        (a.core as usize) % self.cfg.clients as usize
+        self.clients.remainder(u64::from(a.core)) as usize
     }
 
     /// Retires every in-flight request due by now, echoing each
     /// completion back to the source. Returns whether any completed.
     fn complete<S: RequestSource + ?Sized>(&mut self, source: &mut S) -> bool {
         let mut any = false;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].complete_at <= self.clock {
-                let f = self.in_flight.remove(i);
-                self.outstanding[f.client as usize] -= 1;
-                self.completed += 1;
-                self.totals.record(f.total_cycles);
-                source.completed(&Completion {
-                    id: f.id,
-                    cycle: f.complete_at,
-                    queue_delay: f.queue_delay,
-                    service: f.service_cycles,
-                    fill: f.fill_cycles,
-                    total: f.total_cycles,
-                    is_write: f.is_write,
-                });
-                any = true;
-            } else {
-                i += 1;
-            }
+        while let Some(f) = self.in_flight.pop_due(self.clock) {
+            self.outstanding[f.client as usize] -= 1;
+            self.completed += 1;
+            self.totals.record(f.total_cycles);
+            source.completed(&Completion {
+                id: f.id,
+                cycle: f.complete_at,
+                queue_delay: f.queue_delay,
+                service: f.service_cycles,
+                fill: f.fill_cycles,
+                total: f.total_cycles,
+                is_write: f.is_write,
+            });
+            any = true;
         }
         any
     }
@@ -890,7 +1024,7 @@ impl ServeSim {
                 }
             }
             let Some(a) = self.pending else { break };
-            let c = (a.core as usize) % self.cfg.clients as usize;
+            let c = self.clients.remainder(u64::from(a.core)) as usize;
             if self.outstanding[c] >= self.cfg.budget || self.clock < self.ready_at[c] {
                 break;
             }
@@ -915,7 +1049,7 @@ impl ServeSim {
             }
             let id = self.next_id;
             self.next_id += 1;
-            let bank = group % self.cfg.banks as usize;
+            let bank = site.bank as usize;
             self.queues.push(
                 group,
                 Queued {
@@ -929,7 +1063,8 @@ impl ServeSim {
                 },
             );
             if queued == 0 {
-                self.bank_index[bank].insert((id, group));
+                self.bank_index[bank].push(id, group);
+                self.banks_with_work.set(bank);
             }
             self.bank_admitted[bank] += 1;
             self.queued_total += 1;
@@ -948,116 +1083,136 @@ impl ServeSim {
         any
     }
 
-    /// Dispatches one request per free bank, chosen by the scheduling
-    /// policy. Returns whether any dispatch happened.
+    /// Dispatches one request per free bank that holds queued work, in
+    /// ascending bank order, chosen by the scheduling policy. Returns
+    /// whether any dispatch happened.
     fn dispatch(&mut self) -> bool {
         let mut any = false;
-        for bank in 0..self.cfg.banks as usize {
-            if self.bank_free_at[bank] > self.clock {
-                continue;
-            }
-            let Some((group, idx)) = self.select(bank) else {
-                continue;
-            };
-            let (req, front) = self.queues.remove(group, idx);
-            if idx == 0 {
-                // The group's front changed: re-key it in the index.
-                let index = &mut self.bank_index[bank];
-                index.remove(&(req.id, group));
-                if let Some(next) = front {
-                    index.insert((next, group));
+        for w in 0..self.banks_with_work.0.len() {
+            // Dispatching only ever clears bits, so a snapshot of the
+            // word is the banks left to visit.
+            let mut bits = self.banks_with_work.0[w];
+            while bits != 0 {
+                let bank = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.bank_free_at[bank] <= self.clock {
+                    self.dispatch_from(bank);
+                    any = true;
                 }
             }
-            self.queued_total -= 1;
-            self.bank_dispatched[bank] += 1;
-            // Attribution: the controller accumulates shift/verify
-            // cycles inside the access; the before/after delta is this
-            // request's share (exact — the event loop is serial).
-            let (shift_before, verify_before) = self.llc.shift_verify_cycles();
-            // The dispatch span id must exist before the access so the
-            // controller's plan_shift spans nest under it; its record
-            // is filled in below once the extent is known.
-            let spans = rtm_obs::global().spans();
-            let dispatch_span = spans.reserve();
-            let resp = {
-                let _parent = ParentScope::enter(dispatch_span);
-                self.llc.access(req.addr, req.kind(), self.clock)
-            };
-            let (shift_after, verify_after) = self.llc.shift_verify_cycles();
-            let shift_delta = shift_after - shift_before;
-            let verify_delta = verify_after - verify_before;
-            self.bank_free_at[bank] = self.clock + resp.latency_cycles;
-            self.bank_busy[bank] += resp.latency_cycles;
-            // Misses and writebacks go to memory off the bank: the
-            // stripe group is free once the array access finishes,
-            // MSHR-style, while the requester waits for the fill.
-            let fill = if resp.hit { 0 } else { self.mem_cycles };
-            let queue_delay = self.clock - req.arrival;
-            let service_cycles = resp.latency_cycles;
-            let complete_at = self.clock + service_cycles + fill;
-            self.fill_cycles_total += fill;
-            let c = req.client as usize;
-            self.tenant_requests[c] += 1;
-            self.tenant_queue[c] += queue_delay;
-            self.tenant_service[c] += service_cycles;
-            self.tenant_sts[c] += shift_delta - verify_delta;
-            self.tenant_verify[c] += verify_delta;
-            self.tenant_fill[c] += fill;
-            if dispatch_span != 0 {
-                // The request's whole span tree is known now: queue and
-                // dispatch (and any fill) tile the request exactly.
-                let req_span = spans.record(
-                    0,
-                    "request",
-                    req.arrival,
-                    complete_at,
-                    &[("id", req.id), ("group", group as u64)],
-                );
-                spans.record(req_span, "queue", req.arrival, self.clock, &[]);
-                spans.record_reserved(
-                    dispatch_span,
-                    req_span,
-                    "dispatch",
-                    self.clock,
-                    self.clock + service_cycles,
-                    &[],
-                );
-                if fill > 0 {
-                    spans.record(
-                        req_span,
-                        "mem_fill",
-                        self.clock + service_cycles,
-                        complete_at,
-                        &[],
-                    );
-                }
-            }
-            self.in_flight.push(InFlight {
-                id: req.id,
-                client: req.client,
-                complete_at,
-                queue_delay,
-                service_cycles,
-                fill_cycles: fill,
-                total_cycles: queue_delay + service_cycles + fill,
-                is_write: req.is_write,
-            });
-            self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
-            self.queue_delays.record(queue_delay);
-            self.services.record(service_cycles);
-            if req.is_write {
-                self.write_totals
-                    .record(queue_delay + service_cycles + fill);
-            } else {
-                self.read_totals.record(queue_delay + service_cycles + fill);
-            }
-            any = true;
         }
         any
     }
 
-    /// Picks the best (group, queue index) for `bank` under the active
-    /// policy, or `None` when the bank has no queued work. A request
+    /// Dispatches the request the policy picks from `bank`, which is
+    /// free and holds queued work, from the coordinates it was queued
+    /// with and the way its selection probed.
+    fn dispatch_from(&mut self, bank: usize) {
+        let (group, idx, way) = self.select(bank);
+        let (req, front) = self.queues.remove(group, idx);
+        if idx == 0 {
+            // The group's front changed: re-key it in the index.
+            let index = &mut self.bank_index[bank];
+            index.rekey(req.id, group, front);
+            if index.is_empty() {
+                self.banks_with_work.clear(bank);
+            }
+        }
+        self.queued_total -= 1;
+        self.bank_dispatched[bank] += 1;
+        let site = LineSite {
+            group,
+            set: req.set,
+            bank: bank as u32,
+        };
+        let way = way.unwrap_or_else(|| self.llc.way(req.set, req.addr));
+        // Attribution: the controller accumulates shift/verify
+        // cycles inside the access; the before/after delta is this
+        // request's share (exact — the event loop is serial).
+        let (shift_before, verify_before) = self.llc.shift_verify_cycles();
+        // The dispatch span id must exist before the access so the
+        // controller's plan_shift spans nest under it; its record
+        // is filled in below once the extent is known.
+        let spans = rtm_obs::global().spans();
+        let dispatch_span = spans.reserve();
+        let resp = {
+            let _parent = (dispatch_span != 0).then(|| ParentScope::enter(dispatch_span));
+            self.llc
+                .access_at(site, way, req.addr, req.kind(), self.clock, false)
+        };
+        let (shift_after, verify_after) = self.llc.shift_verify_cycles();
+        let shift_delta = shift_after - shift_before;
+        let verify_delta = verify_after - verify_before;
+        self.bank_free_at[bank] = self.clock + resp.latency_cycles;
+        self.bank_busy[bank] += resp.latency_cycles;
+        // Misses and writebacks go to memory off the bank: the
+        // stripe group is free once the array access finishes,
+        // MSHR-style, while the requester waits for the fill.
+        let fill = if resp.hit { 0 } else { self.mem_cycles };
+        let queue_delay = self.clock - req.arrival;
+        let service_cycles = resp.latency_cycles;
+        let complete_at = self.clock + service_cycles + fill;
+        self.fill_cycles_total += fill;
+        let c = req.client as usize;
+        self.tenant_requests[c] += 1;
+        self.tenant_queue[c] += queue_delay;
+        self.tenant_service[c] += service_cycles;
+        self.tenant_sts[c] += shift_delta - verify_delta;
+        self.tenant_verify[c] += verify_delta;
+        self.tenant_fill[c] += fill;
+        if dispatch_span != 0 {
+            // The request's whole span tree is known now: queue and
+            // dispatch (and any fill) tile the request exactly.
+            let req_span = spans.record(
+                0,
+                "request",
+                req.arrival,
+                complete_at,
+                &[("id", req.id), ("group", group as u64)],
+            );
+            spans.record(req_span, "queue", req.arrival, self.clock, &[]);
+            spans.record_reserved(
+                dispatch_span,
+                req_span,
+                "dispatch",
+                self.clock,
+                self.clock + service_cycles,
+                &[],
+            );
+            if fill > 0 {
+                spans.record(
+                    req_span,
+                    "mem_fill",
+                    self.clock + service_cycles,
+                    complete_at,
+                    &[],
+                );
+            }
+        }
+        self.in_flight.push(InFlight {
+            id: req.id,
+            client: req.client,
+            complete_at,
+            queue_delay,
+            service_cycles,
+            fill_cycles: fill,
+            total_cycles: queue_delay + service_cycles + fill,
+            is_write: req.is_write,
+        });
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
+        self.queue_delays.record(queue_delay);
+        self.services.record(service_cycles);
+        if req.is_write {
+            self.write_totals
+                .record(queue_delay + service_cycles + fill);
+        } else {
+            self.read_totals.record(queue_delay + service_cycles + fill);
+        }
+    }
+
+    /// Picks the best (group, queue index) for `bank`, which holds
+    /// queued work, under the active policy, with the way the pick's
+    /// access would touch when scoring probed it. A request
     /// overtaken `starve_limit` times outranks every younger one,
     /// bounding starvation under the reordering policies. Ties break on
     /// request id (arrival order), so the schedule is total-ordered.
@@ -1077,48 +1232,55 @@ impl ServeSim {
     /// slots resolved at admission.
     ///
     /// [`GroupProbe`]: rtm_mem::llc::GroupProbe
-    fn select(&self, bank: usize) -> Option<(usize, usize)> {
+    fn select(&self, bank: usize) -> (usize, usize, Option<Way>) {
         let index = &self.bank_index[bank];
-        let &(_, oldest_group) = index.first()?;
+        let &(_, oldest_group) = index.first().expect("a bank with work has a group");
         let oldest_queue = self
             .queues
             .get(oldest_group)
             .expect("indexed group has a queue");
         if self.bank_dispatched[bank] - oldest_queue[0].turn >= u64::from(self.cfg.starve_limit) {
-            return Some((oldest_group, 0));
+            return (oldest_group, 0, None);
         }
         match self.cfg.policy {
-            SchedPolicy::Fcfs => Some((oldest_group, 0)),
+            SchedPolicy::Fcfs => (oldest_group, 0, None),
             SchedPolicy::FrFcfs => {
                 // Groups come in front-id order and each queue in id
                 // order, so the scan stops at the first request younger
                 // than the best zero-shift one found so far.
-                let mut best: Option<(u64, usize, usize)> = None;
-                for &(front, group) in index {
-                    let bound = best.map_or(u64::MAX, |(id, _, _)| id);
+                let mut best: Option<(u64, usize, usize, Way)> = None;
+                for &(front, group) in index.iter() {
+                    let bound = best.map_or(u64::MAX, |(id, ..)| id);
                     if front > bound {
                         break;
                     }
                     let q = self.queues.get(group).expect("indexed group has a queue");
                     let probe = self.llc.group_probe(group);
-                    if let Some(idx) = q
-                        .iter()
-                        .take_while(|r| r.id < bound)
-                        .position(|r| probe.shift_distance(r.set, r.addr) == 0)
-                    {
-                        best = Some((q[idx].id, group, idx));
+                    for (idx, r) in q.iter().enumerate().take_while(|(_, r)| r.id < bound) {
+                        let e = probe.estimate(r.set, r.addr, r.kind());
+                        if e.distance == 0 {
+                            best = Some((r.id, group, idx, e.way));
+                            break;
+                        }
                     }
                 }
-                Some(best.map_or((oldest_group, 0), |(_, group, idx)| (group, idx)))
+                best.map_or((oldest_group, 0, None), |(_, group, idx, way)| {
+                    (group, idx, Some(way))
+                })
             }
             SchedPolicy::ShiftAware => {
-                // `min_by_key` keeps the first minimum: the oldest on ties.
+                // Strictly less keeps the first minimum: the oldest on
+                // ties.
                 let probe = self.llc.group_probe(oldest_group);
-                oldest_queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| probe.estimated_cycles(r.set, r.addr, r.kind()))
-                    .map(|(idx, _)| (oldest_group, idx))
+                let mut best: Option<(u64, usize, Way)> = None;
+                for (idx, r) in oldest_queue.iter().enumerate() {
+                    let e = probe.estimate(r.set, r.addr, r.kind());
+                    if best.is_none_or(|(cycles, ..)| e.cycles < cycles) {
+                        best = Some((e.cycles, idx, e.way));
+                    }
+                }
+                let (_, idx, way) = best.expect("indexed group has a queue");
+                (oldest_group, idx, Some(way))
             }
         }
     }
@@ -1425,6 +1587,80 @@ mod tests {
             }
         }
         assert!(store.table.len() >= 512, "the table grew");
+    }
+
+    #[test]
+    fn bank_index_matches_an_ordered_set() {
+        // Requests join random groups in id order and leave from any
+        // position, as dispatches do; the index must list the non-empty
+        // groups in front-id order exactly as an ordered set keyed by
+        // (front id, group) does.
+        let mut rng = rtm_util::rng::SmallRng64::new(29);
+        let mut index = BankIndex::default();
+        let mut reference = std::collections::BTreeSet::new();
+        let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); 40];
+        let mut live: Vec<usize> = Vec::new();
+        for id in 0..40_000u64 {
+            let push_share = if id < 20_000 { 6 } else { 4 };
+            if live.is_empty() || rng.next_below(10) < push_share {
+                let group = rng.next_below(40) as usize;
+                if queues[group].is_empty() {
+                    index.push(id, group);
+                    reference.insert((id, group));
+                    live.push(group);
+                }
+                queues[group].push_back(id);
+            } else {
+                let at = rng.next_below(live.len() as u64) as usize;
+                let group = live[at];
+                let q = &mut queues[group];
+                let idx = rng.next_below(q.len() as u64) as usize;
+                let gone = q.remove(idx).expect("index in range");
+                if idx == 0 {
+                    let next = q.front().copied();
+                    index.rekey(gone, group, next);
+                    reference.remove(&(gone, group));
+                    if let Some(next) = next {
+                        reference.insert((next, group));
+                    } else {
+                        live.swap_remove(at);
+                    }
+                }
+            }
+            assert!(index.iter().eq(reference.iter()), "after request {id}");
+            assert_eq!(index.first(), reference.first());
+        }
+    }
+
+    #[test]
+    fn in_flight_set_retires_in_completion_then_dispatch_order() {
+        let mut set = InFlightSet::default();
+        let done = |id, complete_at| InFlight {
+            id,
+            client: 0,
+            complete_at,
+            queue_delay: 0,
+            service_cycles: 0,
+            fill_cycles: 0,
+            total_cycles: 0,
+            is_write: false,
+        };
+        for (id, at) in [(0, 30), (1, 10), (2, 30), (3, 20), (4, 10)] {
+            set.push(done(id, at));
+        }
+        assert_eq!(set.next_completion(), Some(10));
+        let mut retired = Vec::new();
+        for now in [5, 10, 25, 30] {
+            while let Some(f) = set.pop_due(now) {
+                retired.push((now, f.id));
+            }
+        }
+        assert_eq!(retired, [(10, 1), (10, 4), (25, 3), (30, 0), (30, 2)]);
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.next_completion(), None);
+        // Freed slots are reused.
+        set.push(done(5, 40));
+        assert_eq!(set.slab.len(), 5);
     }
 
     #[test]

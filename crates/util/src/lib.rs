@@ -17,6 +17,8 @@
 //!   reproducible bit-for-bit;
 //! * [`check`] — a tiny seeded property-check harness the test suites
 //!   use in place of an external framework (offline builds);
+//! * [`div`] — divisors fixed at construction, a shift and a mask for
+//!   the power-of-two cache and bank geometries;
 //! * [`arena`] — chunked arena + sparse paged byte map backing the lazy
 //!   stripe-group materialisation at GB-scale capacities;
 //! * [`sys`] — std-only process introspection (peak RSS from procfs).
@@ -38,6 +40,7 @@
 
 pub mod arena;
 pub mod check;
+pub mod div;
 pub mod fit;
 pub mod math;
 pub mod rng;
