@@ -16,7 +16,8 @@
 //! store and the span trace as `repro` does.
 
 use rtm_core::experiments::report::live_report;
-use rtm_core::experiments::SweepSettings;
+use rtm_core::experiments::{RtVariant, SimSweep, SweepSettings};
+use rtm_mem::hierarchy::LlcChoice;
 
 fn main() {
     let mut quick = false;
@@ -100,8 +101,9 @@ fn main() {
     settings.sample_engine = Some(engine);
     settings.fault_model = fault_model;
     eprintln!(
-        "running sweeps ({} workloads x 13 configurations x {} accesses)...",
+        "running sweep ({} workloads x {} lanes x {} accesses)...",
         settings.profiles().len(),
+        SimSweep::lanes(&RtVariant::ALL, &LlcChoice::ALL),
         settings.accesses
     );
     let report = live_report(&settings);

@@ -270,30 +270,22 @@ fn main() {
 
     let wanted = |name: &str| opts.experiments.iter().any(|e| e == "all" || e == name);
 
-    // Simulation sweeps are the expensive part; run each matrix once
-    // and let every figure that needs it slice the shared results.
-    let variant_sweep = if wanted("fig10") || wanted("fig11") || wanted("fig14") {
+    // The simulation sweep is the expensive part: one pass per workload
+    // serves the variant figures (10, 11, 14) and the LLC-choice figures
+    // (16-18) alike, and every figure slices the shared results.
+    let variant_figs = wanted("fig10") || wanted("fig11") || wanted("fig14");
+    let choice_figs = wanted("fig16") || wanted("fig17") || wanted("fig18");
+    let variants: &[RtVariant] = if variant_figs { &RtVariant::ALL } else { &[] };
+    let choices: &[LlcChoice] = if choice_figs { &LlcChoice::ALL } else { &[] };
+    let sweep = (variant_figs || choice_figs).then(|| {
         eprintln!(
-            "running racetrack-variant sweep ({} workloads x {} variants x {} accesses)...",
+            "running simulation sweep ({} workloads x {} lanes x {} accesses)...",
             settings.profiles().len(),
-            RtVariant::ALL.len(),
+            SimSweep::lanes(variants, choices),
             settings.accesses
         );
-        Some(SimSweep::run_variants(&settings, &RtVariant::ALL))
-    } else {
-        None
-    };
-    let choice_sweep = if wanted("fig16") || wanted("fig17") || wanted("fig18") {
-        eprintln!(
-            "running LLC-choice sweep ({} workloads x {} configs x {} accesses)...",
-            settings.profiles().len(),
-            LlcChoice::ALL.len(),
-            settings.accesses
-        );
-        Some(SimSweep::run_choices(&settings, &LlcChoice::ALL))
-    } else {
-        None
-    };
+        SimSweep::run(&settings, variants, choices)
+    });
     // `--tenants` switches the serve experiment into the scaled
     // multi-tenant front-door mode; the classic four-tenant policy ×
     // workload × scheme sweep runs otherwise.
@@ -393,7 +385,8 @@ fn main() {
                 eprintln!("wrote {}", path.display());
             }
         };
-        if let Some(sweep) = &variant_sweep {
+        if variant_figs {
+            let sweep = sweep.as_ref().expect("sweep ran");
             write(
                 "fig10",
                 reliability_exp::figure10_from(sweep, &settings).csv(),
@@ -404,7 +397,8 @@ fn main() {
             );
             write("fig14", performance::figure14_from(sweep, &settings).csv());
         }
-        if let Some(sweep) = &choice_sweep {
+        if choice_figs {
+            let sweep = sweep.as_ref().expect("sweep ran");
             write("fig16", performance::figure16_from(sweep, &settings).csv());
             write("fig17", energy_exp::figure17_from(sweep, &settings).csv());
             write("fig18", energy_exp::figure18_from(sweep, &settings).csv());
@@ -433,10 +427,13 @@ fn main() {
                     eprintln!("wrote {}", path.display());
                 }
             };
-            if let Some(sweep) = &variant_sweep {
+            if variant_figs {
                 dump(
                     "fig14_attribution",
-                    &performance::figure14_attribution(sweep, &settings),
+                    &performance::figure14_attribution(
+                        sweep.as_ref().expect("sweep ran"),
+                        &settings,
+                    ),
                 );
             }
             if let Some(sweep) = &serve_sweep {
@@ -463,12 +460,10 @@ fn main() {
     section("table3", &|| design::table3_experiment().render());
     section("table5", &|| design::table5_experiment().render());
     section("fig10", &|| {
-        reliability_exp::figure10_from(variant_sweep.as_ref().expect("sweep ran"), &settings)
-            .render()
+        reliability_exp::figure10_from(sweep.as_ref().expect("sweep ran"), &settings).render()
     });
     section("fig11", &|| {
-        reliability_exp::figure11_from(variant_sweep.as_ref().expect("sweep ran"), &settings)
-            .render()
+        reliability_exp::figure11_from(sweep.as_ref().expect("sweep ran"), &settings).render()
     });
     section("fig12", &|| {
         reliability_exp::render_figure12(&reliability_exp::figure12_experiment(5.12e9))
@@ -477,7 +472,7 @@ fn main() {
         design::render_figure13(&design::figure13_experiment())
     });
     section("fig14", &|| {
-        let sweep = variant_sweep.as_ref().expect("sweep ran");
+        let sweep = sweep.as_ref().expect("sweep ran");
         let mut out = performance::figure14_from(sweep, &settings).render();
         if opts.attribution {
             out.push('\n');
@@ -491,7 +486,7 @@ fn main() {
         performance::render_figure15(&performance::figure15_experiment(200))
     });
     section("fig16", &|| {
-        let f = performance::figure16_from(choice_sweep.as_ref().expect("sweep ran"), &settings);
+        let f = performance::figure16_from(sweep.as_ref().expect("sweep ran"), &settings);
         let mut out = f.render();
         out.push_str("\nProtection overhead vs unprotected racetrack memory:\n");
         for (k, v) in performance::protection_overhead_summary(&f) {
@@ -500,10 +495,10 @@ fn main() {
         out
     });
     section("fig17", &|| {
-        energy_exp::figure17_from(choice_sweep.as_ref().expect("sweep ran"), &settings).render()
+        energy_exp::figure17_from(sweep.as_ref().expect("sweep ran"), &settings).render()
     });
     section("fig18", &|| {
-        let sweep = choice_sweep.as_ref().expect("sweep ran");
+        let sweep = sweep.as_ref().expect("sweep ran");
         let f17 = energy_exp::figure17_from(sweep, &settings);
         let f18 = energy_exp::figure18_from(sweep, &settings);
         let mut out = f18.render();

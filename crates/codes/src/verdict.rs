@@ -21,13 +21,6 @@ pub enum Verdict {
     Uncorrectable,
 }
 
-impl Verdict {
-    /// True when the verdict requires no action.
-    pub fn is_clean(self) -> bool {
-        self == Verdict::Clean
-    }
-}
-
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

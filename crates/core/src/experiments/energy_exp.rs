@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 /// Runs Fig. 17: LLC dynamic energy across the seven designs,
 /// normalised to SRAM.
 pub fn figure17_experiment(settings: &SweepSettings) -> NormalisedFigure {
-    let sweep = SimSweep::run_choices(settings, &LlcChoice::ALL);
+    let sweep = SimSweep::run(settings, &[], &LlcChoice::ALL);
     figure17_from(&sweep, settings)
 }
 
@@ -25,7 +25,7 @@ pub fn figure17_from(sweep: &SimSweep, settings: &SweepSettings) -> NormalisedFi
 /// Runs Fig. 18: total energy (LLC dynamic + leakage + DRAM dynamic),
 /// normalised to SRAM.
 pub fn figure18_experiment(settings: &SweepSettings) -> NormalisedFigure {
-    let sweep = SimSweep::run_choices(settings, &LlcChoice::ALL);
+    let sweep = SimSweep::run(settings, &[], &LlcChoice::ALL);
     figure18_from(&sweep, settings)
 }
 

@@ -94,7 +94,7 @@ impl NormalisedFigure {
 /// Runs Fig. 14: total LLC shift latency per workload, normalised to
 /// the unprotected baseline.
 pub fn figure14_experiment(settings: &SweepSettings) -> NormalisedFigure {
-    let sweep = SimSweep::run_variants(settings, &fig14_variants());
+    let sweep = SimSweep::run(settings, &fig14_variants(), &[]);
     figure14_from(&sweep, settings)
 }
 
@@ -231,7 +231,7 @@ pub fn render_figure15(rows: &[Figure15Row]) -> String {
 /// Runs Fig. 16: overall execution time across the seven LLC designs,
 /// normalised to SRAM.
 pub fn figure16_experiment(settings: &SweepSettings) -> NormalisedFigure {
-    let sweep = SimSweep::run_choices(settings, &LlcChoice::ALL);
+    let sweep = SimSweep::run(settings, &[], &LlcChoice::ALL);
     figure16_from(&sweep, settings)
 }
 
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn figure14_attribution_partitions_execution_cycles() {
         let s = quick();
-        let sweep = SimSweep::run_variants(&s, &fig14_variants());
+        let sweep = SimSweep::run(&s, &fig14_variants(), &[]);
         let table = figure14_attribution(&sweep, &s);
         assert_eq!(
             table.cells.len(),

@@ -13,7 +13,6 @@ use rtm_controller::safety::SafetyBudget;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};
 use rtm_util::units::{format_mttf, Seconds};
-use std::collections::BTreeMap;
 
 /// Per-workload MTTFs for one protection variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +53,7 @@ pub struct MttfFigure {
 /// Runs Fig. 10: SDC MTTF for baseline / SED / SECDED.
 pub fn figure10_experiment(settings: &SweepSettings) -> MttfFigure {
     let variants = [RtVariant::Baseline, RtVariant::Sed, RtVariant::Secded];
-    let sweep = SimSweep::run_variants(settings, &variants);
+    let sweep = SimSweep::run(settings, &variants, &[]);
     figure10_from(&sweep, settings)
 }
 
@@ -68,7 +67,7 @@ pub fn figure10_from(sweep: &SimSweep, settings: &SweepSettings) -> MttfFigure {
 /// Runs Fig. 11: DUE MTTF for the five protected configurations.
 pub fn figure11_experiment(settings: &SweepSettings) -> MttfFigure {
     let variants = fig11_variants();
-    let sweep = SimSweep::run_variants(settings, &variants);
+    let sweep = SimSweep::run(settings, &variants, &[]);
     figure11_from(&sweep, settings)
 }
 
@@ -252,44 +251,10 @@ pub fn render_figure12(rows: &[Figure12Row]) -> String {
     out
 }
 
-/// Convenience summary used by EXPERIMENTS.md: the headline MTTFs for
-/// the paper's abstract (baseline vs adaptive).
-pub fn headline_mttfs(settings: &SweepSettings) -> BTreeMap<String, Seconds> {
-    let sweep = SimSweep::run_variants(
-        settings,
-        &[RtVariant::Baseline, RtVariant::SecdedSafeAdaptive],
-    );
-    let mut out = BTreeMap::new();
-    let collect = |label: &str, sdc: bool| -> Seconds {
-        let vals: Vec<f64> = sweep
-            .by_variant
-            .values()
-            .map(|per| {
-                let r = &per[label];
-                if sdc { r.sdc_mttf() } else { r.due_mttf() }.as_secs()
-            })
-            .filter(|v| v.is_finite())
-            .collect();
-        if vals.is_empty() {
-            Seconds(f64::INFINITY)
-        } else {
-            Seconds((vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp())
-        }
-    };
-    out.insert(
-        "baseline SDC".to_string(),
-        collect(RtVariant::Baseline.label(), true),
-    );
-    out.insert(
-        "adaptive DUE".to_string(),
-        collect(RtVariant::SecdedSafeAdaptive.label(), false),
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn quick() -> SweepSettings {
         let mut s = SweepSettings::quick();
@@ -353,12 +318,5 @@ mod tests {
         // Lseg = 2 rows are blank (SECDED does not fit).
         assert!(rows.iter().any(|r| r.pecc_s_adaptive.is_none()));
         assert!(render_figure12(&rows).contains("Figure 12"));
-    }
-
-    #[test]
-    fn headline_numbers_have_paper_shape() {
-        let h = headline_mttfs(&quick());
-        assert!(h["baseline SDC"].as_secs() < 1e-2);
-        assert!(h["adaptive DUE"].as_years() > 10.0);
     }
 }

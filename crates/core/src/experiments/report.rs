@@ -62,17 +62,17 @@ impl Report {
     }
 }
 
-/// Runs both simulation sweeps and distils the paper's headline claims.
+/// Runs one sweep of every racetrack variant and every LLC choice and
+/// distils the paper's headline claims.
 pub fn live_report(settings: &SweepSettings) -> Report {
-    let variant_sweep = SimSweep::run_variants(settings, &RtVariant::ALL);
-    let choice_sweep = SimSweep::run_choices(settings, &LlcChoice::ALL);
+    let sweep = SimSweep::run(settings, &RtVariant::ALL, &LlcChoice::ALL);
 
-    let fig10 = figure10_from(&variant_sweep, settings);
-    let fig11 = figure11_from(&variant_sweep, settings);
-    let fig14 = figure14_from(&variant_sweep, settings);
-    let fig16 = figure16_from(&choice_sweep, settings);
-    let fig17 = figure17_from(&choice_sweep, settings);
-    let fig18 = figure18_from(&choice_sweep, settings);
+    let fig10 = figure10_from(&sweep, settings);
+    let fig11 = figure11_from(&sweep, settings);
+    let fig14 = figure14_from(&sweep, settings);
+    let fig16 = figure16_from(&sweep, settings);
+    let fig17 = figure17_from(&sweep, settings);
+    let fig18 = figure18_from(&sweep, settings);
 
     let geo = |fig: &super::reliability_exp::MttfFigure, label: &str| {
         fig.series

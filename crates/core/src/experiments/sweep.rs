@@ -3,9 +3,9 @@
 //! results.
 //!
 //! The sweep fans out across the `rtm-par` pool one task per workload,
-//! whose cells — every named LLC choice, or every racetrack variant —
-//! share a single pass over the trace
-//! ([`rtm_mem::hierarchy::run_shared`]). Each workload's trace seed
+//! whose lanes — every requested racetrack variant, and every requested
+//! LLC choice that no variant covers — share a single pass over the
+//! trace ([`rtm_mem::hierarchy::run_shared`]). Each workload's trace seed
 //! derives from its name alone (never the worker count or schedule),
 //! and results are folded into the sweep in strict grid order as they
 //! stream back — per-run gauges record at fold time, never from a
@@ -155,54 +155,44 @@ pub struct SimSweep {
 }
 
 impl SimSweep {
-    /// Runs every workload against the named LLC choices on the
-    /// process-wide `rtm_par` pool.
-    pub fn run_choices(settings: &SweepSettings, choices: &[LlcChoice]) -> Self {
-        Self::run_choices_with_threads(settings, choices, rtm_par::threads())
+    /// [`Self::run_with_threads`] on the process-wide `rtm_par` pool.
+    pub fn run(settings: &SweepSettings, variants: &[RtVariant], choices: &[LlcChoice]) -> Self {
+        Self::run_with_threads(settings, variants, choices, rtm_par::threads())
     }
 
-    /// [`Self::run_choices`] with an explicit worker count; results
-    /// are identical for any `threads` value.
-    pub fn run_choices_with_threads(
+    /// Runs every workload against the racetrack `variants` (into
+    /// `by_variant`) and the named LLC `choices` (into `by_choice`) on
+    /// `threads` workers; results are identical for any `threads` value.
+    ///
+    /// Each workload is one task, and one pass over its trace serves
+    /// [`Self::lanes`] lanes: one per variant, then one per choice that
+    /// no variant covers. A racetrack preset whose protection and policy
+    /// are a requested variant's reads that variant's result, relabelled,
+    /// with its sampling tallies cleared: sampling is observational, and
+    /// a preset's own lane never samples. RM-Ideal shares the baseline's
+    /// parts but shifts for free, so it always runs a lane of its own.
+    pub fn run_with_threads(
         settings: &SweepSettings,
+        variants: &[RtVariant],
         choices: &[LlcChoice],
         threads: usize,
     ) -> Self {
-        let labels: Vec<String> = choices.iter().map(LlcChoice::to_string).collect();
-        let by_choice = run_grid(settings, threads, "sweep(choices)", &labels, |_| {
-            choices.iter().map(|&c| (c, c.llc())).collect()
-        });
-        Self {
-            by_choice,
-            ..Self::default()
-        }
-    }
-
-    /// Runs every workload against racetrack protection variants on
-    /// the process-wide `rtm_par` pool.
-    pub fn run_variants(settings: &SweepSettings, variants: &[RtVariant]) -> Self {
-        Self::run_variants_with_threads(settings, variants, rtm_par::threads())
-    }
-
-    /// [`Self::run_variants`] with an explicit worker count; results
-    /// are identical for any `threads` value.
-    pub fn run_variants_with_threads(
-        settings: &SweepSettings,
-        variants: &[RtVariant],
-        threads: usize,
-    ) -> Self {
-        let labels: Vec<String> = variants.iter().map(|v| v.label().to_string()).collect();
-        let by_variant = run_grid(settings, threads, "sweep(variants)", &labels, |w| {
-            variants
-                .iter()
-                .enumerate()
-                .map(|(v, variant)| {
+        let covered: Vec<Option<usize>> = choices.iter().map(|&c| covering(variants, c)).collect();
+        let lanes = Self::lanes(variants, choices);
+        let profiles = settings.profiles();
+        let progress =
+            rtm_obs::timer::Progress::new("sweep", (profiles.len() * lanes) as u64, "lanes");
+        let sweep = rtm_par::parallel_fold_with(
+            threads,
+            profiles.len(),
+            |w| {
+                let variant_lanes = variants.iter().enumerate().map(|(v, variant)| {
                     let (kind, policy) = variant.parts();
                     let back = ShiftBackEnd::new(kind, policy, 1);
                     let back = match settings.sample_engine {
-                        // Sampling seed from (sweep seed, grid index):
-                        // fixed by the cell layout, independent of
-                        // worker scheduling.
+                        // Sampling seed from (sweep seed, variant grid
+                        // index): fixed by the cell layout, independent
+                        // of worker scheduling and of the choices.
                         Some(engine) => back.with_fault_model(
                             settings.fault_model,
                             engine,
@@ -211,59 +201,87 @@ impl SimSweep {
                         None => back,
                     };
                     (LlcChoice::RacetrackUnprotected, LaneLlc::Racetrack(back))
-                })
-                .collect()
-        });
-        Self {
-            by_variant,
-            ..Self::default()
-        }
+                });
+                let choice_lanes = choices
+                    .iter()
+                    .zip(&covered)
+                    .filter(|(_, by)| by.is_none())
+                    .map(|(&c, _)| (c, c.llc()));
+                let results = run_shared(
+                    variant_lanes.chain(choice_lanes).collect(),
+                    &mut trace(settings, profiles[w]),
+                    settings.accesses,
+                );
+                progress.tick(lanes as u64);
+                results
+            },
+            Self::default(),
+            // Folded in grid order, variants before choices, so per-run
+            // gauges are deterministic for any `threads` value.
+            |sweep, w, results| {
+                let name = profiles[w].name;
+                let mut results = results.into_iter();
+                for (variant, r) in variants.iter().zip(results.by_ref()) {
+                    r.record_metrics();
+                    sweep
+                        .by_variant
+                        .entry(name)
+                        .or_default()
+                        .insert(variant.label().to_string(), r);
+                }
+                for (&choice, by) in choices.iter().zip(&covered) {
+                    let r = match by {
+                        Some(v) => {
+                            let mut r = sweep.by_variant[name][variants[*v].label()].clone();
+                            r.choice = choice;
+                            r.llc.sampled_shifts = 0;
+                            r.llc.observed_errors = 0;
+                            r
+                        }
+                        None => results.next().expect("a lane per uncovered choice"),
+                    };
+                    r.record_metrics();
+                    sweep
+                        .by_choice
+                        .entry(name)
+                        .or_default()
+                        .insert(choice.to_string(), r);
+                }
+            },
+        );
+        progress.finish();
+        sweep
+    }
+
+    /// [`Self::run_with_threads`] without choices.
+    pub fn run_variants_with_threads(
+        settings: &SweepSettings,
+        variants: &[RtVariant],
+        threads: usize,
+    ) -> Self {
+        Self::run_with_threads(settings, variants, &[], threads)
+    }
+
+    /// The lanes one workload's pass runs for these variants and
+    /// choices: every variant, plus each choice no variant covers.
+    pub fn lanes(variants: &[RtVariant], choices: &[LlcChoice]) -> usize {
+        variants.len()
+            + choices
+                .iter()
+                .filter(|&&c| covering(variants, c).is_none())
+                .count()
     }
 }
 
-/// Per-workload results keyed by cell label.
-type Grid = BTreeMap<&'static str, BTreeMap<String, SimResult>>;
-
-/// Runs one task per workload on `threads` workers: a single pass over
-/// the workload's trace serves every LLC `llcs(w)` builds for workload
-/// `w` (one per entry of `labels`). Results fold into the grid in strict
-/// grid order as they stream back, so no worker-count-sized Vec of
-/// results accumulates and gauges stay deterministic for any `threads`
-/// value.
-fn run_grid(
-    settings: &SweepSettings,
-    threads: usize,
-    what: &str,
-    labels: &[String],
-    llcs: impl Fn(usize) -> Vec<(LlcChoice, LaneLlc)> + Sync,
-) -> Grid {
-    let profiles = settings.profiles();
-    let progress =
-        rtm_obs::timer::Progress::new(what, (profiles.len() * labels.len()) as u64, "cells");
-    let grid = rtm_par::parallel_fold_with(
-        threads,
-        profiles.len(),
-        |w| {
-            let results = run_shared(
-                llcs(w),
-                &mut trace(settings, profiles[w]),
-                settings.accesses,
-            );
-            progress.tick(labels.len() as u64);
-            results
-        },
-        Grid::new(),
-        |grid, w, results| {
-            for (label, r) in labels.iter().zip(results) {
-                r.record_metrics();
-                grid.entry(profiles[w].name)
-                    .or_default()
-                    .insert(label.clone(), r);
-            }
-        },
-    );
-    progress.finish();
-    grid
+/// The index of the variant among `variants` whose lane serves preset
+/// `choice`: the first with the preset's protection and policy. RM-Ideal
+/// has the baseline's parts, but its shifts are free, so none serves it.
+fn covering(variants: &[RtVariant], choice: LlcChoice) -> Option<usize> {
+    if choice == LlcChoice::RacetrackIdeal {
+        return None;
+    }
+    let parts = choice.racetrack_parts()?;
+    variants.iter().position(|v| v.parts() == parts)
 }
 
 /// The trace of workload `p`, seeded from the sweep seed and its name.
@@ -289,12 +307,17 @@ fn seed_of(name: &str) -> u64 {
 mod tests {
     use super::*;
     use rtm_mem::hierarchy::Hierarchy;
+    use rtm_model::analytic::Engine;
 
     #[test]
     fn quick_sweep_covers_requested_matrix() {
         let s = SweepSettings::quick();
-        let sweep =
-            SimSweep::run_choices(&s, &[LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal]);
+        let sweep = SimSweep::run(
+            &s,
+            &[],
+            &[LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal],
+        );
+        assert!(sweep.by_variant.is_empty());
         assert_eq!(sweep.by_choice.len(), 3);
         for per in sweep.by_choice.values() {
             assert_eq!(per.len(), 2);
@@ -308,7 +331,8 @@ mod tests {
     fn variant_sweep_runs_custom_racetracks() {
         let mut s = SweepSettings::quick();
         s.workloads = Some(vec!["x264"]);
-        let sweep = SimSweep::run_variants(&s, &[RtVariant::Baseline, RtVariant::Sed]);
+        let sweep = SimSweep::run(&s, &[RtVariant::Baseline, RtVariant::Sed], &[]);
+        assert!(sweep.by_choice.is_empty());
         let per = &sweep.by_variant["x264"];
         assert!(per.contains_key("Baseline"));
         assert!(per.contains_key("SED p-ECC"));
@@ -322,8 +346,8 @@ mod tests {
         let mut s = SweepSettings::quick();
         s.workloads = Some(vec!["vips"]);
         s.accesses = 5_000;
-        let a = SimSweep::run_choices(&s, &[LlcChoice::SttRam]);
-        let b = SimSweep::run_choices(&s, &[LlcChoice::SttRam]);
+        let a = SimSweep::run(&s, &[], &[LlcChoice::SttRam]);
+        let b = SimSweep::run(&s, &[], &[LlcChoice::SttRam]);
         assert_eq!(
             a.by_choice["vips"]["STT-RAM"].cycles,
             b.by_choice["vips"]["STT-RAM"].cycles
@@ -335,86 +359,90 @@ mod tests {
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         let choices = [LlcChoice::SramBaseline, LlcChoice::RacetrackIdeal];
-        let base = SimSweep::run_choices_with_threads(&s, &choices, 1);
+        let base = SimSweep::run_with_threads(&s, &[], &choices, 1);
         for threads in [2usize, 8] {
-            let alt = SimSweep::run_choices_with_threads(&s, &choices, threads);
+            let alt = SimSweep::run_with_threads(&s, &[], &choices, threads);
             assert_eq!(base.by_choice, alt.by_choice, "threads={threads}");
         }
         let variants = [RtVariant::Baseline, RtVariant::SecdedSafeAdaptive];
-        let vbase = SimSweep::run_variants_with_threads(&s, &variants, 1);
-        let valt = SimSweep::run_variants_with_threads(&s, &variants, 8);
+        let vbase = SimSweep::run_with_threads(&s, &variants, &[], 1);
+        let valt = SimSweep::run_with_threads(&s, &variants, &[], 8);
         assert_eq!(vbase.by_variant, valt.by_variant);
     }
 
     #[test]
-    fn streamed_sweep_matches_collected_reference() {
-        // The shared pass and the streaming fold must reproduce the
-        // per-cell pipeline bit-for-bit: run every cell as its own
-        // hierarchy through `parallel_map_with` + sequential merge and
-        // compare against the streamed sweep at several worker counts.
+    fn shared_sweep_matches_per_cell_reference() {
+        // One pass per workload serves every variant and every choice no
+        // variant covers; each cell must equal the standalone hierarchy
+        // of that cell, with the same trace and sampling seed. A choice
+        // cell is the preset's own `Hierarchy::new`, whether it ran a
+        // lane or read a variant's (RM-Ideal reading the baseline's
+        // lane would fail here), and the single-group calls must agree.
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         s.workloads = Some(vec!["canneal", "x264"]);
-        let choices = LlcChoice::ALL;
         let profiles = s.profiles();
-        let cells: Vec<(WorkloadProfile, LlcChoice)> = profiles
-            .iter()
-            .flat_map(|&p| choices.iter().map(move |&c| (p, c)))
-            .collect();
-        let results = rtm_par::parallel_map_with(4, cells.len(), |i| {
-            let (p, c) = cells[i];
-            Hierarchy::new(c).run(&mut trace(&s, p), s.accesses)
-        });
-        let mut collected: BTreeMap<&'static str, BTreeMap<String, SimResult>> = BTreeMap::new();
-        for ((p, c), r) in cells.into_iter().zip(results) {
-            collected
-                .entry(p.name)
-                .or_default()
-                .insert(c.to_string(), r);
-        }
-        for threads in [1usize, 2, 8] {
-            let streamed = SimSweep::run_choices_with_threads(&s, &choices, threads);
-            assert_eq!(streamed.by_choice, collected, "threads={threads}");
+        for (engine, fault_model) in [
+            (None, FaultModelChoice::Engine),
+            (Some(Engine::Analytic), FaultModelChoice::Engine),
+            (Some(Engine::MonteCarlo), FaultModelChoice::Engine),
+            (Some(Engine::Analytic), FaultModelChoice::Pinning),
+        ] {
+            s.sample_engine = engine;
+            s.fault_model = fault_model;
+            let mut variant_cells: BTreeMap<&str, BTreeMap<String, SimResult>> = BTreeMap::new();
+            let mut choice_cells = variant_cells.clone();
+            for (w, p) in profiles.iter().enumerate() {
+                for (v, variant) in RtVariant::ALL.iter().enumerate() {
+                    let (kind, policy) = variant.parts();
+                    let mut sys = match engine {
+                        Some(engine) => Hierarchy::with_racetrack_faults(
+                            kind,
+                            policy,
+                            fault_model,
+                            engine,
+                            variant_seed(&s, w * RtVariant::ALL.len() + v),
+                        ),
+                        None => Hierarchy::with_racetrack(kind, policy),
+                    };
+                    let r = sys.run(&mut trace(&s, *p), s.accesses);
+                    variant_cells
+                        .entry(p.name)
+                        .or_default()
+                        .insert(variant.label().to_string(), r);
+                }
+                for choice in LlcChoice::ALL {
+                    let r = Hierarchy::new(choice).run(&mut trace(&s, *p), s.accesses);
+                    choice_cells
+                        .entry(p.name)
+                        .or_default()
+                        .insert(choice.to_string(), r);
+                }
+            }
+            for threads in [1usize, 2] {
+                let what = format!("engine {engine:?}, {fault_model:?}, threads={threads}");
+                let both =
+                    SimSweep::run_with_threads(&s, &RtVariant::ALL, &LlcChoice::ALL, threads);
+                assert_eq!(both.by_variant, variant_cells, "{what}");
+                assert_eq!(both.by_choice, choice_cells, "{what}");
+                let variants = SimSweep::run_with_threads(&s, &RtVariant::ALL, &[], threads);
+                assert_eq!(variants.by_variant, variant_cells, "{what}");
+                let choices = SimSweep::run_with_threads(&s, &[], &LlcChoice::ALL, threads);
+                assert_eq!(choices.by_choice, choice_cells, "{what}");
+            }
         }
     }
 
     #[test]
-    fn shared_variant_sweep_matches_per_cell_reference() {
-        // The variant sweep serves every variant from one pass per
-        // workload; each cell must equal the standalone hierarchy of
-        // that cell, with the same trace and sampling seed.
-        let mut s = SweepSettings::quick();
-        s.accesses = 4_000;
-        s.workloads = Some(vec!["canneal", "x264"]);
-        for engine in [None, Some(rtm_model::analytic::Engine::Analytic)] {
-            s.sample_engine = engine;
-            let sweep = SimSweep::run_variants_with_threads(&s, &RtVariant::ALL, 2);
-            let cells = s
-                .profiles()
-                .into_iter()
-                .flat_map(|p| RtVariant::ALL.map(|v| (p, v)));
-            for (i, (p, v)) in cells.enumerate() {
-                let (kind, policy) = v.parts();
-                let mut sys = match engine {
-                    Some(engine) => Hierarchy::with_racetrack_faults(
-                        kind,
-                        policy,
-                        s.fault_model,
-                        engine,
-                        variant_seed(&s, i),
-                    ),
-                    None => Hierarchy::with_racetrack(kind, policy),
-                };
-                let reference = sys.run(&mut trace(&s, p), s.accesses);
-                assert_eq!(
-                    sweep.by_variant[p.name][v.label()],
-                    reference,
-                    "{} {} engine {engine:?}",
-                    p.name,
-                    v.label()
-                );
-            }
-        }
+    fn lanes_count_only_uncovered_choices() {
+        assert_eq!(SimSweep::lanes(&RtVariant::ALL, &LlcChoice::ALL), 11);
+        assert_eq!(SimSweep::lanes(&RtVariant::ALL, &[]), 8);
+        assert_eq!(SimSweep::lanes(&[], &LlcChoice::ALL), 7);
+        // RM-Ideal has the baseline's parts but never reads its lane.
+        let ideal = [LlcChoice::RacetrackIdeal];
+        assert_eq!(SimSweep::lanes(&[RtVariant::Baseline], &ideal), 2);
+        let unprotected = [LlcChoice::RacetrackUnprotected];
+        assert_eq!(SimSweep::lanes(&[RtVariant::Baseline], &unprotected), 1);
     }
 
     #[test]
@@ -424,11 +452,11 @@ mod tests {
         let mut s = SweepSettings::quick();
         s.accesses = 4_000;
         s.workloads = Some(vec!["canneal", "x264"]);
-        s.sample_engine = Some(rtm_model::analytic::Engine::Analytic);
+        s.sample_engine = Some(Engine::Analytic);
         let variants = [RtVariant::Baseline, RtVariant::SecdedSafeAdaptive];
-        let base = SimSweep::run_variants_with_threads(&s, &variants, 1);
+        let base = SimSweep::run_with_threads(&s, &variants, &[], 1);
         for threads in [2usize, 8] {
-            let alt = SimSweep::run_variants_with_threads(&s, &variants, threads);
+            let alt = SimSweep::run_with_threads(&s, &variants, &[], threads);
             assert_eq!(base.by_variant, alt.by_variant, "threads={threads}");
         }
         // Sampling actually happened on racetrack cells.

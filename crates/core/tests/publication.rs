@@ -4,8 +4,10 @@
 //! stay absent, and an unconditional key must be present even at a zero
 //! total — exactly what recording every event as it happened left.
 //! Three runs are checked: a small variant sweep, a serving run and a
-//! bit-accurate `PhysicalCache` walk. A controller flushed more than
-//! once, reset and then dropped checks that every request is published
+//! bit-accurate `PhysicalCache` walk. A sweep of variants and choices
+//! together checks that the racetrack presets reading their variants'
+//! lanes publish nothing twice. A controller flushed more than once,
+//! reset and then dropped checks that every request is published
 //! exactly once.
 //!
 //! The registry is process-wide, so everything lives in one test.
@@ -13,7 +15,7 @@
 use rtm_controller::controller::{ShiftController, ShiftPolicy};
 use rtm_core::experiments::{RtVariant, SimSweep, SweepSettings};
 use rtm_mem::cache::AccessKind;
-use rtm_mem::hierarchy::SimResult;
+use rtm_mem::hierarchy::{LlcChoice, SimResult};
 use rtm_mem::physical::PhysicalCache;
 use rtm_model::analytic::Engine;
 use rtm_obs::metrics::RegistrySnapshot;
@@ -140,6 +142,27 @@ fn check_sweep() {
     assert_eq!(snap.counter("pecc.checks"), Some(0));
 }
 
+fn check_combined_sweep() {
+    let s = settings();
+    let mut sweep = SimSweep::default();
+    let snap = published(|| {
+        sweep = SimSweep::run_with_threads(&s, &RtVariant::ALL, &LlcChoice::ALL, 2);
+    });
+    let workloads = s.profiles().len() as u64;
+    let reported: usize = [&sweep.by_variant, &sweep.by_choice]
+        .iter()
+        .flat_map(|grid| grid.values())
+        .map(|per| per.len())
+        .sum();
+    assert_eq!(reported as u64, 15 * workloads, "every cell is reported");
+    // Eight variant lanes plus SRAM, STT-RAM and RM-Ideal ran; the other
+    // four racetrack presets read their variants' results.
+    assert_eq!(
+        snap.counter("hier.accesses"),
+        Some(11 * workloads * s.accesses)
+    );
+}
+
 fn check_serve() {
     let trace = TraceGenerator::new(WorkloadProfile::by_name("canneal").expect("profile"), 7)
         .take_vec(3_000);
@@ -239,6 +262,7 @@ fn check_flush_reset_and_drop() {
 #[test]
 fn published_metrics_equal_each_runs_own_statistics() {
     check_sweep();
+    check_combined_sweep();
     check_serve();
     check_physical();
     check_flush_reset_and_drop();

@@ -1,7 +1,7 @@
 //! Golden digests of the variant sweep: one FNV-1a digest per racetrack
 //! variant of every field of every `SimResult` (f64s by bits) that
-//! `SimSweep::run_variants_with_threads` returns for it on a small grid,
-//! under each sampling engine and each fault model, at one and at eight
+//! `SimSweep::run_with_threads` returns for it on a small grid, under
+//! each sampling engine and each fault model, at one and at eight
 //! workers. A change meant to move one variant's model output re-pins
 //! that variant's digest alone, and a failure names every variant that
 //! moved. A host-time optimisation of the sweep, the hierarchy, the LLC
@@ -9,8 +9,10 @@
 //! benchmark's model digest reads only a few fields under one engine
 //! and cannot see the rest.
 //!
-//! The choice sweep (`SimSweep::run_choices_with_threads` over all seven
-//! `LlcChoice`s, Figs. 16-18) is pinned the same way on the same grid.
+//! The choice cells (all seven `LlcChoice`s, Figs. 16-18) are pinned
+//! the same way on the same grid, as one digest. Every digest must hold
+//! whether the sweep ran one group alone or both together, where the
+//! racetrack presets read their variants' lanes.
 
 use rtm_core::experiments::{RtVariant, SimSweep, SweepSettings};
 use rtm_mem::hierarchy::{LlcChoice, SimResult};
@@ -209,8 +211,7 @@ fn settings(engine: Option<Engine>, fault_model: FaultModelChoice) -> SweepSetti
 
 /// One digest per variant, in `RtVariant::ALL` order: each folds that
 /// variant's results over the workloads in map order.
-fn digests(settings: &SweepSettings, threads: usize) -> [u64; 8] {
-    let sweep = SimSweep::run_variants_with_threads(settings, &RtVariant::ALL, threads);
+fn digests(sweep: &SimSweep) -> [u64; 8] {
     assert_eq!(sweep.by_variant.len(), 3);
     RtVariant::ALL.map(|v| {
         let mut h = Fnv(FNV_OFFSET);
@@ -224,9 +225,8 @@ fn digests(settings: &SweepSettings, threads: usize) -> [u64; 8] {
     })
 }
 
-/// Digest of the choice sweep, workloads and choices in map order.
-fn choice_digest(settings: &SweepSettings, threads: usize) -> u64 {
-    let sweep = SimSweep::run_choices_with_threads(settings, &LlcChoice::ALL, threads);
+/// Digest of the choice cells, workloads and choices in map order.
+fn choice_digest(sweep: &SimSweep) -> u64 {
     let mut h = Fnv(FNV_OFFSET);
     assert_eq!(sweep.by_choice.len(), 3);
     for (workload, per) in &sweep.by_choice {
@@ -240,21 +240,34 @@ fn choice_digest(settings: &SweepSettings, threads: usize) -> u64 {
     h.0
 }
 
-/// Asserts every variant's digest at one and at eight workers, naming
-/// each variant that moved.
+/// The choice cells' digest, whichever group or groups a sweep ran.
+const CHOICES: u64 = 0x2c02_c64c_bab6_a328;
+
+/// Asserts every variant's digest, and the choice digest, at one and at
+/// eight workers, from the variant sweep alone and from the sweep of
+/// variants and choices together, naming each variant that moved.
 fn check(engine: Option<Engine>, fault_model: FaultModelChoice, want: [u64; 8]) {
     let s = settings(engine, fault_model);
     for threads in [1, 8] {
-        let got = digests(&s, threads);
-        let moved: Vec<String> = RtVariant::ALL
-            .iter()
-            .zip(got.iter().zip(want))
-            .filter(|(_, (g, w))| *g != w)
-            .map(|(v, (g, _))| format!("{}: {g:#018x}", v.label()))
-            .collect();
-        assert!(
-            moved.is_empty(),
-            "engine {engine:?}, fault model {fault_model:?}, {threads} threads: {moved:?}; all: {got:#018x?}"
+        let alone = SimSweep::run_with_threads(&s, &RtVariant::ALL, &[], threads);
+        let both = SimSweep::run_with_threads(&s, &RtVariant::ALL, &LlcChoice::ALL, threads);
+        for (call, sweep) in [("variants", &alone), ("variants + choices", &both)] {
+            let got = digests(sweep);
+            let moved: Vec<String> = RtVariant::ALL
+                .iter()
+                .zip(got.iter().zip(want))
+                .filter(|(_, (g, w))| *g != w)
+                .map(|(v, (g, _))| format!("{}: {g:#018x}", v.label()))
+                .collect();
+            assert!(
+                moved.is_empty(),
+                "{call}, engine {engine:?}, fault model {fault_model:?}, {threads} threads: {moved:?}; all: {got:#018x?}"
+            );
+        }
+        let got = choice_digest(&both);
+        assert_eq!(
+            got, CHOICES,
+            "choices beside variants, engine {engine:?}, fault model {fault_model:?}, {threads} threads: {got:#018x}"
         );
     }
 }
@@ -300,10 +313,12 @@ fn monte_carlo_sweep_is_pinned() {
 fn choice_sweep_is_pinned() {
     let s = settings(None, FaultModelChoice::Engine);
     for threads in [1, 8] {
-        let got = choice_digest(&s, threads);
-        assert_eq!(
-            got, 0x2c02_c64c_bab6_a328,
-            "choice sweep, {threads} threads: {got:#018x}"
-        );
+        let got = choice_digest(&SimSweep::run_with_threads(
+            &s,
+            &[],
+            &LlcChoice::ALL,
+            threads,
+        ));
+        assert_eq!(got, CHOICES, "choice sweep, {threads} threads: {got:#018x}");
     }
 }

@@ -94,12 +94,6 @@ impl FrontConfig {
         self
     }
 
-    /// Sets the admission window (builder style).
-    pub fn with_window(mut self, window: u32) -> Self {
-        self.window = window;
-        self
-    }
-
     /// The effective think multiplier.
     pub fn effective_think_scale(&self) -> u64 {
         if self.think_scale == 0 {

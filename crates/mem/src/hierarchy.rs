@@ -70,11 +70,6 @@ impl LlcChoice {
         }
     }
 
-    /// Whether this is a racetrack design.
-    pub fn is_racetrack(&self) -> bool {
-        !matches!(self, LlcChoice::SramBaseline | LlcChoice::SttRam)
-    }
-
     /// The protection scheme and shift policy of a racetrack preset, or
     /// `None` for SRAM and STT-RAM. RM-Ideal's are unprotected and
     /// unconstrained; [`LlcChoice::llc`] also makes its shifts free.

@@ -232,21 +232,6 @@ impl<T> Consumer<T> {
             None => Recv::Closed,
         }
     }
-
-    /// Drains up to `max` items into `out`, returning how many moved.
-    pub fn pop_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.pop() {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]

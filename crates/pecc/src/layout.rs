@@ -307,11 +307,6 @@ impl PeccLayout {
     pub fn storage_overhead(&self) -> f64 {
         self.extra_domains() as f64 / self.total_domains() as f64
     }
-
-    /// Total read-capable ports (data read/write ports + p-ECC taps).
-    pub fn total_read_ports(&self) -> usize {
-        self.geometry.num_ports() + self.extra_read_ports
-    }
 }
 
 impl fmt::Display for PeccLayout {

@@ -91,11 +91,6 @@ pub struct InjectionTally {
 }
 
 impl InjectionTally {
-    /// Observed SDC probability per transaction.
-    pub fn sdc_rate(&self) -> f64 {
-        self.silent_corruptions as f64 / self.transactions.max(1) as f64
-    }
-
     /// Observed DUE probability per transaction.
     pub fn due_rate(&self) -> f64 {
         self.detected_uncorrectable as f64 / self.transactions.max(1) as f64

@@ -312,11 +312,6 @@ impl PinningFaultModel {
         &self.sites
     }
 
-    /// Whether a wall is currently snagged on an active site.
-    pub fn is_stuck(&self) -> bool {
-        self.stuck
-    }
-
     /// Number of pin sites in `[position, position + distance)`,
     /// wrapping around the track.
     fn sites_traversed(&self, distance: u32) -> u32 {

@@ -20,7 +20,7 @@ fn full_pipeline_reproduces_protection_ladder() {
     // One workload, all six racetrack variants, end to end.
     let mut settings = quick_settings();
     settings.workloads = Some(vec!["streamcluster"]);
-    let sweep = SimSweep::run_variants(&settings, &RtVariant::ALL);
+    let sweep = SimSweep::run(&settings, &RtVariant::ALL, &[]);
     let per = &sweep.by_variant["streamcluster"];
 
     let sdc = |v: RtVariant| per[v.label()].sdc_mttf().as_secs();
