@@ -103,9 +103,14 @@ impl CacheStats {
 const DIRTY: u8 = 0x80;
 const RANK: u8 = 0x7f;
 
-/// The fewest words a tag block holds: past glibc's 32 MiB cap on its
-/// dynamic mmap threshold (see [`Cache`]'s `tags`).
-const MIN_TAG_WORDS: usize = (32 << 20) / 8 + 64 * 1024;
+/// The fewest `u32` words a tag block holds: 32.5 MiB, past glibc's
+/// 32 MiB cap on its dynamic mmap threshold (see [`Cache`]'s `tags`).
+/// The cap is in bytes, so a block of `u64`s holds half as many words.
+const MIN_TAG_WORDS: usize = (32 << 20) / 4 + 128 * 1024;
+
+/// The tag a wide line stores: its set-local tag does not fit below
+/// this value, and the full tag sits in [`Cache`]'s `wide` instead.
+const WIDE: u32 = u32::MAX;
 
 /// Bank-major storage permutation (see [`Cache::with_bank_layout`]).
 #[derive(Debug, Clone, Copy)]
@@ -118,13 +123,19 @@ struct BankLayout {
 /// A set-associative write-back, write-allocate cache with exact LRU
 /// replacement.
 ///
-/// Line state is two parallel arrays: a u64 tag and one state byte per
-/// line. A line's tag is its whole line address (`addr >> log2(line
-/// bytes)`): within a set it identifies the line exactly as the
-/// quotient by the set count would, it costs no division to form, and a
-/// dirty victim's address is its tag shifted back. The state byte packs
-/// the dirty bit with the line's recency rank in its set, which is all
-/// exact LRU needs: a miss fills the lowest invalid way and only
+/// Line state is two parallel arrays: a `u32` tag and one state byte
+/// per line. A line's tag is set-local: its line address (`addr >>
+/// log2(line bytes)`) divided by the set count, which is a shift for a
+/// power-of-two set count. Within a set it identifies the line exactly,
+/// and a dirty victim's address is `(tag · sets + set) << log2(line
+/// bytes)`. A tag of `u32::MAX` or more does not fit: the line stores
+/// the marker `u32::MAX` and keeps its full tag in a `u64` side array,
+/// which is allocated when the first such line fills. In the 128 MB
+/// LLC's 131,072 sets that takes an address of 2^55 − 2^23 or more; in
+/// the 256-set L1, one of 2^46 − 2^14 or more. So every u64 address is
+/// exact, and a wide lookup costs one more array read. The state byte
+/// packs the dirty bit with the line's recency rank in its set, which
+/// is all exact LRU needs: a miss fills the lowest invalid way and only
 /// [`clear`](Self::clear) invalidates, so a set's valid ways are always
 /// a prefix whose ranks are a permutation of `1..=valid`, and a full
 /// set's LRU victim is the way ranked `ways`.
@@ -133,26 +144,31 @@ struct BankLayout {
 /// * **construction is O(1) in touched memory** — both arrays are
 ///   all-zero, so `vec![0; n]` takes the allocator's zeroed-page path
 ///   and a 128 MB LLC's 2 Mi-line directory costs microseconds to build
-///   instead of an 18 MiB write. Pages fault in only for the sets a run
+///   instead of a 10 MiB write. Pages fault in only for the sets a run
 ///   actually touches, which is what lets the per-bank serving workers
 ///   each own a private cache without paying for the whole directory up
 ///   front;
-/// * **a touched line costs 9 bytes**, not the 17 of a u64 LRU stamp
-///   and a flag byte beside its tag;
-/// * **probes touch less memory** — a 16-way tag scan reads two cache
-///   lines of tags, and the victim scan 16 bytes.
+/// * **a touched line costs 5 bytes**, not the 17 of a u64 LRU stamp
+///   and a flag byte beside a u64 tag;
+/// * **probes touch less memory** — a 16-way tag scan reads one 64-byte
+///   cache line of tags, and the victim scan 16 bytes.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// One tag (line address) per line, in a block of at least
-    /// [`MIN_TAG_WORDS`] words so that it always comes from fresh
-    /// zeroed pages. The 128 MB LLC's 16 MiB of tags sit below glibc's
-    /// 32 MiB cap on its dynamic mmap threshold: once the process has
-    /// freed a directory, an unpadded block would come from recycled
-    /// heap memory, which `calloc` must then memset. The serving
-    /// benchmarks build per-worker caches in a loop and would pay that
-    /// memset on every build, and so would every freshly built
+    /// One set-local tag per line ([`WIDE`] for a wide line), in a block
+    /// of at least [`MIN_TAG_WORDS`] words so that it always comes from
+    /// fresh zeroed pages. The 128 MB LLC's 8 MiB of tags sit below
+    /// glibc's 32 MiB cap on its dynamic mmap threshold: once the
+    /// process has freed a directory, an unpadded block would come from
+    /// recycled heap memory, which `calloc` must then memset. The
+    /// serving benchmarks build per-worker caches in a loop and would
+    /// pay that memset on every build, and so would every freshly built
     /// hierarchy's L1s and L2; the pad pages are never touched.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
+    /// The full set-local tag of each line whose `tags` entry is
+    /// [`WIDE`]. Empty until the first wide line fills; then one word
+    /// per line, allocated and padded like `tags`. Read only where
+    /// `tags` holds the marker.
+    wide: Vec<u64>,
     /// One state byte per line ([`DIRTY`] | rank).
     state: Vec<u8>,
     /// The set count, dividing line addresses.
@@ -185,6 +201,7 @@ impl Cache {
         let lines = total_lines as usize;
         Self {
             tags: vec![0; lines.max(MIN_TAG_WORDS)],
+            wide: Vec::new(),
             state: vec![0; lines],
             sets: Divisor::new(total_lines / ways as u64),
             ways,
@@ -277,14 +294,50 @@ impl Cache {
             .unwrap_or(ways)
     }
 
-    /// The way of the set at `base` holding the line `line`, if any,
-    /// among its `valid` ways. Only valid ways' tags are read, so a set
-    /// no access has filled reads no tag, and a fresh page of tags is
-    /// first touched by the write of a fill, not by a read before it.
-    fn find(&self, base: usize, valid: usize, line: u64) -> Option<usize> {
-        self.tags[base..base + valid]
-            .iter()
-            .position(|&t| t == line)
+    /// The set-local tag of `addr`'s line.
+    fn tag_of(&self, addr: u64) -> u64 {
+        self.sets.quotient(addr >> self.line_shift)
+    }
+
+    /// The way of the set at `base` holding the line of set-local tag
+    /// `tag`, if any, among its `valid` ways. Only valid ways' tags are
+    /// read, so a set no access has filled reads no tag, and a fresh
+    /// page of tags is first touched by the write of a fill, not by a
+    /// read before it; a wide tag is read only beside its marker.
+    fn find(&self, base: usize, valid: usize, tag: u64) -> Option<usize> {
+        let tags = &self.tags[base..base + valid];
+        match u32::try_from(tag) {
+            Ok(t) if t != WIDE => tags.iter().position(|&x| x == t),
+            _ if self.wide.is_empty() => None,
+            _ => tags
+                .iter()
+                .zip(&self.wide[base..base + valid])
+                .position(|(&x, &w)| x == WIDE && w == tag),
+        }
+    }
+
+    /// The set-local tag line `i` holds.
+    fn tag_at(&self, i: usize) -> u64 {
+        match self.tags[i] {
+            WIDE => self.wide[i],
+            t => u64::from(t),
+        }
+    }
+
+    /// Stores set-local tag `tag` for line `i`: in `tags` if it fits
+    /// below the marker, else as the marker plus the full tag in `wide`,
+    /// which the first wide line allocates.
+    fn set_tag(&mut self, i: usize, tag: u64) {
+        match u32::try_from(tag) {
+            Ok(t) if t != WIDE => self.tags[i] = t,
+            _ => {
+                if self.wide.is_empty() {
+                    self.wide = vec![0; self.state.len().max(MIN_TAG_WORDS / 2)];
+                }
+                self.tags[i] = WIDE;
+                self.wide[i] = tag;
+            }
+        }
     }
 
     /// The way a miss on the set at `base`, with `valid` valid ways,
@@ -321,9 +374,9 @@ impl Cache {
     /// Looks up `addr` without touching LRU state or counters.
     /// Returns the way holding the line, if present.
     pub fn probe(&self, addr: u64) -> Option<u32> {
-        let line = addr >> self.line_shift;
-        let base = self.set_base(self.sets.remainder(line));
-        self.find(base, self.valid(base), line).map(|w| w as u32)
+        let base = self.set_base(self.set_of(addr));
+        self.find(base, self.valid(base), self.tag_of(addr))
+            .map(|w| w as u32)
     }
 
     /// The way a miss on `set` would allocate into right now (invalid
@@ -337,13 +390,14 @@ impl Cache {
     /// The way [`Cache::access`] would touch for `addr` if called next,
     /// given the [`set_base`](Self::set_base) of `addr`'s set: the way
     /// holding its line, else the miss's victim. Non-mutating, and free
-    /// of divisions: it is [`probe`](Self::probe) falling back to
+    /// of divisions for a power-of-two set count: it is
+    /// [`probe`](Self::probe) falling back to
     /// [`victim_way`](Self::victim_way) for a caller that resolved the
     /// set once and asks many times.
     #[inline]
     pub fn way_at(&self, base: usize, addr: u64) -> Way {
         let valid = self.valid(base);
-        match self.find(base, valid, addr >> self.line_shift) {
+        match self.find(base, valid, self.tag_of(addr)) {
             Some(w) => Way {
                 index: w as u8,
                 hit: true,
@@ -386,13 +440,15 @@ impl Cache {
             return AccessResult::Hit { way: way.index() };
         }
         self.stats.misses += 1;
+        let line = addr >> self.line_shift;
         let writeback = if self.state[i] & DIRTY != 0 {
             self.stats.writebacks += 1;
-            Some(self.tags[i] << self.line_shift)
+            let victim = self.tag_at(i) * self.sets.get() + self.sets.remainder(line);
+            Some(victim << self.line_shift)
         } else {
             None
         };
-        self.tags[i] = addr >> self.line_shift;
+        self.set_tag(i, self.sets.quotient(line));
         self.touch(base, w);
         self.state[i] = dirty | 1;
         AccessResult::Miss {
@@ -600,6 +656,35 @@ mod tests {
         // The paper's 128 MB LLC: 2 Mi lines, 16-way, 128 Ki sets.
         let c = Cache::new(128 << 20, 16, 64);
         assert_eq!(c.sets(), 131_072);
+    }
+
+    #[test]
+    fn wide_tags_allocate_only_past_the_narrow_range() {
+        // The LLC's directory: 131,072 sets of 64-byte lines, so a
+        // set-local tag is `addr >> 23`, and reaches the marker value
+        // u32::MAX at 2^55 − 2^23.
+        let mut c = Cache::new(128 << 20, 16, 64).with_bank_layout(8, 4);
+        let first_wide = u64::from(WIDE) << 23;
+        let mut x = 0x2015_u64;
+        for i in 0..100_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let kind = if i % 3 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            c.access(x % first_wide, kind);
+        }
+        let last_narrow = first_wide - 64;
+        c.access(last_narrow, AccessKind::Write);
+        assert!(c.access(last_narrow, AccessKind::Read).is_hit());
+        assert!(c.wide.is_empty(), "a narrow address allocated wide tags");
+        assert!(!c.access(first_wide, AccessKind::Write).is_hit());
+        assert_eq!(c.wide.len(), MIN_TAG_WORDS / 2, "padded like the tags");
+        assert!(c.access(first_wide, AccessKind::Read).is_hit());
+        assert!(c.access(last_narrow, AccessKind::Read).is_hit());
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The compact `Cache` (one state byte per line: dirty bit plus recency
-//! rank) against a stamp-based LRU reference: a u64 stamp per line from
-//! one tick per access, LRU = the smallest stamp, an invalid way first.
-//! Both must agree access by access — `probe`, `victim_way`, the way,
-//! hit and writeback address of every `access`, and the counters — on
-//! random reads and writes, with and without a bank-major layout, and
-//! across a `clear()`.
+//! The compact `Cache` (a 32-bit set-local tag and one state byte per
+//! line: dirty bit plus recency rank) against a stamp-based LRU
+//! reference: a u64 tag and a u64 stamp per line from one tick per
+//! access, LRU = the smallest stamp, an invalid way first. Both must
+//! agree access by access — `probe`, `victim_way`, the way, hit and
+//! writeback address of every `access`, and the counters — on random
+//! reads and writes over the whole u64 address range, with and without
+//! a bank-major layout, and across a `clear()`.
 
 use rtm_mem::cache::{AccessKind, AccessResult, Cache, CacheStats};
 use rtm_util::rng::SmallRng64;
@@ -144,7 +145,13 @@ impl StampCache {
 
 /// Drives both caches through `n` random accesses over three times the
 /// capacity's lines (so hits, clean and dirty evictions all occur),
-/// clearing both halfway, and asserts agreement at every step.
+/// clearing both halfway, and asserts agreement at every step. About
+/// half the lines carry high bits, in the same sets as the low ones:
+/// one of a few set-local tag offsets that put the lines' tags astride
+/// the 32-bit boundary, at the top of the address space, or at random
+/// high values, or a fresh random offset. The run must hit lines whose
+/// set-local tag is `u32::MAX` or more and write such lines back, so
+/// that it compares the wide path and not only the narrow one.
 fn agree(capacity: u64, ways: u32, layout: Option<(u32, u32)>, seed: u64, n: u64) {
     let (mut fast, mut reference) = (
         Cache::new(capacity, ways, 64),
@@ -155,8 +162,21 @@ fn agree(capacity: u64, ways: u32, layout: Option<(u32, u32)>, seed: u64, n: u64
         reference = reference.with_bank_layout(banks, group_sets);
     }
     let lines = capacity / 64;
+    let sets = reference.sets;
     let mut rng = SmallRng64::new(seed);
-    let label = format!("{ways} ways, layout {layout:?}");
+    // Low lines have set-local tags below `low_tags`; an offset of at
+    // most `max_tag - low_tags` keeps every address inside a u64.
+    let low_tags = 3 * lines / sets;
+    let max_tag = (u64::MAX >> 6) / sets;
+    let offsets = [
+        u64::from(u32::MAX) - low_tags / 2,
+        max_tag - low_tags,
+        rng.next_below(max_tag - low_tags),
+        rng.next_below(max_tag - low_tags),
+    ];
+    let wide = |addr: u64| (addr >> 6) / sets >= u64::from(u32::MAX);
+    let (mut wide_hits, mut wide_writebacks) = (0, 0);
+    let label = format!("{ways} ways, layout {layout:?}, seed {seed:#x}");
     for i in 0..n {
         if i == n / 2 {
             fast.clear();
@@ -165,11 +185,19 @@ fn agree(capacity: u64, ways: u32, layout: Option<(u32, u32)>, seed: u64, n: u64
         }
         // Half the accesses stay inside a hot range that fits the cache,
         // so recency order matters and not only the miss path.
-        let line = if rng.next_below(2) == 0 {
+        let mut line = if rng.next_below(2) == 0 {
             rng.next_below(lines / 2)
         } else {
             rng.next_below(3 * lines)
         };
+        if rng.next_below(2) == 0 {
+            let k = rng.next_below(offsets.len() as u64 + 1) as usize;
+            let offset = match offsets.get(k) {
+                Some(&o) => o,
+                None => rng.next_below(max_tag - low_tags),
+            };
+            line += offset * sets;
+        }
         let addr = line * 64 + rng.next_below(64);
         let kind = if rng.next_below(3) == 0 {
             AccessKind::Write
@@ -188,13 +216,20 @@ fn agree(capacity: u64, ways: u32, layout: Option<(u32, u32)>, seed: u64, n: u64
             reference.victim_way(set),
             "{label}: victim {i}"
         );
-        assert_eq!(
-            fast.access(addr, kind),
-            reference.access(addr, kind),
-            "{label}: access {i}"
-        );
+        let result = fast.access(addr, kind);
+        assert_eq!(result, reference.access(addr, kind), "{label}: access {i}");
+        match result {
+            AccessResult::Hit { .. } if wide(addr) => wide_hits += 1,
+            AccessResult::Miss {
+                writeback: Some(wb),
+                ..
+            } if wide(wb) => wide_writebacks += 1,
+            _ => {}
+        }
     }
     assert_eq!(*fast.stats(), reference.stats, "{label}: stats");
+    assert!(wide_hits > 0, "{label}: no hit on a wide line");
+    assert!(wide_writebacks > 0, "{label}: no dirty wide victim");
 }
 
 #[test]
@@ -214,4 +249,14 @@ fn compact_cache_matches_stamp_reference() {
             agree(capacity, ways, layout, 0x2015 + (2 * g + l) as u64, 40_000);
         }
     }
+}
+
+/// The racetrack LLC's own directory: 128 MiB of 64-byte lines in
+/// 131,072 16-way sets, stored bank-major over 8 banks in 4-set groups.
+/// Run with `cargo test --release -p rtm-mem --test cache_reference --
+/// --include-ignored`.
+#[test]
+#[ignore = "2M accesses over a 2 Mi-line directory; run in release"]
+fn llc_geometry_matches_stamp_reference() {
+    agree(128 << 20, 16, Some((8, 4)), 0x2015, 2_000_000);
 }
