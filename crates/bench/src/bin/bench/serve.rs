@@ -50,13 +50,8 @@ type Cell = (&'static str, SchedPolicy, f64, ServeResult);
 /// workload, seeded by its name.
 fn mix_of(workload: &str) -> MixedTraceGenerator {
     let p = WorkloadProfile::by_name(workload).expect("known workload");
-    let seed = rtm_util::rng::derive_seed(2015, seed_of(workload));
+    let seed = rtm_util::rng::derive_seed(2015, rtm_trace::seed_of(workload));
     MixedTraceGenerator::new(&vec![p; TENANTS], seed)
-}
-
-fn seed_of(name: &str) -> u64 {
-    name.bytes()
-        .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
 }
 
 fn run_matrix(workloads: &[&'static str], requests: u64, threads: usize) -> Vec<Cell> {

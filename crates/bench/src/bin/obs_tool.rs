@@ -1,5 +1,5 @@
 //! Observability tooling: render span dumps and gate benchmark
-//! regressions.
+//! documents against their baselines.
 //!
 //! ```text
 //! obs-tool flame events.json --out profile.folded
@@ -15,12 +15,15 @@
 //! `"schema_version": 2` dump and exit 2 on anything else.
 //!
 //! `compare` diffs two stamped `BENCH_*.json` artefacts row by row:
-//! rows pair up by their string-field identity, numeric fields are
-//! checked against the regression threshold (wall-clock measurements
-//! are skipped — they are noise, not model output), and fields with
-//! `throughput` in the name count higher-is-better. Exit codes: 0 ok,
-//! 1 regression (or baseline rows missing), 2 usage/schema errors —
-//! mismatched `schema` or `schema_version` fields refuse to compare.
+//! rows pair up by their string-field identity, and every numeric
+//! model field is checked against the baseline (wall-clock and memory
+//! measurements are skipped — they are noise, not model output). A
+//! whole-number field (a count, a cycle total, a byte size) must equal
+//! the baseline exactly; a fractional one may move by at most the
+//! `--max-regress` fraction of the baseline, in either direction.
+//! Exit codes: 0 ok, 1 drift (or baseline rows missing), 2
+//! usage/schema errors — mismatched `schema` or `schema_version`
+//! fields refuse to compare.
 
 use rtm_obs::export::{chrome_trace, folded_stacks};
 use rtm_obs::json::Json;
@@ -142,14 +145,14 @@ fn compare(old_path: &str, new_path: &str, max_regress: f64) -> i32 {
     let old_rows = rows_of(&old, old_path);
     let new_rows = rows_of(&new, new_path);
 
-    let mut regressions = 0usize;
+    let mut failures = 0usize;
     let mut checked = 0usize;
     for old_row in &old_rows {
         let id = row_identity(old_row);
         let label = identity_label(&id);
         let Some(new_row) = new_rows.iter().find(|r| row_identity(r) == id) else {
             eprintln!("MISSING  {label}: row absent from {new_path}");
-            regressions += 1;
+            failures += 1;
             continue;
         };
         let Json::Obj(pairs) = old_row else { continue };
@@ -162,27 +165,30 @@ fn compare(old_path: &str, new_path: &str, max_regress: f64) -> i32 {
             }
             let Some(new_num) = new_row.get(field).and_then(Json::as_f64) else {
                 eprintln!("MISSING  {label}.{field}: field absent from {new_path}");
-                regressions += 1;
+                failures += 1;
                 continue;
             };
             checked += 1;
-            let higher_is_better = field.contains("throughput");
-            // Relative change in the "worse" direction, as a fraction
-            // of the baseline.
-            let worse = if higher_is_better {
-                (old_num - new_num) / old_num.abs().max(f64::MIN_POSITIVE)
-            } else {
-                (new_num - old_num) / old_num.abs().max(f64::MIN_POSITIVE)
-            };
-            if worse > max_regress {
+            // Simulated counts are deterministic, so any move is drift;
+            // a fractional field may move within the tolerance.
+            if old_num.fract() == 0.0 {
+                if new_num != *old_num {
+                    eprintln!(
+                        "DRIFT    {label}.{field}: {old_num} -> {new_num} (counts match exactly)"
+                    );
+                    failures += 1;
+                }
+                continue;
+            }
+            let moved = (new_num - old_num) / old_num.abs();
+            if moved.abs() > max_regress {
                 eprintln!(
-                    "REGRESS  {label}.{field}: {old_num} -> {new_num} \
-                     ({:+.2}% {}, limit {:.2}%)",
-                    worse * 100.0,
-                    if higher_is_better { "drop" } else { "rise" },
+                    "DRIFT    {label}.{field}: {old_num} -> {new_num} \
+                     ({:+.2}%, limit ±{:.2}%)",
+                    moved * 100.0,
                     max_regress * 100.0
                 );
-                regressions += 1;
+                failures += 1;
             }
         }
     }
@@ -195,15 +201,15 @@ fn compare(old_path: &str, new_path: &str, max_regress: f64) -> i32 {
             );
         }
     }
-    if regressions > 0 {
+    if failures > 0 {
         eprintln!(
-            "FAIL: {regressions} regression(s) across {} baseline row(s)",
+            "FAIL: {failures} drift(s) across {} baseline row(s)",
             old_rows.len()
         );
         1
     } else {
         eprintln!(
-            "OK: {checked} field(s) across {} row(s) within {:.2}%",
+            "OK: {checked} field(s) across {} row(s): counts exact, fractions within ±{:.2}%",
             old_rows.len(),
             max_regress * 100.0
         );

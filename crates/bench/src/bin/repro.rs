@@ -60,11 +60,11 @@ struct Options {
     tenants: Option<u32>,
     classes: Option<ClassSpec>,
     fault_model: Option<rtm_track::fault::FaultModelChoice>,
-    schemes: Option<Vec<matrix::SchemeChoice>>,
+    schemes: Option<Vec<RtVariant>>,
 }
 
 fn scheme_names() -> String {
-    matrix::SchemeChoice::ALL
+    matrix::schemes()
         .iter()
         .map(|s| s.name())
         .collect::<Vec<_>>()
@@ -94,7 +94,7 @@ fn parse_args() -> Result<Options, String> {
     let mut tenants = None;
     let mut classes = None;
     let mut fault_model: Option<rtm_track::fault::FaultModelChoice> = None;
-    let mut schemes: Option<Vec<matrix::SchemeChoice>> = None;
+    let mut schemes: Option<Vec<RtVariant>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -182,14 +182,16 @@ fn parse_args() -> Result<Options, String> {
             }
             "--scheme" => {
                 let v = args.next().ok_or("--scheme needs a value")?;
-                let s = matrix::SchemeChoice::parse(&v).ok_or(format!(
-                    "--scheme: unknown scheme {v}; known: {}",
-                    scheme_names()
-                ))?;
+                let s = RtVariant::parse(&v)
+                    .filter(|s| matrix::schemes().contains(s))
+                    .ok_or(format!(
+                        "--scheme: unknown scheme {v}; known: {}",
+                        scheme_names()
+                    ))?;
                 schemes.get_or_insert_with(Vec::new).push(s);
             }
             "--list-schemes" => {
-                for s in matrix::SchemeChoice::ALL {
+                for s in matrix::schemes() {
                     println!("{}", s.name());
                 }
                 std::process::exit(0);
@@ -350,7 +352,7 @@ fn main() {
         eprintln!(
             "running serving sweep ({} workloads x {} schemes x {} policies x {} requests)...",
             s.profiles().len(),
-            serving::SCHEMES.len(),
+            serving::VARIANTS.len(),
             SchedPolicy::ALL.len(),
             s.requests
         );

@@ -211,13 +211,13 @@ pub struct HeadPolicyRow {
 /// return-to-centre (the head-management direction of the prior work
 /// the paper cites) on a way-scanning probe pattern.
 pub fn head_policy_comparison(accesses: u64) -> [HeadPolicyRow; 2] {
-    use rtm_controller::controller::ShiftPolicy;
     use rtm_mem::cache::AccessKind;
+    use rtm_mem::hierarchy::RtVariant;
     use rtm_mem::llc::{HeadPolicy, LlcModel, RacetrackLlc};
 
+    let (kind, shift_policy) = RtVariant::SecdedSafeAdaptive.parts();
     let run = |policy: HeadPolicy, name: &'static str| {
-        let mut llc = RacetrackLlc::new(ProtectionKind::SECDED, ShiftPolicy::Adaptive)
-            .with_head_policy(policy);
+        let mut llc = RacetrackLlc::new(kind, shift_policy).with_head_policy(policy);
         let sets = 131_072u64; // the 128 MB LLC's set count
         let stride = sets * 64;
         let mut rng = rtm_util::rng::SmallRng64::new(7);

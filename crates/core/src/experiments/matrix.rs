@@ -28,11 +28,10 @@
 
 use rtm_controller::controller::ShiftPolicy;
 use rtm_controller::safety::SafetyBudget;
-use rtm_cost::overhead::{ProtectionOverhead, Scheme};
-use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice};
+use rtm_cost::overhead::ProtectionOverhead;
+use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice, RtVariant};
 use rtm_mem::ShiftBackEnd;
 use rtm_model::analytic::Engine;
-use rtm_pecc::layout::ProtectionKind;
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};
 use rtm_trace::{TraceGenerator, WorkloadProfile};
 use rtm_track::fault::FaultModelChoice;
@@ -41,124 +40,47 @@ use rtm_track::fault::FaultModelChoice;
 /// ~10M group commands/s (the Fig. 12 operating point).
 pub const PAPER_INTENSITY: f64 = 1.0e7 * 512.0;
 
-/// A protection scheme selectable on the `--scheme` axis.
+/// The schemes the matrix can cross: every [`RtVariant`] with a Table 5
+/// row, in [`RtVariant::ALL`] order (the `--scheme` vocabulary).
+pub fn schemes() -> Vec<RtVariant> {
+    RtVariant::ALL
+        .into_iter()
+        .filter(|v| v.cost_scheme().is_some())
+        .collect()
+}
+
+/// The analytic shift-distance mix `scheme`'s policy induces at
+/// `intensity` stripe shifts per second.
 ///
-/// This is the user-facing union of the paper's five schemes and the
-/// two stream codecs: each name maps to a (protection kind, shift
-/// policy) pair for simulation and a Table 5 row for cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SchemeChoice {
-    /// Sub-threshold shift alone (unprotected baseline).
-    Sts,
-    /// SECDED p-ECC, unconstrained distances.
-    Pecc,
-    /// SECDED p-ECC-O (overhead region, 1-step shift-and-write).
-    PeccO,
-    /// p-ECC-S with the worst-case safe distance.
-    PeccSWorst,
-    /// p-ECC-S with the adaptive safe distance.
-    PeccSAdaptive,
-    /// Chee–Kiah multi-look code (arXiv 1701.06874).
-    CheeKiah,
-    /// Vahid two-deletion/insertion code (arXiv 1701.06478).
-    Vahid2di,
-}
-
-impl SchemeChoice {
-    /// Every selectable scheme, in Table 5 row order.
-    pub const ALL: [SchemeChoice; 7] = [
-        SchemeChoice::Sts,
-        SchemeChoice::Pecc,
-        SchemeChoice::PeccO,
-        SchemeChoice::PeccSWorst,
-        SchemeChoice::PeccSAdaptive,
-        SchemeChoice::CheeKiah,
-        SchemeChoice::Vahid2di,
-    ];
-
-    /// Canonical CLI name (the `--scheme` vocabulary).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchemeChoice::Sts => "sts",
-            SchemeChoice::Pecc => "pecc",
-            SchemeChoice::PeccO => "pecc-o",
-            SchemeChoice::PeccSWorst => "pecc-s-worst",
-            SchemeChoice::PeccSAdaptive => "pecc-s-adaptive",
-            SchemeChoice::CheeKiah => "chee-kiah",
-            SchemeChoice::Vahid2di => "vahid-2di",
+/// Step-by-step schemes only ever shift one step; safe-distance
+/// schemes spread uniformly up to the distance the SECDED safety
+/// budget allows (worst-case at the provisioning intensity, adaptive
+/// at the actual one); unconstrained schemes spread over the full
+/// 1..=7 inter-port range.
+pub fn shift_mix(scheme: RtVariant, intensity: f64) -> ShiftMix {
+    let (_, policy) = scheme.parts();
+    let budget = SafetyBudget::paper_secded();
+    match policy {
+        ShiftPolicy::StepByStep => ShiftMix::single(1),
+        ShiftPolicy::FixedSafe { worst_intensity_hz } => {
+            let d = budget
+                .safe_distance_at(worst_intensity_hz as f64)
+                .unwrap_or(1);
+            ShiftMix::uniform(1..=d.max(1))
         }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        SchemeChoice::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// The (protection, policy) pair this scheme simulates.
-    pub fn parts(&self) -> (ProtectionKind, ShiftPolicy) {
-        match self {
-            SchemeChoice::Sts => (ProtectionKind::None, ShiftPolicy::Unconstrained),
-            SchemeChoice::Pecc => (ProtectionKind::SECDED, ShiftPolicy::Unconstrained),
-            SchemeChoice::PeccO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-            SchemeChoice::PeccSWorst => (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
-            SchemeChoice::PeccSAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
-            SchemeChoice::CheeKiah => (ProtectionKind::CHEE_KIAH, ShiftPolicy::Unconstrained),
-            SchemeChoice::Vahid2di => (ProtectionKind::VAHID_2DI, ShiftPolicy::Unconstrained),
+        ShiftPolicy::Adaptive => {
+            let d = budget.safe_distance_at(intensity).unwrap_or(1);
+            ShiftMix::uniform(1..=d.max(1))
         }
-    }
-
-    /// The Table 5 row describing this scheme's cost.
-    pub fn cost_scheme(&self) -> Scheme {
-        match self {
-            SchemeChoice::Sts => Scheme::Sts,
-            SchemeChoice::Pecc => Scheme::Pecc,
-            SchemeChoice::PeccO => Scheme::PeccO,
-            SchemeChoice::PeccSWorst => Scheme::PeccSWorst,
-            SchemeChoice::PeccSAdaptive => Scheme::PeccSAdaptive,
-            SchemeChoice::CheeKiah => Scheme::CheeKiah,
-            SchemeChoice::Vahid2di => Scheme::Vahid2di,
-        }
-    }
-
-    /// The analytic shift-distance mix the scheme's policy induces at
-    /// `intensity` stripe shifts per second.
-    ///
-    /// Step-by-step schemes only ever shift one step; safe-distance
-    /// schemes spread uniformly up to the distance the SECDED safety
-    /// budget allows (worst-case at the provisioning intensity, adaptive
-    /// at the actual one); unconstrained schemes spread over the full
-    /// 1..=7 inter-port range.
-    pub fn shift_mix(&self, intensity: f64) -> ShiftMix {
-        let (_, policy) = self.parts();
-        let budget = SafetyBudget::paper_secded();
-        match policy {
-            ShiftPolicy::StepByStep => ShiftMix::single(1),
-            ShiftPolicy::FixedSafe { worst_intensity_hz } => {
-                let d = budget
-                    .safe_distance_at(worst_intensity_hz as f64)
-                    .unwrap_or(1);
-                ShiftMix::uniform(1..=d.max(1))
-            }
-            ShiftPolicy::Adaptive => {
-                let d = budget.safe_distance_at(intensity).unwrap_or(1);
-                ShiftMix::uniform(1..=d.max(1))
-            }
-            ShiftPolicy::Unconstrained => ShiftMix::uniform(1..=7),
-        }
-    }
-}
-
-impl std::fmt::Display for SchemeChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        ShiftPolicy::Unconstrained => ShiftMix::uniform(1..=7),
     }
 }
 
 /// Matrix parameters.
 #[derive(Debug, Clone)]
 pub struct MatrixSettings {
-    /// Schemes to cross (rows).
-    pub schemes: Vec<SchemeChoice>,
+    /// Schemes to cross (rows), each with a Table 5 row.
+    pub schemes: Vec<RtVariant>,
     /// Fault models to cross (columns).
     pub fault_models: Vec<FaultModelChoice>,
     /// Accesses driven per sampled cell.
@@ -178,7 +100,7 @@ impl MatrixSettings {
     /// Full matrix at repro fidelity.
     pub fn full() -> Self {
         Self {
-            schemes: SchemeChoice::ALL.to_vec(),
+            schemes: schemes(),
             fault_models: FaultModelChoice::ALL.to_vec(),
             accesses: 200_000,
             seed: 2015,
@@ -201,7 +123,7 @@ impl MatrixSettings {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// Protection scheme (row).
-    pub scheme: SchemeChoice,
+    pub scheme: RtVariant,
     /// Fault process (column).
     pub fault_model: FaultModelChoice,
     /// Analytic SDC MTTF in seconds (infinite when the scheme never
@@ -247,7 +169,7 @@ impl SchemeFaultMatrix {
     pub fn run_with_threads(settings: &MatrixSettings, threads: usize) -> Self {
         let profile = WorkloadProfile::by_name(settings.workload)
             .unwrap_or_else(|| panic!("unknown workload {:?}", settings.workload));
-        let cells: Vec<(SchemeChoice, FaultModelChoice)> = settings
+        let cells: Vec<(RtVariant, FaultModelChoice)> = settings
             .schemes
             .iter()
             .flat_map(|&s| settings.fault_models.iter().map(move |&f| (s, f)))
@@ -286,7 +208,7 @@ impl SchemeFaultMatrix {
                     let (kind, _) = scheme.parts();
                     // Analytic view: the scheme's own shift mix against
                     // the fault model's rate table.
-                    let mix = scheme.shift_mix(settings.intensity);
+                    let mix = shift_mix(scheme, settings.intensity);
                     let report = ReliabilityReport::with_rates(
                         kind,
                         &mix,
@@ -294,7 +216,11 @@ impl SchemeFaultMatrix {
                         &fault_model.analytic_rates(),
                     );
                     // Cost view: the Table 5 row.
-                    let cost = ProtectionOverhead::table5(scheme.cost_scheme());
+                    let cost = ProtectionOverhead::table5(
+                        scheme
+                            .cost_scheme()
+                            .expect("a matrix scheme has a Table 5 row"),
+                    );
                     matrix.cells.push(MatrixCell {
                         scheme,
                         fault_model,
@@ -395,16 +321,16 @@ mod tests {
         assert_eq!(m.cells.len(), 7 * 3);
         // Row-major order: the first three cells are STS under each
         // fault model, in FaultModelChoice::ALL order.
-        assert_eq!(m.cells[0].scheme, SchemeChoice::Sts);
+        assert_eq!(m.cells[0].scheme, RtVariant::Baseline);
         assert_eq!(m.cells[0].fault_model, FaultModelChoice::Engine);
         assert_eq!(m.cells[2].fault_model, FaultModelChoice::Pinning);
-        assert_eq!(m.cells[3].scheme, SchemeChoice::Pecc);
+        assert_eq!(m.cells[3].scheme, RtVariant::Secded);
         // Every sampled cell actually drew outcomes.
         for c in &m.cells {
             assert!(
                 c.sampled_shifts > 0,
                 "{}/{} sampled nothing",
-                c.scheme,
+                c.scheme.name(),
                 c.fault_model.name()
             );
         }
@@ -413,11 +339,7 @@ mod tests {
     #[test]
     fn matrix_is_thread_count_invariant() {
         let mut s = tiny();
-        s.schemes = vec![
-            SchemeChoice::Sts,
-            SchemeChoice::Pecc,
-            SchemeChoice::Vahid2di,
-        ];
+        s.schemes = vec![RtVariant::Baseline, RtVariant::Secded, RtVariant::Vahid2di];
         let base = SchemeFaultMatrix::run_with_threads(&s, 1);
         for threads in [2usize, 8] {
             let alt = SchemeFaultMatrix::run_with_threads(&s, threads);
@@ -444,7 +366,11 @@ mod tests {
                     cell_seed(&s, i),
                 )
                 .run(&mut trace(&s, profile), s.accesses);
-                let name = format!("{}/{} threads={threads}", c.scheme, c.fault_model.name());
+                let name = format!(
+                    "{}/{} threads={threads}",
+                    c.scheme.name(),
+                    c.fault_model.name()
+                );
                 assert_eq!(c.sampled_shifts, r.llc.sampled_shifts, "{name}");
                 assert_eq!(c.observed_errors, r.llc.observed_errors, "{name}");
                 assert_eq!(c.cycles, r.cycles, "{name}");
@@ -458,10 +384,10 @@ mod tests {
         // correction and everything beyond as detected — no aliasing, so
         // the analytic SDC MTTF is infinite under every fault model.
         let mut s = tiny();
-        s.schemes = vec![SchemeChoice::CheeKiah, SchemeChoice::Vahid2di];
+        s.schemes = vec![RtVariant::CheeKiah, RtVariant::Vahid2di];
         let m = SchemeFaultMatrix::run(&s);
         for c in &m.cells {
-            assert!(c.sdc_mttf_s.is_infinite(), "{} aliased", c.scheme);
+            assert!(c.sdc_mttf_s.is_infinite(), "{} aliased", c.scheme.name());
             assert!(c.corrections_per_s > 0.0);
         }
     }
@@ -472,7 +398,7 @@ mod tests {
         // SECDED corrects — both failure modes vanish — while the
         // unprotected STS row turns that same mass into pure SDC.
         let mut s = tiny();
-        s.schemes = vec![SchemeChoice::Sts, SchemeChoice::Pecc];
+        s.schemes = vec![RtVariant::Baseline, RtVariant::Secded];
         s.fault_models = vec![FaultModelChoice::Pinning];
         let m = SchemeFaultMatrix::run(&s);
         let sts = &m.cells[0];
@@ -484,30 +410,20 @@ mod tests {
     }
 
     #[test]
-    fn scheme_names_round_trip() {
-        for s in SchemeChoice::ALL {
-            assert_eq!(SchemeChoice::parse(s.name()), Some(s));
-            let (_, _) = s.parts();
-            let _ = s.cost_scheme();
-        }
-        assert_eq!(SchemeChoice::parse("nope"), None);
-    }
-
-    #[test]
     fn shift_mixes_follow_policies() {
         let i = PAPER_INTENSITY;
-        assert_eq!(SchemeChoice::PeccO.shift_mix(i), ShiftMix::single(1));
+        assert_eq!(shift_mix(RtVariant::SecdedO, i), ShiftMix::single(1));
         // Unconstrained spans the inter-port range.
-        assert!((SchemeChoice::Sts.shift_mix(i).mean_distance() - 4.0).abs() < 1e-12);
+        assert!((shift_mix(RtVariant::Baseline, i).mean_distance() - 4.0).abs() < 1e-12);
         // Safe-distance mixes never exceed the unconstrained mean.
-        assert!(SchemeChoice::PeccSWorst.shift_mix(i).mean_distance() <= 4.0);
-        assert!(SchemeChoice::PeccSAdaptive.shift_mix(i).mean_distance() <= 4.0);
+        assert!(shift_mix(RtVariant::SecdedSafeWorst, i).mean_distance() <= 4.0);
+        assert!(shift_mix(RtVariant::SecdedSafeAdaptive, i).mean_distance() <= 4.0);
     }
 
     #[test]
     fn render_has_header_and_all_cells() {
         let mut s = tiny();
-        s.schemes = vec![SchemeChoice::Sts];
+        s.schemes = vec![RtVariant::Baseline];
         s.fault_models = vec![FaultModelChoice::Calibrated];
         let m = SchemeFaultMatrix::run(&s);
         let text = m.render();

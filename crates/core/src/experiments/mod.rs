@@ -30,7 +30,8 @@ pub mod serving;
 
 mod sweep;
 
-pub use sweep::{RtVariant, SimSweep, SweepSettings};
+pub use rtm_mem::hierarchy::RtVariant;
+pub use sweep::{SimSweep, SweepSettings};
 
 // The CSV serialiser lives in rtm-obs (its exporters need it too);
 // re-exported here so every experiment driver keeps one call site.

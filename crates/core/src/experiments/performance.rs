@@ -1,14 +1,12 @@
 //! Figs. 14-16 — shift latency and execution time.
 
-use super::sweep::{RtVariant, SimSweep, SweepSettings};
-use super::{design::SEGMENT_CONFIGS, render_table};
-use rtm_controller::controller::{ShiftController, ShiftPolicy};
+use super::{design::SEGMENT_CONFIGS, render_table, RtVariant, SimSweep, SweepSettings};
+use rtm_controller::controller::ShiftController;
 use rtm_controller::safety::SafetyBudget;
 use rtm_mem::hierarchy::LlcChoice;
 use rtm_model::rates::OutOfStepRates;
 use rtm_model::sts::StsTiming;
 use rtm_obs::attrib::AttributionTable;
-use rtm_pecc::layout::ProtectionKind;
 use std::collections::BTreeMap;
 
 /// Normalised per-workload series for a bar figure.
@@ -166,27 +164,18 @@ pub fn figure15_experiment(interval_cycles: u64) -> Vec<Figure15Row> {
                     .sum::<f64>()
                     / max_d as f64
             };
-            let row = |policy: ShiftPolicy, kind: ProtectionKind| -> f64 {
+            let controller = |variant: RtVariant| {
+                let (kind, policy) = variant.parts();
                 let budget = SafetyBudget::new(
                     OutOfStepRates::paper_calibration(),
                     rtm_controller::safety::PAPER_RELIABILITY_TARGET,
                     kind.strength(),
                 );
-                let mut ctl = ShiftController::with_parts(kind, policy, timing, budget, max_d);
-                let base = {
-                    let bare = ShiftController::with_parts(
-                        ProtectionKind::None,
-                        ShiftPolicy::Unconstrained,
-                        timing,
-                        SafetyBudget::new(
-                            OutOfStepRates::paper_calibration(),
-                            rtm_controller::safety::PAPER_RELIABILITY_TARGET,
-                            0,
-                        ),
-                        max_d,
-                    );
-                    baseline_mean(&bare)
-                };
+                ShiftController::with_parts(kind, policy, timing, budget, max_d)
+            };
+            let row = |variant: RtVariant| -> f64 {
+                let mut ctl = controller(variant);
+                let base = baseline_mean(&controller(RtVariant::Baseline));
                 let mut total = 0.0;
                 for d in 1..=max_d {
                     let plan = ctl.plan_shift(d, (d as u64) * interval_cycles);
@@ -196,8 +185,8 @@ pub fn figure15_experiment(interval_cycles: u64) -> Vec<Figure15Row> {
             };
             Figure15Row {
                 config: format!("{segments}x{lseg}"),
-                pecc_s_adaptive: fits.then(|| row(ShiftPolicy::Adaptive, ProtectionKind::SECDED)),
-                pecc_o: fits.then(|| row(ShiftPolicy::StepByStep, ProtectionKind::SECDED_O)),
+                pecc_s_adaptive: fits.then(|| row(RtVariant::SecdedSafeAdaptive)),
+                pecc_o: fits.then(|| row(RtVariant::SecdedO)),
             }
         })
         .collect()

@@ -7,8 +7,7 @@
 //! intensity), mirroring the paper's fixed-error-rate sensitivity
 //! study.
 
-use super::sweep::{RtVariant, SimSweep, SweepSettings};
-use super::{design::SEGMENT_CONFIGS, render_table};
+use super::{design::SEGMENT_CONFIGS, render_table, RtVariant, SimSweep, SweepSettings};
 use rtm_controller::safety::SafetyBudget;
 use rtm_pecc::layout::ProtectionKind;
 use rtm_reliability::accounting::{ReliabilityReport, ShiftMix};

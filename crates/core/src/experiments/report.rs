@@ -4,7 +4,7 @@
 use super::energy_exp::{energy_summary, figure17_from, figure18_from};
 use super::performance::{figure14_from, figure16_from, protection_overhead_summary};
 use super::reliability_exp::{figure10_from, figure11_from};
-use super::sweep::{RtVariant, SimSweep, SweepSettings};
+use super::{RtVariant, SimSweep, SweepSettings};
 use rtm_mem::hierarchy::LlcChoice;
 use rtm_util::units::format_mttf;
 

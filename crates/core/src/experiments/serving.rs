@@ -15,10 +15,8 @@
 //! result is folded into the sweep in strict grid order as it streams
 //! back, so the sweep is bit-identical for any `--threads` setting.
 
-use super::render_table;
-use rtm_controller::controller::ShiftPolicy;
+use super::{render_table, RtVariant};
 use rtm_obs::attrib::AttributionTable;
-use rtm_pecc::layout::ProtectionKind;
 use rtm_serve::{SchedPolicy, ServeConfig, ServeResult, ServeSim, ATTRIBUTION_COMPONENTS};
 use rtm_trace::{MixedTraceGenerator, WorkloadProfile};
 
@@ -26,36 +24,16 @@ use rtm_trace::{MixedTraceGenerator, WorkloadProfile};
 /// cell's profile, so conflict misses create same-group queueing).
 pub const TENANTS: usize = 4;
 
-/// The racetrack protection schemes the serving comparison runs
-/// under, as `(label, protection, shift policy)` — the paper's four
-/// plus the two deletion/insertion stream codecs.
-pub const SCHEMES: [(&str, ProtectionKind, ShiftPolicy); 6] = [
-    (
-        "unprotected",
-        ProtectionKind::None,
-        ShiftPolicy::Unconstrained,
-    ),
-    ("p-ECC-O", ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-    (
-        "p-ECC-S worst",
-        ProtectionKind::SECDED,
-        ShiftPolicy::WORST_CASE,
-    ),
-    (
-        "p-ECC-S adaptive",
-        ProtectionKind::SECDED,
-        ShiftPolicy::Adaptive,
-    ),
-    (
-        "Chee-Kiah",
-        ProtectionKind::CHEE_KIAH,
-        ShiftPolicy::Unconstrained,
-    ),
-    (
-        "Vahid 2-DI",
-        ProtectionKind::VAHID_2DI,
-        ShiftPolicy::Unconstrained,
-    ),
+/// The racetrack variants the serving comparison runs under, each with
+/// the label its rows print: the paper's four plus the two
+/// deletion/insertion stream codecs.
+pub const VARIANTS: [(&str, RtVariant); 6] = [
+    ("unprotected", RtVariant::Baseline),
+    ("p-ECC-O", RtVariant::SecdedO),
+    ("p-ECC-S worst", RtVariant::SecdedSafeWorst),
+    ("p-ECC-S adaptive", RtVariant::SecdedSafeAdaptive),
+    ("Chee-Kiah", RtVariant::CheeKiah),
+    ("Vahid 2-DI", RtVariant::Vahid2di),
 ];
 
 /// Serving-sweep parameters.
@@ -67,8 +45,6 @@ pub struct ServeSettings {
     pub seed: u64,
     /// Workload subset (`None` = all twelve).
     pub workloads: Option<Vec<&'static str>>,
-    /// Starvation bound handed to the reordering policies.
-    pub starve_limit: u32,
 }
 
 impl ServeSettings {
@@ -78,7 +54,6 @@ impl ServeSettings {
             requests: 60_000,
             seed: 2015,
             workloads: None,
-            starve_limit: 4,
         }
     }
 
@@ -88,20 +63,12 @@ impl ServeSettings {
             requests: 8_000,
             seed: 2015,
             workloads: Some(vec!["canneal", "streamcluster", "swaptions"]),
-            starve_limit: 4,
         }
     }
 
     /// The workload profiles this sweep covers, in display order.
     pub fn profiles(&self) -> Vec<WorkloadProfile> {
-        let all = WorkloadProfile::parsec();
-        match &self.workloads {
-            None => all.to_vec(),
-            Some(names) => names
-                .iter()
-                .filter_map(|n| WorkloadProfile::by_name(n))
-                .collect(),
-        }
+        WorkloadProfile::select(self.workloads.as_deref())
     }
 }
 
@@ -110,7 +77,7 @@ impl ServeSettings {
 pub struct ServeCell {
     /// Workload whose four-tenant mix drove the cell.
     pub workload: &'static str,
-    /// Protection-scheme label (see [`SCHEMES`]).
+    /// Protection-scheme label (see [`VARIANTS`]).
     pub scheme: &'static str,
     /// Scheduling policy under test.
     pub policy: SchedPolicy,
@@ -138,7 +105,7 @@ impl ServeSweep {
         let cells: Vec<(WorkloadProfile, usize, SchedPolicy)> = profiles
             .iter()
             .flat_map(|&p| {
-                (0..SCHEMES.len())
+                (0..VARIANTS.len())
                     .flat_map(move |s| SchedPolicy::ALL.into_iter().map(move |pol| (p, s, pol)))
             })
             .collect();
@@ -160,7 +127,7 @@ impl ServeSweep {
                 let (p, s, pol) = cells[i];
                 sweep.cells.push(ServeCell {
                     workload: p.name,
-                    scheme: SCHEMES[s].0,
+                    scheme: VARIANTS[s].0,
                     policy: pol,
                     result,
                 });
@@ -184,19 +151,13 @@ fn run_cell(
     scheme: usize,
     policy: SchedPolicy,
 ) -> ServeResult {
-    let (_, protection, shift_policy) = SCHEMES[scheme];
-    let seed = rtm_util::rng::derive_seed(settings.seed, seed_of(p.name));
+    let (protection, shift_policy) = VARIANTS[scheme].1.parts();
+    let seed = rtm_util::rng::derive_seed(settings.seed, rtm_trace::seed_of(p.name));
     let mut mix = MixedTraceGenerator::new(&vec![p; TENANTS], seed);
     let cfg = ServeConfig::new(policy)
         .with_scheme(protection, shift_policy)
-        .with_starve_limit(settings.starve_limit)
         .with_requests(settings.requests);
     ServeSim::new(cfg).run(&mut mix)
-}
-
-fn seed_of(name: &str) -> u64 {
-    name.bytes()
-        .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
 }
 
 /// Shift-aware vs FCFS headline per (workload, scheme): relative
@@ -398,7 +359,6 @@ mod tests {
             requests: 3_000,
             seed: 2015,
             workloads: Some(vec!["canneal", "streamcluster"]),
-            starve_limit: 4,
         }
     }
 
@@ -407,7 +367,7 @@ mod tests {
         let sweep = ServeSweep::run(&tiny());
         assert_eq!(
             sweep.cells.len(),
-            2 * SCHEMES.len() * SchedPolicy::ALL.len()
+            2 * VARIANTS.len() * SchedPolicy::ALL.len()
         );
         for c in &sweep.cells {
             assert_eq!(c.result.requests, 3_000);

@@ -12,10 +12,8 @@
 //! worker thread — so sweep output and metrics are identical for any
 //! `--threads` setting.
 
-use rtm_controller::controller::ShiftPolicy;
-use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice, SimResult};
+use rtm_mem::hierarchy::{run_shared, LaneLlc, LlcChoice, RtVariant, SimResult};
 use rtm_mem::ShiftBackEnd;
-use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{TraceGenerator, WorkloadProfile};
 use rtm_track::fault::FaultModelChoice;
 use std::collections::BTreeMap;
@@ -71,77 +69,7 @@ impl SweepSettings {
 
     /// The workload profiles this sweep covers, in display order.
     pub fn profiles(&self) -> Vec<WorkloadProfile> {
-        let all = WorkloadProfile::parsec();
-        match &self.workloads {
-            None => all.to_vec(),
-            Some(names) => names
-                .iter()
-                .filter_map(|n| WorkloadProfile::by_name(n))
-                .collect(),
-        }
-    }
-}
-
-/// A racetrack LLC variant beyond the named presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RtVariant {
-    /// Unprotected, unconstrained distances (the baseline).
-    Baseline,
-    /// SED p-ECC (detect-only), unconstrained distances.
-    Sed,
-    /// SECDED p-ECC, unconstrained distances.
-    Secded,
-    /// SECDED p-ECC-O (1-step shift-and-write).
-    SecdedO,
-    /// SECDED p-ECC with the worst-case safe distance.
-    SecdedSafeWorst,
-    /// SECDED p-ECC with the adaptive safe distance.
-    SecdedSafeAdaptive,
-    /// Chee–Kiah multi-look code, unconstrained distances.
-    CheeKiah,
-    /// Vahid two-deletion/insertion code, unconstrained distances.
-    Vahid2di,
-}
-
-impl RtVariant {
-    /// All variants in the paper's legend order.
-    pub const ALL: [RtVariant; 8] = [
-        RtVariant::Baseline,
-        RtVariant::Sed,
-        RtVariant::Secded,
-        RtVariant::SecdedO,
-        RtVariant::SecdedSafeWorst,
-        RtVariant::SecdedSafeAdaptive,
-        RtVariant::CheeKiah,
-        RtVariant::Vahid2di,
-    ];
-
-    /// The (protection, policy) pair this variant simulates.
-    pub fn parts(&self) -> (ProtectionKind, ShiftPolicy) {
-        match self {
-            RtVariant::Baseline => (ProtectionKind::None, ShiftPolicy::Unconstrained),
-            RtVariant::Sed => (ProtectionKind::Sed, ShiftPolicy::Unconstrained),
-            RtVariant::Secded => (ProtectionKind::SECDED, ShiftPolicy::Unconstrained),
-            RtVariant::SecdedO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
-            RtVariant::SecdedSafeWorst => (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
-            RtVariant::SecdedSafeAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
-            RtVariant::CheeKiah => (ProtectionKind::CHEE_KIAH, ShiftPolicy::Unconstrained),
-            RtVariant::Vahid2di => (ProtectionKind::VAHID_2DI, ShiftPolicy::Unconstrained),
-        }
-    }
-
-    /// Paper legend label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RtVariant::Baseline => "Baseline",
-            RtVariant::Sed => "SED p-ECC",
-            RtVariant::Secded => "SECDED p-ECC",
-            RtVariant::SecdedO => "SECDED p-ECC-O",
-            RtVariant::SecdedSafeWorst => "SECDED p-ECC-S worst",
-            RtVariant::SecdedSafeAdaptive => "SECDED p-ECC-S adaptive",
-            RtVariant::CheeKiah => "Chee-Kiah",
-            RtVariant::Vahid2di => "Vahid 2-DI",
-        }
+        WorkloadProfile::select(self.workloads.as_deref())
     }
 }
 
@@ -166,11 +94,12 @@ impl SimSweep {
     ///
     /// Each workload is one task, and one pass over its trace serves
     /// [`Self::lanes`] lanes: one per variant, then one per choice that
-    /// no variant covers. A racetrack preset whose protection and policy
-    /// are a requested variant's reads that variant's result, relabelled,
-    /// with its sampling tallies cleared: sampling is observational, and
-    /// a preset's own lane never samples. RM-Ideal shares the baseline's
-    /// parts but shifts for free, so it always runs a lane of its own.
+    /// no variant covers. A racetrack preset whose
+    /// [`LlcChoice::variant`] is requested reads that variant's result,
+    /// relabelled, with its sampling tallies cleared: sampling is
+    /// observational, and a preset's own lane never samples. RM-Ideal
+    /// shifts for free, so it has no variant and always runs a lane of
+    /// its own.
     pub fn run_with_threads(
         settings: &SweepSettings,
         variants: &[RtVariant],
@@ -273,22 +202,18 @@ impl SimSweep {
     }
 }
 
-/// The index of the variant among `variants` whose lane serves preset
-/// `choice`: the first with the preset's protection and policy. RM-Ideal
-/// has the baseline's parts, but its shifts are free, so none serves it.
+/// The index among `variants` of the first whose lane serves preset
+/// `choice`: the preset's own [`LlcChoice::variant`].
 fn covering(variants: &[RtVariant], choice: LlcChoice) -> Option<usize> {
-    if choice == LlcChoice::RacetrackIdeal {
-        return None;
-    }
-    let parts = choice.racetrack_parts()?;
-    variants.iter().position(|v| v.parts() == parts)
+    let variant = choice.variant()?;
+    variants.iter().position(|&v| v == variant)
 }
 
 /// The trace of workload `p`, seeded from the sweep seed and its name.
 fn trace(settings: &SweepSettings, p: WorkloadProfile) -> TraceGenerator {
     TraceGenerator::new(
         p,
-        rtm_util::rng::derive_seed(settings.seed, seed_of(p.name)),
+        rtm_util::rng::derive_seed(settings.seed, rtm_trace::seed_of(p.name)),
     )
 }
 
@@ -296,11 +221,6 @@ fn trace(settings: &SweepSettings, p: WorkloadProfile) -> TraceGenerator {
 /// (workload × variant) grid.
 fn variant_seed(settings: &SweepSettings, index: usize) -> u64 {
     rtm_util::rng::derive_seed(settings.seed, 0x5EED_0000 + index as u64)
-}
-
-fn seed_of(name: &str) -> u64 {
-    name.bytes()
-        .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
 }
 
 #[cfg(test)]
@@ -438,7 +358,7 @@ mod tests {
         assert_eq!(SimSweep::lanes(&RtVariant::ALL, &LlcChoice::ALL), 11);
         assert_eq!(SimSweep::lanes(&RtVariant::ALL, &[]), 8);
         assert_eq!(SimSweep::lanes(&[], &LlcChoice::ALL), 7);
-        // RM-Ideal has the baseline's parts but never reads its lane.
+        // RM-Ideal has no variant, so it never reads the baseline's lane.
         let ideal = [LlcChoice::RacetrackIdeal];
         assert_eq!(SimSweep::lanes(&[RtVariant::Baseline], &ideal), 2);
         let unprotected = [LlcChoice::RacetrackUnprotected];
@@ -467,14 +387,5 @@ mod tests {
             .map(|r| r.llc.sampled_shifts)
             .sum();
         assert!(sampled > 0, "engine sampling produced no draws");
-    }
-
-    #[test]
-    fn variant_parts_cover_paper_matrix() {
-        assert_eq!(RtVariant::ALL.len(), 8);
-        for v in RtVariant::ALL {
-            let (_, _) = v.parts();
-            assert!(!v.label().is_empty());
-        }
     }
 }

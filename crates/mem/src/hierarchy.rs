@@ -27,6 +27,109 @@ use rtm_pecc::layout::ProtectionKind;
 use rtm_trace::{MemAccess, TraceGenerator};
 use rtm_util::units::{Picojoules, Seconds};
 
+/// A racetrack scheme: one protection kind under one shift policy,
+/// with its figure label, its `--scheme` name and its Table 5 row. This
+/// is the one table of the schemes the experiments simulate; the
+/// racetrack presets of [`LlcChoice`] name theirs through
+/// [`LlcChoice::variant`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum RtVariant {
+    /// Unprotected, unconstrained distances (the baseline).
+    Baseline,
+    /// SED p-ECC (detect-only), unconstrained distances.
+    Sed,
+    /// SECDED p-ECC, unconstrained distances.
+    Secded,
+    /// SECDED p-ECC-O (1-step shift-and-write).
+    SecdedO,
+    /// SECDED p-ECC with the worst-case safe distance.
+    SecdedSafeWorst,
+    /// SECDED p-ECC with the adaptive safe distance.
+    SecdedSafeAdaptive,
+    /// Chee–Kiah multi-look code (arXiv 1701.06874), unconstrained
+    /// distances.
+    CheeKiah,
+    /// Vahid two-deletion/insertion code (arXiv 1701.06478),
+    /// unconstrained distances.
+    Vahid2di,
+}
+
+impl RtVariant {
+    /// All variants in the paper's legend order.
+    pub const ALL: [RtVariant; 8] = [
+        RtVariant::Baseline,
+        RtVariant::Sed,
+        RtVariant::Secded,
+        RtVariant::SecdedO,
+        RtVariant::SecdedSafeWorst,
+        RtVariant::SecdedSafeAdaptive,
+        RtVariant::CheeKiah,
+        RtVariant::Vahid2di,
+    ];
+
+    /// The (protection, policy) pair this variant simulates.
+    pub fn parts(&self) -> (ProtectionKind, ShiftPolicy) {
+        match self {
+            RtVariant::Baseline => (ProtectionKind::None, ShiftPolicy::Unconstrained),
+            RtVariant::Sed => (ProtectionKind::Sed, ShiftPolicy::Unconstrained),
+            RtVariant::Secded => (ProtectionKind::SECDED, ShiftPolicy::Unconstrained),
+            RtVariant::SecdedO => (ProtectionKind::SECDED_O, ShiftPolicy::StepByStep),
+            RtVariant::SecdedSafeWorst => (ProtectionKind::SECDED, ShiftPolicy::WORST_CASE),
+            RtVariant::SecdedSafeAdaptive => (ProtectionKind::SECDED, ShiftPolicy::Adaptive),
+            RtVariant::CheeKiah => (ProtectionKind::CHEE_KIAH, ShiftPolicy::Unconstrained),
+            RtVariant::Vahid2di => (ProtectionKind::VAHID_2DI, ShiftPolicy::Unconstrained),
+        }
+    }
+
+    /// Paper legend label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RtVariant::Baseline => "Baseline",
+            RtVariant::Sed => "SED p-ECC",
+            RtVariant::Secded => "SECDED p-ECC",
+            RtVariant::SecdedO => "SECDED p-ECC-O",
+            RtVariant::SecdedSafeWorst => "SECDED p-ECC-S worst",
+            RtVariant::SecdedSafeAdaptive => "SECDED p-ECC-S adaptive",
+            RtVariant::CheeKiah => "Chee-Kiah",
+            RtVariant::Vahid2di => "Vahid 2-DI",
+        }
+    }
+
+    /// Canonical CLI name (the `--scheme` vocabulary).
+    pub fn name(&self) -> &'static str {
+        match self {
+            RtVariant::Baseline => "sts",
+            RtVariant::Sed => "sed",
+            RtVariant::Secded => "pecc",
+            RtVariant::SecdedO => "pecc-o",
+            RtVariant::SecdedSafeWorst => "pecc-s-worst",
+            RtVariant::SecdedSafeAdaptive => "pecc-s-adaptive",
+            RtVariant::CheeKiah => "chee-kiah",
+            RtVariant::Vahid2di => "vahid-2di",
+        }
+    }
+
+    /// Parses a CLI name.
+    pub fn parse(s: &str) -> Option<Self> {
+        RtVariant::ALL.into_iter().find(|v| v.name() == s)
+    }
+
+    /// The Table 5 row describing this variant's cost, or `None` for
+    /// SED, which Table 5 does not price.
+    pub fn cost_scheme(&self) -> Option<Scheme> {
+        match self {
+            RtVariant::Baseline => Some(Scheme::Sts),
+            RtVariant::Sed => None,
+            RtVariant::Secded => Some(Scheme::Pecc),
+            RtVariant::SecdedO => Some(Scheme::PeccO),
+            RtVariant::SecdedSafeWorst => Some(Scheme::PeccSWorst),
+            RtVariant::SecdedSafeAdaptive => Some(Scheme::PeccSAdaptive),
+            RtVariant::CheeKiah => Some(Scheme::CheeKiah),
+            RtVariant::Vahid2di => Some(Scheme::Vahid2di),
+        }
+    }
+}
+
 /// The LLC configurations the paper's Figs. 16-18 compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlcChoice {
@@ -60,7 +163,10 @@ impl LlcChoice {
         LlcChoice::RacetrackPeccSWorst,
     ];
 
-    /// The Table 5 scheme whose check energy applies, if any.
+    /// The Table 5 scheme whose check energy applies, if any. This is
+    /// not [`Self::variant`]'s row: every variant lane of a sweep
+    /// carries the unprotected preset's label, so that preset charges
+    /// no check energy.
     pub fn scheme(&self) -> Option<Scheme> {
         match self {
             LlcChoice::RacetrackPeccO => Some(Scheme::PeccO),
@@ -70,22 +176,15 @@ impl LlcChoice {
         }
     }
 
-    /// The protection scheme and shift policy of a racetrack preset, or
-    /// `None` for SRAM and STT-RAM. RM-Ideal's are unprotected and
-    /// unconstrained; [`LlcChoice::llc`] also makes its shifts free.
-    pub fn racetrack_parts(&self) -> Option<(ProtectionKind, ShiftPolicy)> {
+    /// The racetrack variant this preset simulates, or `None` for SRAM,
+    /// STT-RAM and RM-Ideal, whose free shifts no variant has.
+    pub fn variant(&self) -> Option<RtVariant> {
         match self {
-            LlcChoice::SramBaseline | LlcChoice::SttRam => None,
-            LlcChoice::RacetrackIdeal | LlcChoice::RacetrackUnprotected => {
-                Some((ProtectionKind::None, ShiftPolicy::Unconstrained))
-            }
-            LlcChoice::RacetrackPeccO => Some((ProtectionKind::SECDED_O, ShiftPolicy::StepByStep)),
-            LlcChoice::RacetrackPeccSWorst => {
-                Some((ProtectionKind::SECDED, ShiftPolicy::WORST_CASE))
-            }
-            LlcChoice::RacetrackPeccSAdaptive => {
-                Some((ProtectionKind::SECDED, ShiftPolicy::Adaptive))
-            }
+            LlcChoice::SramBaseline | LlcChoice::SttRam | LlcChoice::RacetrackIdeal => None,
+            LlcChoice::RacetrackUnprotected => Some(RtVariant::Baseline),
+            LlcChoice::RacetrackPeccO => Some(RtVariant::SecdedO),
+            LlcChoice::RacetrackPeccSWorst => Some(RtVariant::SecdedSafeWorst),
+            LlcChoice::RacetrackPeccSAdaptive => Some(RtVariant::SecdedSafeAdaptive),
         }
     }
 
@@ -98,7 +197,7 @@ impl LlcChoice {
             LlcChoice::SttRam => LaneLlc::Flat(SimpleLlc::new(LlcDesign::stt_ram())),
             LlcChoice::RacetrackIdeal => LaneLlc::Racetrack(ShiftBackEnd::ideal(1)),
             racetrack => {
-                let (kind, policy) = racetrack.racetrack_parts().expect("a racetrack preset");
+                let (kind, policy) = racetrack.variant().expect("a racetrack preset").parts();
                 LaneLlc::Racetrack(ShiftBackEnd::new(kind, policy, 1))
             }
         }
@@ -669,6 +768,100 @@ mod tests {
         let p = WorkloadProfile::by_name(workload).unwrap();
         let mut sys = Hierarchy::new(choice);
         sys.run(&mut TraceGenerator::new(p, 42), n)
+    }
+
+    #[test]
+    fn scheme_table_is_pinned() {
+        // The one scheme table: every variant's pair, label, `--scheme`
+        // name and Table 5 row, and every preset's variant.
+        use ProtectionKind as K;
+        use ShiftPolicy as P;
+        let variants = [
+            (
+                RtVariant::Baseline,
+                (K::None, P::Unconstrained),
+                "Baseline",
+                "sts",
+                Some(Scheme::Sts),
+            ),
+            (
+                RtVariant::Sed,
+                (K::Sed, P::Unconstrained),
+                "SED p-ECC",
+                "sed",
+                None,
+            ),
+            (
+                RtVariant::Secded,
+                (K::SECDED, P::Unconstrained),
+                "SECDED p-ECC",
+                "pecc",
+                Some(Scheme::Pecc),
+            ),
+            (
+                RtVariant::SecdedO,
+                (K::SECDED_O, P::StepByStep),
+                "SECDED p-ECC-O",
+                "pecc-o",
+                Some(Scheme::PeccO),
+            ),
+            (
+                RtVariant::SecdedSafeWorst,
+                (K::SECDED, P::WORST_CASE),
+                "SECDED p-ECC-S worst",
+                "pecc-s-worst",
+                Some(Scheme::PeccSWorst),
+            ),
+            (
+                RtVariant::SecdedSafeAdaptive,
+                (K::SECDED, P::Adaptive),
+                "SECDED p-ECC-S adaptive",
+                "pecc-s-adaptive",
+                Some(Scheme::PeccSAdaptive),
+            ),
+            (
+                RtVariant::CheeKiah,
+                (K::CHEE_KIAH, P::Unconstrained),
+                "Chee-Kiah",
+                "chee-kiah",
+                Some(Scheme::CheeKiah),
+            ),
+            (
+                RtVariant::Vahid2di,
+                (K::VAHID_2DI, P::Unconstrained),
+                "Vahid 2-DI",
+                "vahid-2di",
+                Some(Scheme::Vahid2di),
+            ),
+        ];
+        assert_eq!(RtVariant::ALL, variants.map(|row| row.0));
+        for (variant, parts, label, name, cost) in variants {
+            assert_eq!(variant.parts(), parts, "{variant:?}");
+            assert_eq!(variant.label(), label);
+            assert_eq!(variant.name(), name);
+            assert_eq!(RtVariant::parse(name), Some(variant));
+            assert_eq!(variant.cost_scheme(), cost, "{variant:?}");
+        }
+        assert_eq!(RtVariant::parse("nope"), None);
+        let presets = [
+            (LlcChoice::SramBaseline, None),
+            (LlcChoice::SttRam, None),
+            (LlcChoice::RacetrackIdeal, None),
+            (LlcChoice::RacetrackUnprotected, Some(RtVariant::Baseline)),
+            (LlcChoice::RacetrackPeccO, Some(RtVariant::SecdedO)),
+            (
+                LlcChoice::RacetrackPeccSAdaptive,
+                Some(RtVariant::SecdedSafeAdaptive),
+            ),
+            (
+                LlcChoice::RacetrackPeccSWorst,
+                Some(RtVariant::SecdedSafeWorst),
+            ),
+        ];
+        assert_eq!(LlcChoice::ALL, presets.map(|row| row.0));
+        for (choice, variant) in presets {
+            assert_eq!(choice.variant(), variant, "{choice}");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! shift controller.
 
 use crate::cache::{AccessKind, AccessResult, Cache, CacheStats, Way};
+use crate::hierarchy::RtVariant;
 use rtm_controller::controller::{ShiftController, ShiftPolicy};
 use rtm_cost::energy::LlcActivity;
 use rtm_cost::technology::LlcDesign;
@@ -543,7 +544,8 @@ impl ShiftBackEnd {
     ///
     /// Panics if `banks == 0`.
     pub fn ideal(banks: u32) -> Self {
-        let mut back = Self::new(ProtectionKind::None, ShiftPolicy::Unconstrained, banks);
+        let (kind, policy) = RtVariant::Baseline.parts();
+        let mut back = Self::new(kind, policy, banks);
         back.ideal_shifts = true;
         back
     }
@@ -941,22 +943,11 @@ impl RacetrackLlc {
             .distance
     }
 
-    /// Drifts a group's head back to the centre of its range off the
+    /// Drifts `group`'s head back to the centre of its range off the
     /// critical path, so the next access finds it at most half the
-    /// stripe away. The steps (and their error risk) are charged
-    /// through the bank controller, the latency is not — parking is
-    /// meant for idle periods. Shift-aware schedulers call this when a
-    /// group's queue drains; [`HeadPolicy::ReturnToCentre`] calls it
-    /// after every access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn park_group(&mut self, group: usize, now: u64) {
-        self.park_at(group, group % self.banks() as usize, now);
-    }
-
-    /// [`Self::park_group`] of `group`, served by `bank`.
+    /// stripe away: [`HeadPolicy::ReturnToCentre`] after every access.
+    /// The steps (and their error risk) are charged through `bank`'s
+    /// controller, the latency is not.
     fn park_at(&mut self, group: usize, bank: usize, now: u64) {
         let distance = self.dir.park(group);
         if distance > 0 {

@@ -216,7 +216,7 @@ pub fn position_pdf(params: &DeviceParams, distance: u32, trials: u64, seed: u64
 /// The output is **bit-identical for every `threads` value**: the
 /// chunk layout depends only on `trials`, each chunk's RNG stream is
 /// seeded from `(seed, chunk_index)`, and per-chunk bin counts and
-/// Welford stats are merged in chunk-index order after the pool joins.
+/// Welford stats are merged in chunk-index order as they stream back.
 ///
 /// # Panics
 ///
@@ -235,29 +235,31 @@ pub fn position_pdf_with_threads(
     let progress =
         rtm_obs::timer::Progress::new(format!("montecarlo d={distance}"), trials, "trials");
     let plan = rtm_par::chunks(trials, MC_CHUNK_TRIALS);
-    let accums = rtm_par::parallel_map_with(threads, plan.len(), |i| {
-        let chunk = plan[i];
-        simulate_chunk(
-            &noise,
-            distance,
-            chunk.len,
-            rtm_util::rng::derive_seed(seed, chunk.index as u64),
-            &progress,
-        )
-    });
-    progress.finish();
-
-    // Merge in chunk-index order: counter addition commutes exactly,
+    // Merged in chunk-index order: counter addition commutes exactly,
     // but the parallel-Welford merge is float-order-sensitive, so the
     // fixed ordering is what keeps the stats thread-count invariant.
-    let mut counts: HashMap<PositionBin, u64> = HashMap::new();
-    let mut errors = OnlineStats::new();
-    for a in accums {
-        for (bin, n) in a.counts {
-            *counts.entry(bin).or_insert(0) += n;
-        }
-        errors.merge(&a.errors);
-    }
+    let (counts, errors) = rtm_par::parallel_fold_with(
+        threads,
+        plan.len(),
+        |i| {
+            let chunk = plan[i];
+            simulate_chunk(
+                &noise,
+                distance,
+                chunk.len,
+                rtm_util::rng::derive_seed(seed, chunk.index as u64),
+                &progress,
+            )
+        },
+        (HashMap::<PositionBin, u64>::new(), OnlineStats::new()),
+        |(counts, errors), _, a| {
+            for (bin, n) in a.counts {
+                *counts.entry(bin).or_insert(0) += n;
+            }
+            errors.merge(&a.errors);
+        },
+    );
+    progress.finish();
 
     let reg = rtm_obs::global().registry();
     if reg.enabled() {

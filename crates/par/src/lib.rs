@@ -3,12 +3,13 @@
 //! The workspace builds offline, so it cannot depend on rayon; this
 //! crate provides the small subset the simulation hot paths need:
 //!
-//! * [`parallel_map`] / [`parallel_map_with`] — run `n` independent
-//!   index-addressed tasks across a pool of scoped worker threads.
-//!   Scheduling is *self-balancing* (workers pull the next task index
-//!   from a shared atomic counter, so long tasks do not stall short
-//!   ones), but results are always returned **in task-index order**, so
-//!   callers observe the same output for any worker count.
+//! * [`parallel_fold_with`] — run `n` independent index-addressed
+//!   tasks across a pool of scoped worker threads. Scheduling is
+//!   *self-balancing* (workers pull the next task index from a shared
+//!   atomic counter, so long tasks do not stall short ones), but results
+//!   are always folded **in task-index order**, so callers observe the
+//!   same output for any worker count; [`parallel_map_with`] collects
+//!   them into a `Vec`.
 //! * [`chunks`] — split a trial count into fixed-size chunks whose
 //!   boundaries depend only on the total and the chunk length, never on
 //!   the worker count. Combined with a per-chunk derived RNG seed this
@@ -21,11 +22,11 @@
 //!
 //! # Determinism contract
 //!
-//! `parallel_map` guarantees that `out[i]` is `f(i)` and that the
-//! returned ordering is `0..tasks` — the worker count only affects
-//! wall-clock time. Any *caller-side* merge that is order-sensitive
-//! (e.g. floating-point Welford merges) must therefore iterate the
-//! returned `Vec` in order, which is the natural thing to do.
+//! `parallel_fold_with` hands result `i` to the fold only after every
+//! result below `i`, and `parallel_map_with` guarantees that `out[i]`
+//! is `f(i)` — the worker count only affects wall-clock time. Any
+//! order-sensitive merge (e.g. floating-point Welford merges) is
+//! therefore identical for every worker count.
 //!
 //! # Examples
 //!
@@ -141,88 +142,28 @@ pub fn chunks(total: u64, chunk_len: u64) -> Vec<Chunk> {
         .collect()
 }
 
-/// Runs `tasks` independent jobs with the process-wide worker count
-/// (see [`threads`]); results are in task-index order.
-pub fn parallel_map<T, F>(tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(threads(), tasks, f)
-}
-
 /// Runs `tasks` independent jobs on `workers` scoped threads (0 =
-/// process default), returning `vec![f(0), f(1), …]`.
-///
-/// Workers pull the next task index from a shared atomic counter, so
-/// scheduling balances itself across uneven task costs; each worker
-/// buffers its `(index, result)` pairs locally and the buffers are
-/// merged back into index order after the scope joins. A panicking task
-/// propagates its panic to the caller after the remaining workers
-/// drain.
+/// process default), returning `vec![f(0), f(1), …]`: the in-order
+/// collect of [`parallel_fold_with`].
 pub fn parallel_map_with<T, F>(workers: usize, tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = if workers == 0 { threads() } else { workers };
-    let workers = workers.min(tasks).max(1);
-    if workers == 1 || tasks <= 1 {
-        return (0..tasks).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut buckets: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => buckets.push(local),
-                Err(e) => panic = Some(e),
-            }
-        }
-    });
-    if let Some(e) = panic {
-        std::panic::resume_unwind(e);
-    }
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(tasks).collect();
-    for (i, v) in buckets.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "task {i} produced two results");
-        slots[i] = Some(v);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("task {i} produced no result")))
-        .collect()
+    parallel_fold_with(workers, tasks, f, Vec::with_capacity(tasks), |out, _, v| {
+        out.push(v)
+    })
 }
 
 /// Runs `tasks` independent jobs and folds their results into an
 /// accumulator **in task-index order**, without ever holding more than
 /// the out-of-order completion window in memory.
 ///
-/// This is the streaming counterpart of [`parallel_map_with`]: instead
-/// of collecting `Vec<T>` and merging afterwards, each result is handed
-/// to `fold(&mut acc, index, result)` on the calling thread as soon as
-/// every lower-indexed result has been folded. The fold order — and
-/// therefore any order-sensitive merge, metrics recording or
-/// last-writer-wins gauge — is identical for every worker count,
-/// preserving the crate's determinism contract while sweeps no longer
-/// accumulate O(cells) results.
+/// Each result is handed to `fold(&mut acc, index, result)` on the
+/// calling thread as soon as every lower-indexed result has been
+/// folded. The fold order — and therefore any order-sensitive merge,
+/// metrics recording or last-writer-wins gauge — is identical for every
+/// worker count, and a sweep never holds O(cells) results.
 ///
 /// Memory: the calling thread holds at most the results that completed
 /// ahead of the next index to fold (bounded in practice by the worker

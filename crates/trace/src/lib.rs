@@ -30,5 +30,5 @@ pub mod session;
 
 pub use generator::{MemAccess, TraceGenerator};
 pub use mixed::MixedTraceGenerator;
-pub use profile::WorkloadProfile;
+pub use profile::{seed_of, WorkloadProfile};
 pub use session::TenantStream;

@@ -169,6 +169,15 @@ impl WorkloadProfile {
         Self::parsec().into_iter().find(|p| p.name == name)
     }
 
+    /// The profiles named in `names`, in that order, skipping unknown
+    /// names; all twelve, in display order, for `None`.
+    pub fn select(names: Option<&[&str]>) -> Vec<WorkloadProfile> {
+        match names {
+            None => Self::parsec().to_vec(),
+            Some(names) => names.iter().filter_map(|n| Self::by_name(n)).collect(),
+        }
+    }
+
     /// Validates internal consistency (fractions in range, hot set
     /// inside working set).
     pub fn validate(&self) -> Result<(), String> {
@@ -193,6 +202,14 @@ impl WorkloadProfile {
         }
         Ok(())
     }
+}
+
+/// Folds a workload name into the label its trace seed derives from
+/// (`rtm_util::rng::derive_seed(seed, seed_of(name))`), so a workload's
+/// trace depends on its name alone, never on its place in a sweep.
+pub fn seed_of(name: &str) -> u64 {
+    name.bytes()
+        .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
 }
 
 #[cfg(test)]
