@@ -176,8 +176,8 @@ impl LlcChoice {
         }
     }
 
-    /// The racetrack variant this preset simulates, or `None` for SRAM,
-    /// STT-RAM and RM-Ideal, whose free shifts no variant has.
+    /// The racetrack variant this preset simulates, or `None` for SRAM
+    /// and STT-RAM, and for RM-Ideal, whose free shifts no variant has.
     pub fn variant(&self) -> Option<RtVariant> {
         match self {
             LlcChoice::SramBaseline | LlcChoice::SttRam | LlcChoice::RacetrackIdeal => None,

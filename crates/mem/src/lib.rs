@@ -48,5 +48,5 @@ pub mod llc;
 pub mod physical;
 
 pub use cache::{AccessKind, Cache, CacheStats};
-pub use hierarchy::{Hierarchy, LlcChoice, RtVariant, SimResult};
+pub use hierarchy::{Hierarchy, LlcChoice, SimResult};
 pub use llc::{LlcStats, RacetrackLlc, ShiftBackEnd, SimpleLlc};
